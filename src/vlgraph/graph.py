@@ -186,17 +186,41 @@ def parse_clip(rec: dict) -> Clip:
     )
 
 
-def read_dataset(path: str) -> tuple[dict, list[Clip]]:
-    """Load a JSONL dataset: header line, then one clip per line."""
+def _read_lines(path: str) -> tuple[dict, list[str]]:
+    """The checked header and the raw lines of a JSONL dataset."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise EmptyInputError(f"{path} is empty")
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path}:1: header is not valid JSON: {e}") from e
     for key in ("d_v", "d_s", "d_h"):
         if key not in header:
-            raise ValidationError(f"{path}: header missing {key!r}")
-    clips = [parse_clip(json.loads(line)) for line in lines[1:] if line.strip()]
+            raise ValidationError(f"{path}:1: header missing {key!r}")
+    return header, lines
+
+
+def read_dataset(path: str) -> tuple[dict, list[Clip]]:
+    """Load a JSONL dataset: header line, then one clip per line.
+
+    Every record gets the checks of `validate_dataset`; the first bad one
+    raises ValidationError naming the file, the line and the problems.
+    """
+    header, lines = _read_lines(path)
+    clips = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"{path}:{ln}: not valid JSON: {e}") from e
+        problems = _check_record(rec, header)
+        if problems:
+            raise ValidationError(f"{path}:{ln}: {'; '.join(problems)}")
+        clips.append(parse_clip(rec))
     return header, clips
 
 
@@ -229,7 +253,11 @@ class ValidationReport:
 
 
 def _check_record(rec: dict, header: dict) -> list[str]:
+    if not isinstance(rec, dict):
+        return ["record is not a JSON object"]
     problems: list[str] = []
+    if "clip_id" not in rec:
+        problems.append("clip_id: missing")
     d_v, d_s, d_h = header["d_v"], header["d_s"], header["d_h"]
     frames = rec.get("frames", [])
     subs = rec.get("subs", [])
@@ -268,17 +296,7 @@ def _check_record(rec: dict, header: dict) -> list[str]:
 
 def validate_dataset(path: str) -> ValidationReport:
     """Per-record structural checks; malformed records are listed, not fatal."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise EmptyInputError(f"{path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}:1: header is not valid JSON: {e}") from e
-    for key in ("d_v", "d_s", "d_h"):
-        if key not in header:
-            raise ValidationError(f"{path}:1: header missing {key!r}")
+    header, lines = _read_lines(path)
     checks: list[RecordCheck] = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -289,5 +307,6 @@ def validate_dataset(path: str) -> ValidationReport:
             checks.append(RecordCheck(ln, "?", False, [f"not valid JSON: {e}"]))
             continue
         problems = _check_record(rec, header)
-        checks.append(RecordCheck(ln, str(rec.get("clip_id", "?")), not problems, problems))
+        clip_id = str(rec.get("clip_id", "?")) if isinstance(rec, dict) else "?"
+        checks.append(RecordCheck(ln, clip_id, not problems, problems))
     return ValidationReport(header=header, records=checks)

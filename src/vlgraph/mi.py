@@ -25,11 +25,6 @@ log = logging.getLogger(__name__)
 DISC_WEIGHT = "disc.w"
 
 
-def disc_score(node: Tensor, context: Tensor, params: ParamStore) -> Tensor:
-    """Bilinear score node^T W context as a scalar tensor."""
-    return tn.matmul(node.T, tn.matmul(params[DISC_WEIGHT], context))
-
-
 @dataclass
 class NCEPair:
     positive: Tensor                     # (d, 1) temporal node

@@ -1,14 +1,19 @@
 """Three-hierarchy reasoning network over clip graphs.
 
-Segment level: cross-modal gated message passing refines each modality with
-the other, then intra-modal passing refines within a modality; both use the
-same pattern of a row-normalized similarity adjacency, aggregated messages,
-and a learned per-coordinate convex-combination gate. A statement-derived
-semantic query then pools each segment into one temporal node.
+All three hierarchies pass messages with one primitive, `message_pass`:
+nodes X absorb messages from nodes Y over the row-normalized similarity
+adjacency softmax(X^T Y), through a learned per-coordinate convex-combination
+gate. Each call returns a `Pass` record that holds references to the
+adjacency, gate, message and output arrays it computed.
 
-Temporal level: per query, the pooled nodes exchange messages and are pooled
-again into a global node. The number of queries is decided by a self-halting
-accumulator over per-query stop probabilities.
+Segment level: cross-modal passing refines each modality with the other,
+then intra-modal passing (Y = X) refines within a modality. A
+statement-derived semantic query then pools each segment into one temporal
+node.
+
+Temporal level: per query, the pooled nodes exchange messages (Y = X again)
+and are pooled into a global node. The number of queries is decided by a
+self-halting accumulator over per-query stop probabilities.
 
 Global level: the mean of the global nodes feeds a small prediction head.
 
@@ -28,8 +33,6 @@ from .errors import ContractError
 from .graph import Clip, ClipGraph, build_clip_graph, project_nodes
 from .tensor import ParamStore, Tensor
 
-ADJACENCY_NORMS = ("softmax", "none")
-
 
 @dataclass
 class ModelConfig:
@@ -37,7 +40,6 @@ class ModelConfig:
     halt_eps: float = 0.1
     max_queries: int = 5
     query_cost: float = 0.05
-    adjacency_norm: str = "softmax"
     inter_modal: bool = True
     intra_modal: bool = True
     temporal: bool = True
@@ -50,8 +52,6 @@ class ModelConfig:
             raise ContractError("halt_eps must lie in (0, 1)")
         if self.max_queries < 1:
             raise ContractError("max_queries must be at least 1")
-        if self.adjacency_norm not in ADJACENCY_NORMS:
-            raise ContractError(f"adjacency_norm must be one of {ADJACENCY_NORMS}")
         if self.fixed_queries is not None and not 1 <= self.fixed_queries <= self.max_queries:
             raise ContractError("fixed_queries must lie in [1, max_queries]")
 
@@ -83,101 +83,64 @@ def init_params(cfg: ModelConfig, d_v: int, d_s: int, d_h: int,
 
 # --------------------------------------------------------------- building blocks
 
-def _normalize_adj(raw: Tensor, cfg: ModelConfig) -> Tensor:
-    if cfg.adjacency_norm == "softmax":
-        return tn.softmax(raw, axis=1)
-    return raw
-
-
-def _node_gate(params: ParamStore, name: str, g_left: Tensor, nodes: Tensor,
-               g_right: Tensor) -> Tensor:
-    """Per-node gate from [left guidance; node; right guidance]."""
-    n = nodes.shape[1]
-    stacked = tn.concat([tn.tile_col(g_left, n), nodes, tn.tile_col(g_right, n)], axis=0)
-    return tn.sigmoid(tn.add_col(tn.matmul(params[f"{name}.w"], stacked), params[f"{name}.b"]))
-
-
 def _fuse(keep: Tensor, take: Tensor, gate: Tensor) -> Tensor:
     """Convex combination (1 - gate) * keep + gate * take."""
     return tn.add(tn.mul(tn.sub(1.0, gate), keep), tn.mul(gate, take))
 
 
 @dataclass
+class Pass:
+    """One message pass: references to the arrays it computed, no copies."""
+
+    adj: np.ndarray                      # (n_x, n_y), rows sum to one
+    gate: np.ndarray                     # (d, n_x), share of the message taken
+    msg: np.ndarray                      # (d, n_x), aggregated messages
+    out: np.ndarray                      # (d, n_x), updated nodes
+
+
+def message_pass(X: Tensor, Y: Tensor, g_x: Tensor, g_y: Tensor, params: ParamStore,
+                 name: str) -> tuple[Tensor, Pass]:
+    """Nodes X absorb gated messages aggregated from nodes Y.
+
+    The adjacency is softmax(X^T Y) over each receiving node's row; the gate
+    reads [g_x; X; g_y] through the weights `name`. With Y = X, a
+    single-node graph is a fixed point.
+    """
+    adj = tn.softmax(tn.matmul(X.T, Y), axis=1)  # (n_x, n_y)
+    msg = tn.matmul(Y, adj.T)                    # (d, n_x)
+    n = X.shape[1]
+    stacked = tn.concat([tn.tile_col(g_x, n), X, tn.tile_col(g_y, n)], axis=0)
+    gate = tn.sigmoid(tn.add_col(tn.matmul(params[f"{name}.w"], stacked), params[f"{name}.b"]))
+    out = _fuse(X, msg, gate)
+    return out, Pass(adj=adj.data, gate=gate.data, msg=msg.data, out=out.data)
+
+
+@dataclass
 class SegmentTrace:
     visual: Tensor                       # refined nodes (d, K)
     text: Tensor                         # refined nodes (d, L)
-    inter_adj_v: np.ndarray | None = None
-    inter_adj_s: np.ndarray | None = None
-    inter_gate_v: np.ndarray | None = None
-    inter_gate_s: np.ndarray | None = None
-    inter_msg_v: np.ndarray | None = None
-    inter_msg_s: np.ndarray | None = None
-    after_inter_v: np.ndarray | None = None
-    after_inter_s: np.ndarray | None = None
-    intra_adj_v: np.ndarray | None = None
-    intra_adj_s: np.ndarray | None = None
-    intra_gate_v: np.ndarray | None = None
-    intra_gate_s: np.ndarray | None = None
-    intra_msg_v: np.ndarray | None = None
-    intra_msg_s: np.ndarray | None = None
-
-
-def inter_modal_step(V: Tensor, S: Tensor, params: ParamStore,
-                     cfg: ModelConfig) -> tuple[Tensor, Tensor, dict]:
-    """Each modality absorbs gated messages aggregated from the other.
-
-    Guidance vectors are the pre-update mean nodes of each modality; the
-    adjacency is the raw node dot-product matrix, row-normalized per
-    receiving node when `adjacency_norm` is "softmax".
-    """
-    g_v = V.mean(axis=1)
-    g_s = S.mean(axis=1)
-    raw = tn.matmul(V.T, S)                      # (K, L)
-    adj_v = _normalize_adj(raw, cfg)
-    msg_v = tn.matmul(S, adj_v.T)                # (d, K)
-    adj_s = _normalize_adj(raw.T, cfg)
-    msg_s = tn.matmul(V, adj_s.T)                # (d, L)
-    gate_v = _node_gate(params, "inter.v", g_v, V, g_s)
-    gate_s = _node_gate(params, "inter.s", g_s, S, g_v)
-    V2 = _fuse(V, msg_v, gate_v)
-    S2 = _fuse(S, msg_s, gate_s)
-    info = dict(
-        inter_adj_v=adj_v.data, inter_adj_s=adj_s.data,
-        inter_gate_v=gate_v.data, inter_gate_s=gate_s.data,
-        inter_msg_v=msg_v.data, inter_msg_s=msg_s.data,
-    )
-    return V2, S2, info
-
-
-def intra_modal_step(X: Tensor, params: ParamStore, name: str,
-                     cfg: ModelConfig) -> tuple[Tensor, dict]:
-    """Message passing within one modality; single-node graphs are fixed points."""
-    g = X.mean(axis=1)
-    adj = _normalize_adj(tn.matmul(X.T, X), cfg)
-    msg = tn.matmul(X, adj.T)
-    gate = _node_gate(params, name, g, X, g)
-    X2 = _fuse(X, msg, gate)
-    return X2, dict(adj=adj.data, gate=gate.data, msg=msg.data)
+    passes: dict[str, Pass] = field(default_factory=dict)  # by gate name, in run order
 
 
 def refine_segment(V: Tensor, S: Tensor, params: ParamStore,
                    cfg: ModelConfig) -> SegmentTrace:
-    """Cross-modal then intra-modal refinement of one segment."""
-    trace = SegmentTrace(visual=V, text=S)
+    """Cross-modal then intra-modal refinement of one segment.
+
+    Both cross-modal passes read the nodes and means from before either
+    update.
+    """
+    passes: dict[str, Pass] = {}
     if cfg.inter_modal:
-        V, S, info = inter_modal_step(V, S, params, cfg)
-        for k, v in info.items():
-            setattr(trace, k, v)
-        trace.after_inter_v = V.data
-        trace.after_inter_s = S.data
+        g_v, g_s = V.mean(axis=1), S.mean(axis=1)
+        V2, passes["inter.v"] = message_pass(V, S, g_v, g_s, params, "inter.v")
+        S, passes["inter.s"] = message_pass(S, V, g_s, g_v, params, "inter.s")
+        V = V2
     if cfg.intra_modal:
-        V, iv = intra_modal_step(V, params, "intra.v", cfg)
-        S, is_ = intra_modal_step(S, params, "intra.s", cfg)
-        trace.intra_adj_v, trace.intra_gate_v, trace.intra_msg_v = iv["adj"], iv["gate"], iv["msg"]
-        trace.intra_adj_s, trace.intra_gate_s, trace.intra_msg_s = is_["adj"], is_["gate"], is_["msg"]
-    trace.visual = V
-    trace.text = S
-    return trace
+        g_v = V.mean(axis=1)
+        V, passes["intra.v"] = message_pass(V, V, g_v, g_v, params, "intra.v")
+        g_s = S.mean(axis=1)
+        S, passes["intra.s"] = message_pass(S, S, g_s, g_s, params, "intra.s")
+    return SegmentTrace(visual=V, text=S, passes=passes)
 
 
 def segment_pool(seg: SegmentTrace, q: Tensor, params: ParamStore) -> tuple[Tensor, dict]:
@@ -285,16 +248,12 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: ModelConfig,
 @dataclass
 class TemporalTrace:
     nodes: list[Tensor]                  # pooled per-segment nodes (d, 1) each
-    stacked: Tensor                      # (d, M), pre-refinement
-    refined: Tensor                      # (d, M)
     global_node: Tensor                  # (d, 1)
     pool_weights: np.ndarray             # (M, 1)
     seg_attn_v: list[np.ndarray]
     seg_attn_s: list[np.ndarray]
     fuse_gates: list[np.ndarray]
-    adj: np.ndarray | None = None
-    gate: np.ndarray | None = None
-    msg: np.ndarray | None = None
+    refine: Pass | None = None           # the temporal pass, when enabled
 
 
 def temporal_pool(T: Tensor, q: Tensor, params: ParamStore) -> tuple[Tensor, Tensor]:
@@ -311,20 +270,18 @@ def reason_over_segments(segs: list[SegmentTrace], q: Tensor, params: ParamStore
         node, info = segment_pool(seg, q, params)
         nodes.append(node)
         pool_info.append(info)
-    stacked = nodes[0] if len(nodes) == 1 else tn.concat(nodes, axis=1)
-    refined = stacked
-    adj = gate = msg = None
+    T = nodes[0] if len(nodes) == 1 else tn.concat(nodes, axis=1)
+    refine = None
     if cfg.temporal:
-        refined, info = intra_modal_step(stacked, params, "temporal.gate", cfg)
-        adj, gate, msg = info["adj"], info["gate"], info["msg"]
-    global_node, weights = temporal_pool(refined, q, params)
+        g = T.mean(axis=1)
+        T, refine = message_pass(T, T, g, g, params, "temporal.gate")
+    global_node, weights = temporal_pool(T, q, params)
     return TemporalTrace(
-        nodes=nodes, stacked=stacked, refined=refined, global_node=global_node,
-        pool_weights=weights.data,
+        nodes=nodes, global_node=global_node, pool_weights=weights.data,
         seg_attn_v=[i["attn_v"] for i in pool_info],
         seg_attn_s=[i["attn_s"] for i in pool_info],
         fuse_gates=[i["gate"] for i in pool_info],
-        adj=adj, gate=gate, msg=msg,
+        refine=refine,
     )
 
 
@@ -345,7 +302,6 @@ class FrozenDecisions:
     """Discrete choices pinned across repeated evaluations (gradient checks)."""
 
     n_queries: int
-    ot_plans: list[np.ndarray] | None = None
 
 
 @dataclass

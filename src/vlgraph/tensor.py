@@ -345,17 +345,32 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     return _make(y, (a,), bw)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     y = np.empty_like(x)
     pos = x >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _sigmoid(a.data)
     np.clip(y, _SIG_LO, _SIG_HI, out=y)
 
     def bw(out: Tensor) -> None:
         _acc(a, out.grad * y * (1.0 - y))
+
+    return _make(y, (a,), bw)
+
+
+def softplus(a: Tensor) -> Tensor:
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)): no overflow, no clamp."""
+    x = a.data
+    y = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+    def bw(out: Tensor) -> None:
+        _acc(a, out.grad * _sigmoid(x))
 
     return _make(y, (a,), bw)
 

@@ -48,7 +48,6 @@ class TrainConfig:
     ot_gw_outer_iters: int = 10
     ot_tol: float = 1e-6
     neg_buffer: int = 256
-    adjacency_norm: str = "softmax"
     inter_modal: bool = True
     intra_modal: bool = True
     temporal: bool = True
@@ -72,8 +71,7 @@ class TrainConfig:
     def model_config(self) -> ModelConfig:
         return ModelConfig(
             dim=self.dim, halt_eps=self.halt_eps, max_queries=self.max_queries,
-            query_cost=self.query_cost, adjacency_norm=self.adjacency_norm,
-            inter_modal=self.inter_modal, intra_modal=self.intra_modal,
+            query_cost=self.query_cost, inter_modal=self.inter_modal, intra_modal=self.intra_modal,
             temporal=self.temporal, fixed_queries=self.fixed_queries,
         )
 
@@ -134,12 +132,12 @@ def total_loss(
     buffer: NegativeBuffer | None = None,
     frozen_plans: list[np.ndarray] | None = None,
 ) -> LossBundle:
-    """Cross-entropy + query-efficiency + transport + contrastive terms."""
-    p = trace.prob
-    if label == 1:
-        ent = tn.scale(tn.log(p), -1.0)
-    else:
-        ent = tn.scale(tn.log(tn.sub(1.0, p)), -1.0)
+    """Cross-entropy + query-efficiency + transport + contrastive terms.
+
+    The cross-entropy is softplus(-logit) for label 1 and softplus(logit)
+    for label 0, exact for any logit.
+    """
+    ent = tn.softplus(tn.scale(trace.logit, 1.0 - 2.0 * label))
     qe = trace.query.surrogate
     cm, _ = transport_loss(trace.segments, cfg.ot_config(), frozen_plans=frozen_plans)
     cl_res: ContrastiveResult = contrastive_loss(trace.temporal, params, cfg.beta, buffer)
@@ -362,12 +360,19 @@ def load_checkpoint(path: str) -> CheckpointData:
         header = json.loads(blob[head_start : head_start + head_len])
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: corrupt checkpoint header: {e}") from e
+    for key in ("params", "config"):
+        if key not in header:
+            raise FormatError(f"{path}: checkpoint header has no {key!r}")
     payload = blob[head_start + head_len :]
     params = ParamStore()
     for name, meta in header["params"].items():
         shape = tuple(meta["shape"])
         count = int(np.prod(shape))
         start = meta["offset"]
+        end = start + count * np.dtype(meta["dtype"]).itemsize
+        if end > len(payload):
+            raise FormatError(f"{path}: parameter {name!r} needs payload bytes "
+                              f"{start}..{end}, but the payload has {len(payload)}")
         arr = np.frombuffer(payload, dtype=meta["dtype"], count=count, offset=start)
         params.add(name, arr.astype(np.float64).reshape(shape))
     cfg = TrainConfig.from_dict(header["config"])

@@ -50,9 +50,6 @@ class Coupling:
     plan: np.ndarray              # (n, m), rows index the first node set
     p: np.ndarray
     q: np.ndarray
-    node_cost: np.ndarray
-    intra_a: np.ndarray
-    intra_b: np.ndarray
     distance: float
     marginal_err: float
     converged: bool
@@ -150,11 +147,8 @@ def solve_plan(
             break
     fused = cfg.lam * node_cost + np.einsum("ijkl,kl->ij", gap, plan)
     distance = float((plan * fused).sum())
-    return Coupling(
-        plan=plan, p=p, q=q, node_cost=node_cost, intra_a=np.asarray(intra_a, float),
-        intra_b=np.asarray(intra_b, float), distance=distance, marginal_err=err,
-        converged=err <= cfg.tol,
-    )
+    return Coupling(plan=plan, p=p, q=q, distance=distance, marginal_err=err,
+                    converged=err <= cfg.tol)
 
 
 def _np_cosine_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -177,6 +177,28 @@ def test_validate_malformed_record_listed_not_fatal(tmp_path):
     assert rep.records[-1].line_no == 3
 
 
+def bad_records():
+    no_statement, no_id = record(), record()
+    del no_statement["statement"], no_id["clip_id"]
+    return {"statement": no_statement, "d_v": record(frame_w=2), "clip_id": no_id,
+            "not a JSON object": [record()]}
+
+
+@pytest.mark.parametrize("problem", ["statement", "d_v", "clip_id", "not a JSON object"])
+def test_read_dataset_rejects_bad_record_with_line(tmp_path, problem):
+    path = write(tmp_path, [record(), bad_records()[problem]])
+    with pytest.raises(ValidationError, match=rf"data\.jsonl:3: .*{problem}"):
+        gr.read_dataset(path)
+
+
+def test_read_dataset_rejects_line_that_is_not_json(tmp_path):
+    path = write(tmp_path, [record()])
+    with open(path, "a") as fh:
+        fh.write("{not json\n")
+    with pytest.raises(ValidationError, match=r"data\.jsonl:3: not valid JSON"):
+        gr.read_dataset(path)
+
+
 def test_read_dataset_roundtrip(tmp_path):
     path = write(tmp_path, [record(), record("c1", 0)])
     header, clips = gr.read_dataset(path)

@@ -33,7 +33,7 @@ def random_pair(rng, d, k_neg):
 
 def trace_of(nodes, global_node):
     return TemporalTrace(
-        nodes=nodes, stacked=nodes[0], refined=nodes[0], global_node=global_node,
+        nodes=nodes, global_node=global_node,
         pool_weights=np.ones((len(nodes), 1)) / len(nodes),
         seg_attn_v=[], seg_attn_s=[], fuse_gates=[],
     )

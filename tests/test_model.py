@@ -12,8 +12,7 @@ from vlgraph.model import (
     extract_queries,
     forward,
     init_params,
-    inter_modal_step,
-    intra_modal_step,
+    message_pass,
     predict_global,
     refine_segment,
     reason_over_segments,
@@ -30,6 +29,20 @@ def cfg_of(d=4, **kw):
 
 def params_of(rng, d=4, d_v=3, d_s=3, d_h=3):
     return init_params(cfg_of(d), d_v, d_s, d_h, rng)
+
+
+def cross_modal(V, S, ps):
+    """Both cross-modal passes, from the nodes and means before either update."""
+    g_v, g_s = V.mean(axis=1), S.mean(axis=1)
+    V2, pass_v = message_pass(V, S, g_v, g_s, ps, "inter.v")
+    S2, pass_s = message_pass(S, V, g_s, g_v, ps, "inter.s")
+    return V2, S2, pass_v, pass_s
+
+
+def self_pass(X, ps, name):
+    """Intra-modal or temporal pass: the nodes exchange messages among themselves."""
+    g = X.mean(axis=1)
+    return message_pass(X, X, g, g, ps, name)
 
 
 def zero_group(ps, name):
@@ -104,10 +117,10 @@ def test_inter_modal_zero_weights_average():
     zero_group(ps, "inter.s")
     V = Tensor(rng.standard_normal((4, 3)))
     S = Tensor(rng.standard_normal((4, 2)))
-    V2, S2, info = inter_modal_step(V, S, ps, cfg_of())
-    assert np.allclose(info["inter_gate_v"], 0.5)
-    assert np.allclose(V2.data, (V.data + info["inter_msg_v"]) / 2.0, atol=1e-14)
-    assert np.allclose(S2.data, (S.data + info["inter_msg_s"]) / 2.0, atol=1e-14)
+    V2, S2, pass_v, pass_s = cross_modal(V, S, ps)
+    assert np.allclose(pass_v.gate, 0.5)
+    assert np.allclose(V2.data, (V.data + pass_v.msg) / 2.0, atol=1e-14)
+    assert np.allclose(S2.data, (S.data + pass_s.msg) / 2.0, atol=1e-14)
 
 
 def test_inter_modal_single_subtitle_token():
@@ -115,9 +128,9 @@ def test_inter_modal_single_subtitle_token():
     ps = params_of(rng)
     V = Tensor(rng.standard_normal((4, 3)))
     S = Tensor(rng.standard_normal((4, 1)))
-    _, _, info = inter_modal_step(V, S, ps, cfg_of())
-    assert np.allclose(info["inter_adj_v"], np.ones((3, 1)))
-    assert np.allclose(info["inter_msg_v"], np.repeat(S.data, 3, axis=1))
+    _, _, pass_v, _ = cross_modal(V, S, ps)
+    assert np.allclose(pass_v.adj, np.ones((3, 1)))
+    assert np.allclose(pass_v.msg, np.repeat(S.data, 3, axis=1))
 
 
 def test_inter_modal_hand_instance():
@@ -126,10 +139,10 @@ def test_inter_modal_hand_instance():
     ps = init_params(cfg_of(2), 2, 2, 2, rng)
     V = Tensor([[1.0], [0.0]])
     S = Tensor([[1.0, 0.0], [0.0, 1.0]])
-    _, _, info = inter_modal_step(V, S, ps, cfg_of(2))
+    _, _, pass_v, _ = cross_modal(V, S, ps)
     e = math.e
-    assert np.allclose(info["inter_adj_v"], [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
-    assert np.allclose(info["inter_msg_v"].ravel(), [0.7310586, 0.2689414], atol=1e-6)
+    assert np.allclose(pass_v.adj, [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
+    assert np.allclose(pass_v.msg.ravel(), [0.7310586, 0.2689414], atol=1e-6)
 
 
 def test_inter_modal_matches_reference_oracle():
@@ -138,7 +151,7 @@ def test_inter_modal_matches_reference_oracle():
         ps = params_of(rng)
         V = Tensor(rng.standard_normal((4, 3)))
         S = Tensor(rng.standard_normal((4, 2)))
-        V2, S2, _ = inter_modal_step(V, S, ps, cfg_of())
+        V2, S2, _, _ = cross_modal(V, S, ps)
         rv, rs = ref_inter(V.data, S.data, ps)
         assert np.allclose(V2.data, rv, atol=1e-12)
         assert np.allclose(S2.data, rs, atol=1e-12)
@@ -150,9 +163,9 @@ def test_intra_modal_single_node_fixed_point():
     rng = np.random.default_rng(3)
     ps = params_of(rng)
     X = Tensor(rng.standard_normal((4, 1)))
-    X2, info = intra_modal_step(X, ps, "intra.v", cfg_of())
+    X2, p = self_pass(X, ps, "intra.v")
     assert np.allclose(X2.data, X.data, atol=1e-14)
-    assert np.allclose(info["adj"], [[1.0]])
+    assert np.allclose(p.adj, [[1.0]])
 
 
 def test_intra_modal_zero_weights_average():
@@ -160,8 +173,8 @@ def test_intra_modal_zero_weights_average():
     ps = params_of(rng)
     zero_group(ps, "intra.s")
     X = Tensor(rng.standard_normal((4, 3)))
-    X2, info = intra_modal_step(X, ps, "intra.s", cfg_of())
-    assert np.allclose(X2.data, (X.data + info["msg"]) / 2.0, atol=1e-14)
+    X2, p = self_pass(X, ps, "intra.s")
+    assert np.allclose(X2.data, (X.data + p.msg) / 2.0, atol=1e-14)
 
 
 def test_intra_modal_matches_reference_oracle():
@@ -169,7 +182,7 @@ def test_intra_modal_matches_reference_oracle():
         rng = np.random.default_rng(seed)
         ps = init_params(cfg_of(2), 2, 2, 2, rng)
         X = Tensor(rng.standard_normal((2, 3)))
-        X2, _ = intra_modal_step(X, ps, "intra.v", cfg_of(2))
+        X2, _ = self_pass(X, ps, "intra.v")
         assert np.allclose(X2.data, ref_intra(X.data, ps, "intra.v"), atol=1e-12)
 
 
@@ -297,7 +310,7 @@ def test_temporal_single_segment_fixed_point():
     rng = np.random.default_rng(13)
     ps = params_of(rng)
     X = Tensor(rng.standard_normal((4, 1)))
-    X2, _ = intra_modal_step(X, ps, "temporal.gate", cfg_of())
+    X2, _ = self_pass(X, ps, "temporal.gate")
     assert np.allclose(X2.data, X.data, atol=1e-14)
 
 
@@ -388,13 +401,15 @@ def test_forward_convex_combination_bounds():
     clip = make_clip(rng, n_segments=3, frames_per=3, tokens_per=2)
     trace = forward(clip, ps, cfg_of())
     for seg, V0 in zip(trace.segments, trace.graph.visual):
-        lo = np.minimum(V0.data, seg.inter_msg_v) - 1e-12
-        hi = np.maximum(V0.data, seg.inter_msg_v) + 1e-12
-        assert np.all(seg.after_inter_v >= lo) and np.all(seg.after_inter_v <= hi)
-        lo2 = np.minimum(seg.after_inter_v, seg.intra_msg_v) - 1e-12
-        hi2 = np.maximum(seg.after_inter_v, seg.intra_msg_v) + 1e-12
+        inter_v, intra_v = seg.passes["inter.v"], seg.passes["intra.v"]
+        lo = np.minimum(V0.data, inter_v.msg) - 1e-12
+        hi = np.maximum(V0.data, inter_v.msg) + 1e-12
+        assert np.all(inter_v.out >= lo) and np.all(inter_v.out <= hi)
+        lo2 = np.minimum(inter_v.out, intra_v.msg) - 1e-12
+        hi2 = np.maximum(inter_v.out, intra_v.msg) + 1e-12
         assert np.all(seg.visual.data >= lo2) and np.all(seg.visual.data <= hi2)
-        for g in (seg.inter_gate_v, seg.inter_gate_s, seg.intra_gate_v, seg.intra_gate_s):
+        for name in ("inter.v", "inter.s", "intra.v", "intra.s"):
+            g = seg.passes[name].gate
             assert np.all(g > 0.0) and np.all(g < 1.0)
 
 
@@ -415,7 +430,7 @@ def test_forward_ablation_flags():
     clip = make_clip(rng)
     base = forward(clip, ps, cfg_of()).prob.item()
     for flags in ({"inter_modal": False}, {"intra_modal": False}, {"temporal": False},
-                  {"adjacency_norm": "none"}, {"fixed_queries": 3}):
+                  {"fixed_queries": 3}):
         alt = forward(clip, ps, cfg_of(**flags))
         assert np.isfinite(alt.prob.item())
         if flags != {"fixed_queries": 3}:

@@ -192,6 +192,7 @@ OPS = {
     "mean_ax1": (lambda ps: tn.mul(ps["a"].mean(axis=1), ps["w"]).sum(), {"a": (3, 2), "w": (3, 1)}),
     "softmax": (lambda ps: tn.mul(tn.softmax(ps["a"], axis=1), ps["w"]).sum(), {"a": (3, 4), "w": (3, 4)}),
     "sigmoid": (lambda ps: tn.mul(tn.sigmoid(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
+    "softplus": (lambda ps: tn.mul(tn.softplus(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
     "tanh": (lambda ps: tn.mul(tn.tanh(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
     "exp": (lambda ps: tn.exp(ps["a"]).sum(), {"a": (2, 2)}),
     "logsumexp": (lambda ps: tn.logsumexp(ps["a"]), {"a": (4, 1)}),

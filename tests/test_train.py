@@ -11,6 +11,7 @@ from vlgraph.mi import NegativeBuffer
 from vlgraph.model import forward, init_params
 from vlgraph.tensor import ParamStore, Tensor, backward
 from vlgraph.train import (
+    CKPT_MAGIC,
     Adam,
     TrainConfig,
     evaluate,
@@ -53,6 +54,18 @@ def test_entropy_loss_at_half_is_ln2():
         bundle, trace = run_clip(clip, params, cfg)
         assert trace.prob.item() == 0.5
         assert abs(bundle.ent.item() - math.log(2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("logit", [40.0, 60.0, 800.0])
+def test_entropy_loss_of_confident_wrong_logit_is_the_logit(logit):
+    cfg = small_cfg(alpha=0.0, beta=0.0, query_cost=0.0)
+    params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(0))
+    params["head.out.w"].data[:] = 0.0
+    params["head.out.b"].data[:] = logit
+    clip = [c for c in clips_of(4) if c.label == 0][0]
+    bundle, trace = run_clip(clip, params, cfg)
+    assert trace.logit.item() == logit
+    assert abs(bundle.as_floats()["l_ent"] - logit) <= 1e-9
 
 
 def test_total_reduces_to_entropy_when_weights_zero():
@@ -205,6 +218,37 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
     with pytest.raises(FormatError, match="magic"):
+        load_checkpoint(str(path))
+
+
+def _small_checkpoint(tmp_path):
+    cfg = small_cfg()
+    path = tmp_path / "model.ckpt"
+    params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(0))
+    save_checkpoint(str(path), params, cfg)
+    return path
+
+
+def test_checkpoint_truncated_payload_rejected(tmp_path):
+    path = _small_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:-5])
+    # the payload is in sorted name order, so the cut lands in the last parameter
+    with pytest.raises(FormatError, match=r"model\.ckpt: parameter 'temporal\.gate\.w'"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("key", ["params", "config"])
+def test_checkpoint_header_without_key_rejected(tmp_path, key):
+    path = _small_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    start = len(CKPT_MAGIC) + 8
+    head_len = int.from_bytes(blob[len(CKPT_MAGIC) : start], "little")
+    header = json.loads(blob[start : start + head_len])
+    del header[key]
+    head = json.dumps(header).encode("utf-8")
+    path.write_bytes(CKPT_MAGIC + len(head).to_bytes(8, "little") + head
+                     + blob[start + head_len :])
+    with pytest.raises(FormatError, match=rf"model\.ckpt.*'{key}'"):
         load_checkpoint(str(path))
 
 
