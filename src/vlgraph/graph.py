@@ -70,15 +70,38 @@ class Segmentation:
 
 @dataclass
 class ClipGraph:
-    """Projected per-segment node matrices (columns are nodes)."""
+    """Projected nodes of a clip, one matrix per modality (columns are nodes).
 
-    visual: list[Tensor]                      # each (d, K_i)
-    text: list[Tensor]                        # each (d, L_i)
+    Columns are grouped by segment in segmentation order: segment i owns the
+    next `frame_sizes[i]` columns of `frame_nodes` and `token_sizes[i]`
+    columns of `token_nodes`.
+    """
+
+    frame_nodes: Tensor                       # (d, K)
+    token_nodes: Tensor                       # (d, L) subtitle token nodes
+    frame_sizes: tuple[int, ...]
+    token_sizes: tuple[int, ...]
     segmentation: Segmentation
 
     @property
     def n_segments(self) -> int:
-        return len(self.visual)
+        return len(self.frame_sizes)
+
+    @property
+    def visual(self) -> list[np.ndarray]:
+        """Each segment's frame nodes, (d, K_i) views."""
+        return [self.frame_nodes.data[:, a:b] for a, b in block_bounds(self.frame_sizes)]
+
+    @property
+    def text(self) -> list[np.ndarray]:
+        """Each segment's token nodes, (d, L_i) views."""
+        return [self.token_nodes.data[:, a:b] for a, b in block_bounds(self.token_sizes)]
+
+
+def block_bounds(sizes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(first, end) column of each block of consecutive columns."""
+    ends = np.cumsum(sizes)
+    return [(int(e - n), int(e)) for n, e in zip(sizes, ends)]
 
 
 def segment_clip(frames: list[FrameNode], subs: list[SubtitleLine]) -> Segmentation:
@@ -150,16 +173,18 @@ def build_clip_graph(
     subs: list[SubtitleLine],
     params: ParamStore,
 ) -> ClipGraph:
-    """Segment a clip and project its nodes through the modality maps."""
+    """Segment a clip and project all its nodes through the modality maps,
+    one projection per modality."""
     seg = segment_clip(frames, subs)
-    visual: list[Tensor] = []
-    text: list[Tensor] = []
-    for si in range(seg.n_segments):
-        v_raw = np.stack([frames[fi].feature for fi in seg.frame_index[si]], axis=1)
-        s_raw = subs[seg.line_index[si]].tokens.T
-        visual.append(project_nodes(v_raw, params, "proj.v"))
-        text.append(project_nodes(s_raw, params, "proj.s"))
-    return ClipGraph(visual=visual, text=text, segmentation=seg)
+    v_raw = np.stack([frames[fi].feature for idx in seg.frame_index for fi in idx], axis=1)
+    s_raw = np.concatenate([subs[li].tokens for li in seg.line_index], axis=0).T
+    return ClipGraph(
+        frame_nodes=project_nodes(v_raw, params, "proj.v"),
+        token_nodes=project_nodes(s_raw, params, "proj.s"),
+        frame_sizes=tuple(len(idx) for idx in seg.frame_index),
+        token_sizes=tuple(subs[li].tokens.shape[0] for li in seg.line_index),
+        segmentation=seg,
+    )
 
 
 # ------------------------------------------------------------ dataset I/O
@@ -173,15 +198,63 @@ class Clip:
     label: int
 
 
-def parse_clip(rec: dict) -> Clip:
-    frames = [FrameNode(t=f["t"], feature=f["f"]) for f in rec["frames"]]
-    subs = [SubtitleLine(t0=s["t0"], t1=s["t1"], tokens=s["tokens"]) for s in rec["subs"]]
-    stmt = np.asarray(rec["statement"], dtype=np.float64).T
+def _as_rows(rows: list, width: int | None) -> np.ndarray | None:
+    """Rows of `width` numbers (any one width when None) as one float64
+    array, or None when they are not."""
+    try:
+        arr = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError):          # unequal rows, entries that are not numbers
+        return None
+    return arr if arr.ndim == 2 and arr.shape[1] == (width or arr.shape[1]) else None
+
+
+def _row_problems(rows: list, width: int | None, key: str, field: str) -> list[str]:
+    """What is wrong with each bad row, named `field.format(i)`."""
+    problems = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            problem = "not a list"
+        elif width is not None and len(row) != width:
+            problem = f"width {len(row)} != {key} {width}"
+        else:
+            arr = _as_rows([row], None)
+            if arr is not None and np.isfinite(arr).all():
+                continue
+            problem = "not finite numbers"
+        problems.append(f"{field.format(i)}: {problem}")
+    return problems
+
+
+def parse_clip(rec: dict, header: dict | None = None) -> Clip:
+    """The clip of a record that passes `_check_record`.
+
+    Frame features, subtitle tokens and statement clauses are each converted
+    as one array per clip and checked together; when that fails,
+    ValidationError names every row that does not hold finite numbers (the
+    header's width of them, when a header is given).
+    """
+    d_v, d_s, d_h = (header["d_v"], header["d_s"], header["d_h"]) if header else (None,) * 3
+    frames, subs = rec["frames"], rec["subs"]
+    features = _as_rows([f["f"] for f in frames], d_v)
+    tokens = _as_rows([tok for s in subs for tok in s["tokens"]], d_s)
+    statement = _as_rows(rec["statement"], d_h)
+    if (features is None or tokens is None or statement is None
+            or not all(np.isfinite(a).all() for a in (features, tokens, statement))):
+        problems = _row_problems([f["f"] for f in frames], d_v, "d_v", "frames[{}].f")
+        for i, s in enumerate(subs):
+            problems += _row_problems(s["tokens"], d_s, "d_s", f"subs[{i}].tokens[{{}}]")
+        problems += _row_problems(rec["statement"], d_h, "d_h", "statement[{}]")
+        raise ValidationError("; ".join(problems) or "token rows differ in width")
+    lines = []
+    end = 0
+    for s in subs:
+        start, end = end, end + len(s["tokens"])
+        lines.append(SubtitleLine(t0=s["t0"], t1=s["t1"], tokens=tokens[start:end]))
     return Clip(
         clip_id=rec["clip_id"],
-        frames=frames,
-        subs=subs,
-        statement=stmt,
+        frames=[FrameNode(t=f["t"], feature=x) for f, x in zip(frames, features)],
+        subs=lines,
+        statement=statement.T,
         label=int(rec["label"]),
     )
 
@@ -217,10 +290,10 @@ def read_dataset(path: str) -> tuple[dict, list[Clip]]:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise ValidationError(f"{path}:{ln}: not valid JSON: {e}") from e
-        problems = _check_record(rec, header)
+        clip, problems = _load_record(rec, header)
         if problems:
             raise ValidationError(f"{path}:{ln}: {'; '.join(problems)}")
-        clips.append(parse_clip(rec))
+        clips.append(clip)
     return header, clips
 
 
@@ -252,46 +325,73 @@ class ValidationReport:
         return f"{len(self.records)} record(s), {self.n_failures} failure(s)"
 
 
-def _check_record(rec: dict, header: dict) -> list[str]:
+_NUMBER = (int, float)   # JSON numbers; `true` and `false` are not
+
+
+def _check_record(rec: dict) -> list[str]:
+    """Structural problems of one record, each prefixed by its field.
+
+    Feature rows are not looked at here: `parse_clip` checks their widths
+    and values one array at a time.
+    """
     if not isinstance(rec, dict):
         return ["record is not a JSON object"]
     problems: list[str] = []
     if "clip_id" not in rec:
         problems.append("clip_id: missing")
-    d_v, d_s, d_h = header["d_v"], header["d_s"], header["d_h"]
-    frames = rec.get("frames", [])
-    subs = rec.get("subs", [])
-    stmt = rec.get("statement", [])
-    if not frames:
-        problems.append("frames: empty")
-    if not subs:
-        problems.append("subs: empty")
-    if not stmt:
-        problems.append("statement: empty")
+    lists = {}
+    for key in ("frames", "subs", "statement"):
+        value = rec.get(key, [])
+        if type(value) is not list:
+            problems.append(f"{key}: not a list")
+            value = []
+        elif not value:
+            problems.append(f"{key}: empty")
+        lists[key] = value
     prev_t = -np.inf
-    for i, f in enumerate(frames):
-        if len(f.get("f", [])) != d_v:
-            problems.append(f"frames[{i}].f: width {len(f.get('f', []))} != d_v {d_v}")
-        if f.get("t", -1) < 0:
+    for i, f in enumerate(lists["frames"]):
+        if type(f) is not dict:
+            problems.append(f"frames[{i}]: not an object")
+            continue
+        if "f" not in f:
+            problems.append(f"frames[{i}].f: missing")
+        t = f.get("t")
+        if type(t) not in _NUMBER:
+            problems.append(f"frames[{i}].t: not a number")
+            continue
+        if t < 0:
             problems.append(f"frames[{i}].t: negative")
-        if f.get("t", 0) < prev_t:
+        if t < prev_t:
             problems.append(f"frames[{i}].t: timestamps not nondecreasing")
-        prev_t = f.get("t", prev_t)
-    for i, s in enumerate(subs):
-        if s.get("t1", 0) <= s.get("t0", 0):
-            problems.append(f"subs[{i}]: span [{s.get('t0')}, {s.get('t1')}) not increasing")
-        toks = s.get("tokens", [])
-        if not toks:
+        prev_t = t
+    for i, s in enumerate(lists["subs"]):
+        if type(s) is not dict:
+            problems.append(f"subs[{i}]: not an object")
+            continue
+        t0, t1 = s.get("t0"), s.get("t1")
+        if type(t0) not in _NUMBER or type(t1) not in _NUMBER:
+            problems.append(f"subs[{i}]: span bounds t0, t1 not numbers")
+        elif t1 <= t0:
+            problems.append(f"subs[{i}]: span [{t0}, {t1}) not increasing")
+        toks = s.get("tokens")
+        if type(toks) is not list:
+            problems.append(f"subs[{i}].tokens: not a list")
+        elif not toks:
             problems.append(f"subs[{i}].tokens: empty")
-        for j, tok in enumerate(toks):
-            if len(tok) != d_s:
-                problems.append(f"subs[{i}].tokens[{j}]: width {len(tok)} != d_s {d_s}")
-    for i, cl in enumerate(stmt):
-        if len(cl) != d_h:
-            problems.append(f"statement[{i}]: width {len(cl)} != d_h {d_h}")
     if rec.get("label") not in (0, 1):
         problems.append(f"label: {rec.get('label')!r} not in {{0, 1}}")
     return problems
+
+
+def _load_record(rec, header: dict) -> tuple[Clip | None, list[str]]:
+    """The clip of one decoded line, or the problems that stop it."""
+    problems = _check_record(rec)
+    if problems:
+        return None, problems
+    try:
+        return parse_clip(rec, header), []
+    except ValidationError as e:
+        return None, [str(e)]
 
 
 def validate_dataset(path: str) -> ValidationReport:
@@ -306,7 +406,7 @@ def validate_dataset(path: str) -> ValidationReport:
         except json.JSONDecodeError as e:
             checks.append(RecordCheck(ln, "?", False, [f"not valid JSON: {e}"]))
             continue
-        problems = _check_record(rec, header)
+        _, problems = _load_record(rec, header)
         clip_id = str(rec.get("clip_id", "?")) if isinstance(rec, dict) else "?"
         checks.append(RecordCheck(ln, clip_id, not problems, problems))
     return ValidationReport(header=header, records=checks)

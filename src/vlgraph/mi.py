@@ -25,41 +25,6 @@ log = logging.getLogger(__name__)
 DISC_WEIGHT = "disc.w"
 
 
-@dataclass
-class NCEPair:
-    positive: Tensor                     # (d, 1) temporal node
-    context: Tensor                      # (d, 1) global node
-    negatives: list[Tensor]              # (d, 1) each; never contains positive
-
-    def __post_init__(self) -> None:
-        if len(self.negatives) < 1:
-            raise ContractError("an NCE pair needs at least one negative")
-
-
-@dataclass
-class NCEBatch:
-    pairs: list[NCEPair]
-
-    def __post_init__(self) -> None:
-        if not self.pairs:
-            raise ContractError("NCE batch is empty")
-
-
-def nce_estimate(batch: NCEBatch, params: ParamStore) -> Tensor:
-    """Mean over pairs of score(pos, ctx) - LSE over {pos} + negatives.
-
-    The positive sits in the denominator, so a constant discriminator gives
-    exactly -log(candidate count) and the estimate never exceeds zero.
-    """
-    terms = []
-    for pair in batch.pairs:
-        cands = tn.concat([pair.positive] + pair.negatives, axis=1)
-        scores = tn.matmul(cands.T, tn.matmul(params[DISC_WEIGHT], pair.context))
-        terms.append(tn.sub(tn.row(scores, 0), tn.logsumexp(scores)))
-    total = terms[0] if len(terms) == 1 else tn.concat(terms, axis=0).mean()
-    return total
-
-
 class NegativeBuffer:
     """Ring buffer of recent temporal node values (no tape attachment).
 
@@ -114,22 +79,24 @@ def contrastive_loss(
         raise ContractError("contrastive_loss: need at least one query state")
     if beta == 0.0:
         return ContrastiveResult(loss=Tensor(0.0))
-    nodes = [node for trace in temporal for node in trace.nodes]
+    parts = [trace.nodes for trace in temporal]
+    n_nodes = sum(p.shape[1] for p in parts)
     buf = buffer.matrix() if buffer is not None else None
-    n_cands = len(nodes) + (0 if buf is None else buf.shape[1])
+    n_cands = n_nodes + (0 if buf is None else buf.shape[1])
     if n_cands < 2:
         log.info("contrastive pairs skipped: no negatives available")
-        return ContrastiveResult(loss=Tensor(0.0), n_skipped=len(nodes))
-    parts = nodes if buf is None else nodes + [Tensor(buf)]
+        return ContrastiveResult(loss=Tensor(0.0), n_skipped=n_nodes)
+    if buf is not None:
+        parts.append(Tensor(buf))
     cands = parts[0] if len(parts) == 1 else tn.concat(parts, axis=1)
     terms: list[Tensor] = []
     offset = 0
     for trace in temporal:
         scores = tn.matmul(cands.T, tn.matmul(params[DISC_WEIGHT], trace.global_node))
         lse = tn.logsumexp(scores)
-        for i in range(len(trace.nodes)):
+        for i in range(trace.nodes.shape[1]):
             terms.append(tn.sub(tn.row(scores, offset + i), lse))
-        offset += len(trace.nodes)
+        offset += trace.nodes.shape[1]
     mean_est = terms[0] if len(terms) == 1 else tn.concat(terms, axis=0).mean()
     return ContrastiveResult(
         loss=tn.scale(mean_est, -beta),

@@ -1,25 +1,42 @@
 """Three-hierarchy reasoning network over clip graphs.
 
+Layout: a clip is one frame-node matrix V (d, K) and one token-node matrix
+S (d, L). Their columns are grouped by segment, in segmentation order, and
+each segment owns one block of consecutive columns of each (`v_sizes`,
+`s_sizes`). Every level runs once per clip over all blocks, so each weight
+meets one matmul per clip, not one per segment or per query. This is the
+disjoint union of the per-segment graphs as one block-diagonal graph.
+
 All three hierarchies pass messages with one primitive, `message_pass`:
 nodes X absorb messages from nodes Y over the row-normalized similarity
 adjacency softmax(X^T Y), through a learned per-coordinate convex-combination
-gate. Each call returns a `Pass` record that holds references to the
-adjacency, gate, message and output arrays it computed.
+gate. A constant block mask, 0 where a row's block meets the same block's
+columns and -inf elsewhere, is added before the softmax, so a node only
+hears its own block and cross-block weights are exactly zero; a node's own
+block is never empty. The gate reads each block's guidance column (a block
+mean) repeated over the block's nodes. Each call returns a `Pass` record
+that holds references to the adjacency, gate, message and output arrays it
+computed.
 
 Segment level: cross-modal passing refines each modality with the other,
-then intra-modal passing (Y = X) refines within a modality. A
-statement-derived semantic query then pools each segment into one temporal
-node.
+then intra-modal passing (Y = X) refines within a modality. Every segment
+is then pooled under every semantic query at once: the attention over a
+modality's nodes is one masked (n, Q * n_seg) softmax, column q * n_seg + s
+pooling segment s under query q.
 
-Temporal level: per query, the pooled nodes exchange messages (Y = X again)
-and are pooled into a global node. The number of queries is decided by a
-self-halting accumulator over per-query stop probabilities.
+Temporal level: the queries are the blocks. The pooled nodes of each query
+exchange messages (Y = X again) and are pooled into that query's global
+node, all queries in one pass. The number of queries is decided first, by a
+self-halting accumulator over per-query stop probabilities; that loop stays
+sequential because each query attends from the one before.
 
 Global level: the mean of the global nodes feeds a small prediction head.
 
-All forward paths are pure given (params, inputs); the discrete halting
-decision can be pinned via `FrozenDecisions` so that finite-difference
-checks see a fully differentiable function.
+The trace records (`Pass`, `SegmentTrace`, `TemporalTrace`) hold the batched
+arrays or numpy views of them, never copies. All forward paths are pure
+given (params, inputs); the discrete halting decision can be pinned via
+`FrozenDecisions` so that finite-difference checks see a fully
+differentiable function.
 """
 
 from __future__ import annotations
@@ -30,7 +47,7 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import ContractError
-from .graph import Clip, ClipGraph, build_clip_graph, project_nodes
+from .graph import Clip, ClipGraph, block_bounds, build_clip_graph, project_nodes
 from .tensor import ParamStore, Tensor
 
 
@@ -88,28 +105,61 @@ def _fuse(keep: Tensor, take: Tensor, gate: Tensor) -> Tensor:
     return tn.add(tn.mul(tn.sub(1.0, gate), keep), tn.mul(gate, take))
 
 
+def _sizes(sizes: tuple[int, ...], X: Tensor) -> tuple[int, ...]:
+    """Column block sizes of X; one block of all its columns when empty."""
+    return tuple(sizes) or (X.shape[1],)
+
+
+def _block_ids(sizes: tuple[int, ...]) -> np.ndarray:
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _mask(scores: Tensor, row_ids: np.ndarray, col_ids: np.ndarray) -> Tensor:
+    """`scores` where row and column share a block id, -inf elsewhere.
+
+    The constant is added before a softmax, so cross-block weights are exactly
+    zero; every row and column meets its own block, which is never empty.
+    """
+    return tn.add(scores, Tensor(np.where(row_ids[:, None] == col_ids[None, :], 0.0, -np.inf)))
+
+
 @dataclass
 class Pass:
     """One message pass: references to the arrays it computed, no copies."""
 
-    adj: np.ndarray                      # (n_x, n_y), rows sum to one
+    adj: np.ndarray                      # (n_x, n_y), rows sum to one, zero across blocks
     gate: np.ndarray                     # (d, n_x), share of the message taken
     msg: np.ndarray                      # (d, n_x), aggregated messages
     out: np.ndarray                      # (d, n_x), updated nodes
 
+    def block(self, lo: int, hi: int) -> "Pass":
+        """Views of the block of nodes lo..hi-1 of a pass with Y = X."""
+        return Pass(adj=self.adj[lo:hi, lo:hi], gate=self.gate[:, lo:hi],
+                    msg=self.msg[:, lo:hi], out=self.out[:, lo:hi])
+
 
 def message_pass(X: Tensor, Y: Tensor, g_x: Tensor, g_y: Tensor, params: ParamStore,
-                 name: str) -> tuple[Tensor, Pass]:
+                 name: str, x_sizes: tuple[int, ...] = (),
+                 y_sizes: tuple[int, ...] = ()) -> tuple[Tensor, Pass]:
     """Nodes X absorb gated messages aggregated from nodes Y.
 
-    The adjacency is softmax(X^T Y) over each receiving node's row; the gate
-    reads [g_x; X; g_y] through the weights `name`. With Y = X, a
-    single-node graph is a fixed point.
+    The columns of X and Y form matching blocks (`x_sizes`, `y_sizes`; one
+    block each by default), and a node only hears the nodes of its own block:
+    the adjacency is softmax(X^T Y) over each receiving node's row, with
+    cross-block entries masked out. `g_x` and `g_y` hold one guidance column
+    per block; the gate reads [g_x; X; g_y], each guidance column repeated
+    over its block's nodes, through the weights `name`. With Y = X, a
+    single-node block is a fixed point.
     """
-    adj = tn.softmax(tn.matmul(X.T, Y), axis=1)  # (n_x, n_y)
+    x_sizes, y_sizes = _sizes(x_sizes, X), _sizes(y_sizes, Y)
+    if len(x_sizes) != len(y_sizes):
+        raise ContractError(f"{name}: {len(x_sizes)} receiving blocks but {len(y_sizes)} sending")
+    scores = tn.matmul(X.T, Y)                   # (n_x, n_y)
+    if len(x_sizes) > 1:
+        scores = _mask(scores, _block_ids(x_sizes), _block_ids(y_sizes))
+    adj = tn.softmax(scores, axis=1)
     msg = tn.matmul(Y, adj.T)                    # (d, n_x)
-    n = X.shape[1]
-    stacked = tn.concat([tn.tile_col(g_x, n), X, tn.tile_col(g_y, n)], axis=0)
+    stacked = tn.concat([tn.block_expand(g_x, x_sizes), X, tn.block_expand(g_y, x_sizes)], axis=0)
     gate = tn.sigmoid(tn.add_col(tn.matmul(params[f"{name}.w"], stacked), params[f"{name}.b"]))
     out = _fuse(X, msg, gate)
     return out, Pass(adj=adj.data, gate=gate.data, msg=msg.data, out=out.data)
@@ -117,41 +167,84 @@ def message_pass(X: Tensor, Y: Tensor, g_x: Tensor, g_y: Tensor, params: ParamSt
 
 @dataclass
 class SegmentTrace:
-    visual: Tensor                       # refined nodes (d, K)
-    text: Tensor                         # refined nodes (d, L)
+    """Refined nodes of every segment of a clip, as column blocks."""
+
+    visual: Tensor                       # (d, K), segment by segment
+    text: Tensor                         # (d, L)
+    v_sizes: tuple[int, ...] = ()        # frame nodes per segment; () is one segment
+    s_sizes: tuple[int, ...] = ()        # token nodes per segment
     passes: dict[str, Pass] = field(default_factory=dict)  # by gate name, in run order
 
+    def __post_init__(self) -> None:
+        self.v_sizes = _sizes(self.v_sizes, self.visual)
+        self.s_sizes = _sizes(self.s_sizes, self.text)
+        if len(self.v_sizes) != len(self.s_sizes):
+            raise ContractError("every segment needs a visual and a text block")
 
-def refine_segment(V: Tensor, S: Tensor, params: ParamStore,
-                   cfg: ModelConfig) -> SegmentTrace:
-    """Cross-modal then intra-modal refinement of one segment.
+    @property
+    def n_segments(self) -> int:
+        return len(self.v_sizes)
 
-    Both cross-modal passes read the nodes and means from before either
-    update.
+    def split(self) -> list[tuple[Tensor, Tensor]]:
+        """Each segment's (visual, text) nodes, sliced on the tape."""
+        if self.n_segments == 1:
+            return [(self.visual, self.text)]
+        return [(tn.col(self.visual, *v), tn.col(self.text, *s))
+                for v, s in zip(block_bounds(self.v_sizes), block_bounds(self.s_sizes))]
+
+
+def refine_segment(V: Tensor, S: Tensor, params: ParamStore, cfg: ModelConfig,
+                   v_sizes: tuple[int, ...] = (), s_sizes: tuple[int, ...] = ()) -> SegmentTrace:
+    """Cross-modal then intra-modal refinement of all segments of a clip.
+
+    V and S hold the segments' nodes as column blocks of `v_sizes` and
+    `s_sizes` columns (one segment by default), and each level runs once for
+    all of them. Both cross-modal passes read the nodes and means from before
+    either update.
     """
+    v_sizes, s_sizes = _sizes(v_sizes, V), _sizes(s_sizes, S)
     passes: dict[str, Pass] = {}
     if cfg.inter_modal:
-        g_v, g_s = V.mean(axis=1), S.mean(axis=1)
-        V2, passes["inter.v"] = message_pass(V, S, g_v, g_s, params, "inter.v")
-        S, passes["inter.s"] = message_pass(S, V, g_s, g_v, params, "inter.s")
+        g_v, g_s = tn.block_mean(V, v_sizes), tn.block_mean(S, s_sizes)
+        V2, passes["inter.v"] = message_pass(V, S, g_v, g_s, params, "inter.v", v_sizes, s_sizes)
+        S, passes["inter.s"] = message_pass(S, V, g_s, g_v, params, "inter.s", s_sizes, v_sizes)
         V = V2
     if cfg.intra_modal:
-        g_v = V.mean(axis=1)
-        V, passes["intra.v"] = message_pass(V, V, g_v, g_v, params, "intra.v")
-        g_s = S.mean(axis=1)
-        S, passes["intra.s"] = message_pass(S, S, g_s, g_s, params, "intra.s")
-    return SegmentTrace(visual=V, text=S, passes=passes)
+        g_v = tn.block_mean(V, v_sizes)
+        V, passes["intra.v"] = message_pass(V, V, g_v, g_v, params, "intra.v", v_sizes, v_sizes)
+        g_s = tn.block_mean(S, s_sizes)
+        S, passes["intra.s"] = message_pass(S, S, g_s, g_s, params, "intra.s", s_sizes, s_sizes)
+    return SegmentTrace(visual=V, text=S, v_sizes=v_sizes, s_sizes=s_sizes, passes=passes)
 
 
-def segment_pool(seg: SegmentTrace, q: Tensor, params: ParamStore) -> tuple[Tensor, dict]:
-    """Pool one refined segment into a temporal node under a semantic query."""
+def segment_pool(seg: SegmentTrace, Q: Tensor, params: ParamStore) -> tuple[Tensor, dict]:
+    """Pool every segment under every query (the columns of Q).
+
+    Column q * n_seg + s of the result is segment s pooled under query q; the
+    attention arrays have one column per such pair, zero outside the
+    segment's rows.
+    """
     V, S = seg.visual, seg.text
-    attn_v = tn.softmax(tn.matmul(V.T, tn.matmul(params["pool.attn_v.w"], q)), axis=0)
-    attn_s = tn.softmax(tn.matmul(S.T, tn.matmul(params["pool.attn_s.w"], q)), axis=0)
+    n_seg, n_q = seg.n_segments, Q.shape[1]
+    pairs = (n_seg,) * n_q                       # each query repeated over the segments
+    pair_seg = np.tile(np.arange(n_seg), n_q)    # the segment of each pair
+
+    def attend(X: Tensor, sizes: tuple[int, ...], weight: str) -> Tensor:
+        scores = tn.matmul(X.T, tn.matmul(params[weight], Q))   # (n, n_q)
+        if n_seg > 1:
+            scores = _mask(tn.block_expand(scores, pairs), _block_ids(sizes), pair_seg)
+        return tn.softmax(scores, axis=0)
+
+    attn_v = attend(V, seg.v_sizes, "pool.attn_v.w")
+    attn_s = attend(S, seg.s_sizes, "pool.attn_s.w")
     v_q = tn.matmul(V, attn_v)
     s_q = tn.matmul(S, attn_s)
-    stacked = tn.concat([V.mean(axis=1), q, S.mean(axis=1)], axis=0)
-    gate = tn.sigmoid(tn.add(tn.matmul(params["pool.fuse.w"], stacked), params["pool.fuse.b"]))
+    g_v, g_s = tn.block_mean(V, seg.v_sizes), tn.block_mean(S, seg.s_sizes)
+    if n_q > 1:
+        g_v, g_s = tn.concat([g_v] * n_q, axis=1), tn.concat([g_s] * n_q, axis=1)
+    q = Q if n_seg == 1 else tn.block_expand(Q, pairs)
+    stacked = tn.concat([g_v, q, g_s], axis=0)
+    gate = tn.sigmoid(tn.add_col(tn.matmul(params["pool.fuse.w"], stacked), params["pool.fuse.b"]))
     node = _fuse(v_q, s_q, gate)
     return node, dict(attn_v=attn_v.data, attn_s=attn_s.data, gate=gate.data)
 
@@ -210,6 +303,7 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: ModelConfig,
         force_n = cfg.fixed_queries
     g_h = H.mean(axis=1)
     q = g_h
+    H_T = H.T
     queries: list[Tensor] = []
     attn: list[Tensor] = []
     halts: list[Tensor] = []
@@ -219,7 +313,7 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: ModelConfig,
     while True:
         n += 1
         key = tn.matmul(params["query.attn.w"], tn.concat([g_h, q], axis=0))
-        weights = tn.softmax(tn.matmul(H.T, key), axis=0)
+        weights = tn.softmax(tn.matmul(H_T, key), axis=0)
         q = tn.matmul(H, weights)
         halt = tn.sigmoid(
             tn.add(tn.matmul(params["query.halt.w"], q), params["query.halt.b"])
@@ -247,42 +341,61 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: ModelConfig,
 
 @dataclass
 class TemporalTrace:
-    nodes: list[Tensor]                  # pooled per-segment nodes (d, 1) each
+    """The temporal level under one query; the arrays are views of the
+    arrays computed for all queries at once."""
+
+    nodes: Tensor                        # pooled per-segment nodes (d, n_seg)
     global_node: Tensor                  # (d, 1)
-    pool_weights: np.ndarray             # (M, 1)
-    seg_attn_v: list[np.ndarray]
-    seg_attn_s: list[np.ndarray]
-    fuse_gates: list[np.ndarray]
+    pool_weights: np.ndarray             # (n_seg, 1)
+    seg_attn_v: list[np.ndarray]         # per segment (K_i, 1)
+    seg_attn_s: list[np.ndarray]         # per segment (L_i, 1)
+    fuse_gates: list[np.ndarray]         # per segment (d, 1)
     refine: Pass | None = None           # the temporal pass, when enabled
 
 
-def temporal_pool(T: Tensor, q: Tensor, params: ParamStore) -> tuple[Tensor, Tensor]:
-    weights = tn.softmax(tn.matmul(T.T, tn.matmul(params["temporal.attn.w"], q)), axis=0)
+def temporal_pool(T: Tensor, Q: Tensor, params: ParamStore,
+                  sizes: tuple[int, ...] = ()) -> tuple[Tensor, Tensor]:
+    """Attention-pool column block q of T (`sizes`; one block by default)
+    under query q, column q of Q; returns the (d, n_q) pooled nodes and the
+    weights."""
+    scores = tn.matmul(T.T, tn.matmul(params["temporal.attn.w"], Q))   # (n, n_q)
+    if len(sizes) > 1:
+        scores = _mask(scores, _block_ids(sizes), np.arange(len(sizes)))
+    weights = tn.softmax(scores, axis=0)
     return tn.matmul(T, weights), weights
 
 
-def reason_over_segments(segs: list[SegmentTrace], q: Tensor, params: ParamStore,
-                         cfg: ModelConfig) -> TemporalTrace:
-    """Pool every segment under one query, refine the node row, pool globally."""
-    nodes = []
-    pool_info = []
-    for seg in segs:
-        node, info = segment_pool(seg, q, params)
-        nodes.append(node)
-        pool_info.append(info)
-    T = nodes[0] if len(nodes) == 1 else tn.concat(nodes, axis=1)
-    refine = None
+def reason_over_segments(seg: SegmentTrace, queries: list[Tensor], params: ParamStore,
+                         cfg: ModelConfig) -> list[TemporalTrace]:
+    """Pool every segment under every query, refine each query's row of
+    nodes, pool each row into its global node; one trace per query.
+
+    All queries run at once: each query's pooled nodes form one column block,
+    and blocks neither exchange messages nor pool into each other's global
+    node.
+    """
+    n_seg, n_q = seg.n_segments, len(queries)
+    Q = queries[0] if n_q == 1 else tn.concat(queries, axis=1)
+    P, pool = segment_pool(seg, Q, params)
+    sizes = (n_seg,) * n_q
+    T, refine = P, None
     if cfg.temporal:
-        g = T.mean(axis=1)
-        T, refine = message_pass(T, T, g, g, params, "temporal.gate")
-    global_node, weights = temporal_pool(T, q, params)
-    return TemporalTrace(
-        nodes=nodes, global_node=global_node, pool_weights=weights.data,
-        seg_attn_v=[i["attn_v"] for i in pool_info],
-        seg_attn_s=[i["attn_s"] for i in pool_info],
-        fuse_gates=[i["gate"] for i in pool_info],
-        refine=refine,
-    )
+        g = tn.block_mean(T, sizes)
+        T, refine = message_pass(T, T, g, g, params, "temporal.gate", sizes, sizes)
+    G, weights = temporal_pool(T, Q, params, sizes)
+    v_bounds, s_bounds = block_bounds(seg.v_sizes), block_bounds(seg.s_sizes)
+    traces = []
+    for q, (lo, hi) in enumerate(block_bounds(sizes)):
+        traces.append(TemporalTrace(
+            nodes=P if n_q == 1 else tn.col(P, lo, hi),
+            global_node=G if n_q == 1 else tn.col(G, q),
+            pool_weights=weights.data[lo:hi, q : q + 1],
+            seg_attn_v=[pool["attn_v"][a:b, j : j + 1] for j, (a, b) in zip(range(lo, hi), v_bounds)],
+            seg_attn_s=[pool["attn_s"][a:b, j : j + 1] for j, (a, b) in zip(range(lo, hi), s_bounds)],
+            fuse_gates=[pool["gate"][:, j : j + 1] for j in range(lo, hi)],
+            refine=None if refine is None else refine.block(lo, hi),
+        ))
+    return traces
 
 
 def predict_global(globals_: list[Tensor], params: ParamStore) -> tuple[Tensor, Tensor]:
@@ -310,9 +423,9 @@ class Trace:
     prob: Tensor
     logit: Tensor
     graph: ClipGraph
-    segments: list[SegmentTrace]
+    segments: SegmentTrace               # all segments, as column blocks
     query: QueryState
-    temporal: list[TemporalTrace]
+    temporal: list[TemporalTrace]        # one per query
 
     @property
     def n_queries(self) -> int:
@@ -326,11 +439,9 @@ def forward(clip: Clip, params: ParamStore, cfg: ModelConfig,
     qs = extract_queries(
         H, params, cfg, force_n=frozen.n_queries if frozen is not None else None
     )
-    segs = [
-        refine_segment(V, S, params, cfg)
-        for V, S in zip(graph.visual, graph.text)
-    ]
-    temporal = [reason_over_segments(segs, q, params, cfg) for q in qs.queries]
+    segs = refine_segment(graph.frame_nodes, graph.token_nodes, params, cfg,
+                          graph.frame_sizes, graph.token_sizes)
+    temporal = reason_over_segments(segs, qs.queries, params, cfg)
     prob, logit = predict_global([t.global_node for t in temporal], params)
     return Trace(
         clip_id=clip.clip_id, prob=prob, logit=logit, graph=graph,

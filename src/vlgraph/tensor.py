@@ -3,7 +3,7 @@
 Every value is a 2-D (occasionally higher-D) row-major float64 array. There
 is no implicit broadcasting: elementwise ops require identical shapes, and
 the only mixed form allowed is tensor-with-python-scalar. Column-broadcast
-patterns are spelled out as named ops (`add_col`, `tile_col`).
+patterns are spelled out as named ops (`add_col`, `block_expand`).
 
 Graph recording is a distributed tape: each op output remembers its parent
 tensors and a closure that routes the output gradient to them. `tape_id` is
@@ -22,12 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    ContractError,
-    DegenerateInputError,
-    NumericalError,
-    ShapeError,
-)
+from .errors import ContractError, DegenerateInputError, ShapeError
 
 _ids = itertools.count()
 _grad_enabled = True
@@ -66,7 +61,7 @@ class Tensor:
         self.tape_id = next(_ids)
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -121,7 +116,11 @@ def _make(
     parents: Sequence[Tensor],
     backward: Callable[[Tensor], None] | None,
 ) -> Tensor:
-    """Wrap an op result; record parents only when a gradient can flow."""
+    """Wrap an op result; record parents only when a gradient can flow.
+
+    The closure gets its output as an argument instead of closing over it, so
+    a tape holds no reference cycles and is freed as soon as it is dropped.
+    """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -132,7 +131,7 @@ def _make(
     out.requires_grad = tracked
     if tracked and backward is not None:
         out._parents = tuple(parents)
-        out._backward = lambda: backward(out)
+        out._backward = backward
     return out
 
 
@@ -254,17 +253,19 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _make(np.concatenate([p.data for p in parts], axis=axis), parts, bw)
 
 
-def col(a: Tensor, j: int) -> Tensor:
-    """Column j of a 2-D tensor as a column vector."""
+def col(a: Tensor, lo: int, hi: int | None = None) -> Tensor:
+    """Columns lo..hi-1 of a 2-D tensor; column lo alone when `hi` is None."""
     if a.data.ndim != 2:
         raise ShapeError(f"col: needs a 2-D tensor, got {a.shape}")
+    if hi is None:
+        hi = lo + 1
 
     def bw(out: Tensor) -> None:
         g = np.zeros_like(a.data)
-        g[:, j : j + 1] = out.grad
+        g[:, lo:hi] = out.grad
         _acc(a, g)
 
-    return _make(a.data[:, j : j + 1].copy(), (a,), bw)
+    return _make(a.data[:, lo:hi].copy(), (a,), bw)
 
 
 def row(a: Tensor, i: int) -> Tensor:
@@ -292,15 +293,31 @@ def add_col(mat: Tensor, column: Tensor) -> Tensor:
     return _make(mat.data + column.data, (mat, column), bw)
 
 
-def tile_col(column: Tensor, n: int) -> Tensor:
-    """Repeat a (d, 1) column vector into a (d, n) matrix."""
-    if column.data.ndim != 2 or column.shape[1] != 1:
-        raise ShapeError(f"tile_col: needs a column vector, got {column.shape}")
+def _starts(sizes: Sequence[int]) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.intp)
+
+
+def block_mean(a: Tensor, sizes: Sequence[int]) -> Tensor:
+    """Column means of consecutive blocks: (d, sum(sizes)) -> (d, len(sizes))."""
+    if a.data.ndim != 2 or sum(sizes) != a.shape[1] or min(sizes) < 1:
+        raise ShapeError(f"block_mean: blocks {tuple(sizes)} do not tile {a.shape}")
+    n = np.asarray(sizes, dtype=np.float64)
 
     def bw(out: Tensor) -> None:
-        _acc(column, out.grad.sum(axis=1, keepdims=True))
+        _acc(a, np.repeat(out.grad / n, sizes, axis=1))
 
-    return _make(np.repeat(column.data, n, axis=1), (column,), bw)
+    return _make(np.add.reduceat(a.data, _starts(sizes), axis=1) / n, (a,), bw)
+
+
+def block_expand(a: Tensor, sizes: Sequence[int]) -> Tensor:
+    """Repeat column i of a 2-D tensor sizes[i] times: (d, n) -> (d, sum(sizes))."""
+    if a.data.ndim != 2 or len(sizes) != a.shape[1] or min(sizes) < 1:
+        raise ShapeError(f"block_expand: blocks {tuple(sizes)} do not fit {a.shape}")
+
+    def bw(out: Tensor) -> None:
+        _acc(a, np.add.reduceat(out.grad, _starts(sizes), axis=1))
+
+    return _make(np.repeat(a.data, sizes, axis=1), (a,), bw)
 
 
 def _reduce(a: Tensor, axis: int | None, mean: bool) -> Tensor:
@@ -384,29 +401,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make(y, (a,), bw)
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        y = np.exp(a.data)
-    if not np.all(np.isfinite(y)):
-        raise NumericalError("exp overflowed; rescale the input")
-
-    def bw(out: Tensor) -> None:
-        _acc(a, out.grad * y)
-
-    return _make(y, (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise NumericalError("log of a non-positive value")
-    y = np.log(a.data)
-
-    def bw(out: Tensor) -> None:
-        _acc(a, out.grad / a.data)
-
-    return _make(y, (a,), bw)
-
-
 def logsumexp(a: Tensor) -> Tensor:
     """log(sum(exp(x))) over all elements, computed with max shifting."""
     m = a.data.max()
@@ -423,27 +417,6 @@ def logsumexp(a: Tensor) -> Tensor:
 
 def _col_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x * x).sum(axis=0, keepdims=True))
-
-
-def cosine_distance(u: Tensor, v: Tensor) -> Tensor:
-    """1 - cos(u, v) for two column vectors, in [0, 2]."""
-    if u.shape != v.shape or u.shape[1] != 1:
-        raise ShapeError(f"cosine_distance: needs matching column vectors, got {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu <= 1e-12 or nv <= 1e-12:
-        raise DegenerateInputError("cosine_distance: zero-norm input")
-    uh = u.data / nu
-    vh = v.data / nv
-    c = float((uh * vh).sum())
-    val = min(max(1.0 - c, 0.0), 2.0)
-
-    def bw(out: Tensor) -> None:
-        g = float(out.grad.reshape(-1)[0])
-        _acc(u, -g * (vh - c * uh) / nu)
-        _acc(v, -g * (uh - c * vh) / nv)
-
-    return _make(np.array([[val]]), (u, v), bw)
 
 
 def cosine_cost(a: Tensor, b: Tensor) -> Tensor:
@@ -560,7 +533,7 @@ def backward(loss: Tensor, params: ParamStore | None = None) -> dict[str, np.nda
     loss.grad = np.ones_like(loss.data)
     for t in sorted(nodes, key=lambda t: t.tape_id, reverse=True):
         if t._backward is not None and t.grad is not None:
-            t._backward()
+            t._backward(t)
     if params is None:
         return {}
     out: dict[str, np.ndarray] = {}

@@ -232,7 +232,7 @@ def train(
             bundle.check_finite()
             backward(bundle.total, params)
             for t in trace.temporal:
-                pending.extend(node.data for node in t.nodes)
+                pending.extend(t.nodes.data.T)
             for key, val in bundle.as_floats().items():
                 sums[key] += val
             n_sum += bundle.n_queries

@@ -8,14 +8,11 @@ current plan and re-solving the linear problem with log-domain Sinkhorn
 scaling under uniform marginals.
 
 Training gradients use the envelope convention: the converged plan is a
-constant and gradients flow through the cost matrices only. A permutation
-enumeration oracle (`brute_force_wd`) provides exact answers for small
-square problems.
+constant and gradients flow through the cost matrices only.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -173,26 +170,24 @@ def got_distance(a_nodes: np.ndarray, b_nodes: np.ndarray,
 
 
 def transport_loss(
-    segments: list[SegmentTrace],
+    segments: SegmentTrace,
     cfg: OTConfig,
     frozen_plans: list[np.ndarray] | None = None,
 ) -> tuple[Tensor, list[np.ndarray]]:
     """Mean per-segment fused distance, scaled by alpha, on the tape.
 
-    Plans come from `solve_plan` on the current values (or `frozen_plans`)
-    and are treated as constants; gradients reach the node matrices through
-    the cosine cost matrices only.
+    Plans come from `solve_plan` on the current values (or `frozen_plans`,
+    one per segment) and are treated as constants; gradients reach the node
+    matrices through the cosine cost matrices only.
     """
-    if not segments:
-        raise ContractError("transport_loss: need at least one segment")
     if cfg.alpha == 0.0:
         return Tensor(0.0), []
     plans: list[np.ndarray] = []
     terms: list[Tensor] = []
-    for si, seg in enumerate(segments):
-        node_cost = tn.cosine_cost(seg.text, seg.visual)
-        intra_s = tn.cosine_cost(seg.text, seg.text)
-        intra_v = tn.cosine_cost(seg.visual, seg.visual)
+    for si, (visual, text) in enumerate(segments.split()):
+        node_cost = tn.cosine_cost(text, visual)
+        intra_s = tn.cosine_cost(text, text)
+        intra_v = tn.cosine_cost(visual, visual)
         if frozen_plans is not None:
             plan = frozen_plans[si]
         else:
@@ -201,20 +196,4 @@ def transport_loss(
         node_term = tn.mul(node_cost, Tensor(cfg.lam * plan)).sum()
         terms.append(tn.add(node_term, tn.gw_pair_cost(intra_s, intra_v, plan)))
     total = terms[0] if len(terms) == 1 else tn.concat(terms, axis=0).sum()
-    return tn.scale(total, cfg.alpha / len(segments)), plans
-
-
-def brute_force_wd(cost: np.ndarray) -> float:
-    """Exact uniform-marginal transport cost by permutation enumeration.
-
-    Valid for square costs up to 6x6, where the optimum sits on a
-    permutation vertex of the doubly stochastic polytope.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ShapeError(f"brute_force_wd: cost must be square, got {cost.shape}")
-    n = cost.shape[0]
-    if n > 6:
-        raise ContractError(f"brute_force_wd: n={n} exceeds the enumeration limit of 6")
-    rows = np.arange(n)
-    return min(float(cost[rows, perm].mean()) for perm in itertools.permutations(range(n)))
+    return tn.scale(total, cfg.alpha / len(terms)), plans

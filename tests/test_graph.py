@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -177,18 +178,49 @@ def test_validate_malformed_record_listed_not_fatal(tmp_path):
     assert rep.records[-1].line_no == 3
 
 
+def with_field(**fields):
+    """A valid record with fields replaced; a key `path.to.field` reaches into
+    the record's nested lists and objects (`frames.0.f`)."""
+    rec = record()
+    for key, value in fields.items():
+        *path, leaf = key.split(".")
+        owner = rec
+        for part in path:
+            owner = owner[int(part)] if isinstance(owner, list) else owner[part]
+        owner[int(leaf) if isinstance(owner, list) else leaf] = value
+    return rec
+
+
 def bad_records():
+    """Problem id -> (record, what the error must say about it)."""
     no_statement, no_id = record(), record()
     del no_statement["statement"], no_id["clip_id"]
-    return {"statement": no_statement, "d_v": record(frame_w=2), "clip_id": no_id,
-            "not a JSON object": [record()]}
+    return {
+        "statement": (no_statement, "statement"),
+        "d_v": (record(frame_w=2), "d_v"),
+        "clip_id": (no_id, "clip_id"),
+        "not a JSON object": ([record()], "not a JSON object"),
+        "frame not an object": (with_field(frames=[1]), "frames[0]: not an object"),
+        "frames not a list": (with_field(frames={"t": 0}), "frames: not a list"),
+        "token not a list": (with_field(**{"subs.0.tokens": [5]}), "subs[0].tokens[0]: not a list"),
+        "clause not a list": (with_field(statement=[3]), "statement[0]: not a list"),
+        "string timestamp": (with_field(**{"frames.0.t": "0.5"}), "frames[0].t: not a number"),
+        "NaN feature": (with_field(**{"frames.1.f.2": float("nan")}), "frames[1].f: not finite numbers"),
+        "infinite token": (with_field(**{"subs.0.tokens.0.1": float("inf")}),
+                           "subs[0].tokens[0]: not finite numbers"),
+        "text feature": (with_field(**{"statement.0.0": "high"}), "statement[0]: not finite numbers"),
+    }
 
 
-@pytest.mark.parametrize("problem", ["statement", "d_v", "clip_id", "not a JSON object"])
+@pytest.mark.parametrize("problem", list(bad_records()))
 def test_read_dataset_rejects_bad_record_with_line(tmp_path, problem):
-    path = write(tmp_path, [record(), bad_records()[problem]])
-    with pytest.raises(ValidationError, match=rf"data\.jsonl:3: .*{problem}"):
+    rec, message = bad_records()[problem]
+    path = write(tmp_path, [record(), rec])
+    with pytest.raises(ValidationError, match=rf"data\.jsonl:3: .*{re.escape(message)}"):
         gr.read_dataset(path)
+    report = gr.validate_dataset(path)
+    assert [r.ok for r in report.records] == [True, False]
+    assert any(message in p for p in report.records[1].problems)
 
 
 def test_read_dataset_rejects_line_that_is_not_json(tmp_path):

@@ -1,20 +1,53 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from vlgraph import tensor as tn
 from vlgraph.errors import ContractError
-from vlgraph.mi import (
-    NCEBatch,
-    NCEPair,
-    NegativeBuffer,
-    contrastive_loss,
-    nce_estimate,
-)
+from vlgraph.mi import DISC_WEIGHT, NegativeBuffer, contrastive_loss
 from vlgraph.model import TemporalTrace
 from vlgraph.tensor import ParamStore, Tensor, grad_check
 from vlgraph.train import Adam
+
+
+# ------------------------------------------- explicit InfoNCE oracle
+# One candidate set per pair, spelled out; `contrastive_loss` shares one
+# score vector per query and must agree with it.
+
+@dataclass
+class NCEPair:
+    positive: Tensor                     # (d, 1) temporal node
+    context: Tensor                      # (d, 1) global node
+    negatives: list[Tensor]              # (d, 1) each; never contains positive
+
+    def __post_init__(self) -> None:
+        if len(self.negatives) < 1:
+            raise ContractError("an NCE pair needs at least one negative")
+
+
+@dataclass
+class NCEBatch:
+    pairs: list[NCEPair]
+
+    def __post_init__(self) -> None:
+        if not self.pairs:
+            raise ContractError("NCE batch is empty")
+
+
+def nce_estimate(batch: NCEBatch, params: ParamStore) -> Tensor:
+    """Mean over pairs of score(pos, ctx) - LSE over {pos} + negatives.
+
+    The positive sits in the denominator, so a constant discriminator gives
+    exactly -log(candidate count) and the estimate never exceeds zero.
+    """
+    terms = []
+    for pair in batch.pairs:
+        cands = tn.concat([pair.positive] + pair.negatives, axis=1)
+        scores = tn.matmul(cands.T, tn.matmul(params[DISC_WEIGHT], pair.context))
+        terms.append(tn.sub(tn.row(scores, 0), tn.logsumexp(scores)))
+    return terms[0] if len(terms) == 1 else tn.concat(terms, axis=0).mean()
 
 
 def disc_params(rng, d, zero=False):
@@ -32,8 +65,9 @@ def random_pair(rng, d, k_neg):
 
 
 def trace_of(nodes, global_node):
+    """One query's temporal trace over the (d, 1) `nodes`."""
     return TemporalTrace(
-        nodes=nodes, global_node=global_node,
+        nodes=nodes[0] if len(nodes) == 1 else tn.concat(nodes, axis=1), global_node=global_node,
         pool_weights=np.ones((len(nodes), 1)) / len(nodes),
         seg_attn_v=[], seg_attn_s=[], fuse_gates=[],
     )
@@ -154,16 +188,13 @@ def test_two_by_two_clip_averages_four_pair_terms():
 def test_contrastive_matches_explicit_nce_batch():
     rng = np.random.default_rng(6)
     ps = disc_params(rng, 4)
-    traces = [
-        trace_of([Tensor(rng.standard_normal((4, 1))) for _ in range(2)],
-                 Tensor(rng.standard_normal((4, 1))))
-        for _ in range(2)
-    ]
+    nodes = [[Tensor(rng.standard_normal((4, 1))) for _ in range(2)] for _ in range(2)]
+    traces = [trace_of(ns, Tensor(rng.standard_normal((4, 1)))) for ns in nodes]
     res = contrastive_loss(traces, ps, beta=1.0)
-    all_nodes = [n for t in traces for n in t.nodes]
+    all_nodes = [n for ns in nodes for n in ns]
     pairs = []
-    for n, t in enumerate(traces):
-        for i, node in enumerate(t.nodes):
+    for n, (ns, t) in enumerate(zip(nodes, traces)):
+        for i, node in enumerate(ns):
             flat = n * 2 + i
             negs = [m.detach() for j, m in enumerate(all_nodes) if j != flat]
             pairs.append(NCEPair(positive=node, context=t.global_node, negatives=negs))

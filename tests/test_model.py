@@ -400,17 +400,18 @@ def test_forward_convex_combination_bounds():
     ps = params_of(rng)
     clip = make_clip(rng, n_segments=3, frames_per=3, tokens_per=2)
     trace = forward(clip, ps, cfg_of())
-    for seg, V0 in zip(trace.segments, trace.graph.visual):
-        inter_v, intra_v = seg.passes["inter.v"], seg.passes["intra.v"]
-        lo = np.minimum(V0.data, inter_v.msg) - 1e-12
-        hi = np.maximum(V0.data, inter_v.msg) + 1e-12
-        assert np.all(inter_v.out >= lo) and np.all(inter_v.out <= hi)
-        lo2 = np.minimum(inter_v.out, intra_v.msg) - 1e-12
-        hi2 = np.maximum(inter_v.out, intra_v.msg) + 1e-12
-        assert np.all(seg.visual.data >= lo2) and np.all(seg.visual.data <= hi2)
-        for name in ("inter.v", "inter.s", "intra.v", "intra.s"):
-            g = seg.passes[name].gate
-            assert np.all(g > 0.0) and np.all(g < 1.0)
+    seg, V0 = trace.segments, trace.graph.frame_nodes
+    assert seg.n_segments == 3
+    inter_v, intra_v = seg.passes["inter.v"], seg.passes["intra.v"]
+    lo = np.minimum(V0.data, inter_v.msg) - 1e-12
+    hi = np.maximum(V0.data, inter_v.msg) + 1e-12
+    assert np.all(inter_v.out >= lo) and np.all(inter_v.out <= hi)
+    lo2 = np.minimum(inter_v.out, intra_v.msg) - 1e-12
+    hi2 = np.maximum(inter_v.out, intra_v.msg) + 1e-12
+    assert np.all(seg.visual.data >= lo2) and np.all(seg.visual.data <= hi2)
+    for name in ("inter.v", "inter.s", "intra.v", "intra.s"):
+        g = seg.passes[name].gate
+        assert np.all(g > 0.0) and np.all(g < 1.0)
 
 
 def test_forward_attention_vectors_are_probabilities():
@@ -448,3 +449,81 @@ def test_forward_gradcheck_composite_probability():
     frozen = FrozenDecisions(n_queries=n)
     rep = grad_check(lambda: forward(clip, ps, cfg, frozen=frozen).prob, ps)
     assert rep.passed(1e-4), repr(rep)
+
+
+# ------------------------------------------------- batched column blocks
+
+def test_batched_levels_match_one_segment_and_one_query_at_a_time():
+    rng = np.random.default_rng(24)
+    ps = params_of(rng)
+    cfg = cfg_of()
+    v_sizes, s_sizes = (2, 1, 3), (3, 1, 2)
+    V = Tensor(rng.standard_normal((4, sum(v_sizes))))
+    S = Tensor(rng.standard_normal((4, sum(s_sizes))))
+    seg = refine_segment(V, S, ps, cfg, v_sizes, s_sizes)
+    queries = [Tensor(rng.standard_normal((4, 1))) for _ in range(2)]
+    traces = reason_over_segments(seg, queries, ps, cfg)
+    v_bounds = np.cumsum((0,) + v_sizes)
+    s_bounds = np.cumsum((0,) + s_sizes)
+    alone = [refine_segment(Tensor(V.data[:, v_bounds[i]:v_bounds[i + 1]]),
+                            Tensor(S.data[:, s_bounds[i]:s_bounds[i + 1]]), ps, cfg)
+             for i in range(3)]
+    for i, one in enumerate(alone):
+        assert np.allclose(seg.visual.data[:, v_bounds[i]:v_bounds[i + 1]], one.visual.data,
+                           rtol=0, atol=1e-14)
+        assert np.allclose(seg.text.data[:, s_bounds[i]:s_bounds[i + 1]], one.text.data,
+                           rtol=0, atol=1e-14)
+    for q, (t, query) in enumerate(zip(traces, queries)):
+        nodes = [segment_pool(one, query, ps)[0] for one in alone]
+        assert np.allclose(t.nodes.data, np.hstack([n.data for n in nodes]), rtol=0, atol=1e-14)
+        T, _ = self_pass(tn.concat(nodes, axis=1), ps, "temporal.gate")
+        glob, weights = temporal_pool(T, query, ps)
+        assert np.allclose(t.global_node.data, glob.data, rtol=0, atol=1e-14)
+        assert np.allclose(t.pool_weights, weights.data, rtol=0, atol=1e-14)
+
+
+def test_perturbing_one_segment_leaves_the_others_unchanged():
+    rng = np.random.default_rng(25)
+    ps = params_of(rng)
+    cfg = cfg_of(fixed_queries=2)
+    clip = make_clip(rng, n_segments=3, frames_per=3, tokens_per=2)
+    frames = list(clip.frames)
+    for k in (3, 4, 5):                          # the frames of the middle segment
+        frames[k] = FrameNode(t=frames[k].t, feature=frames[k].feature + rng.standard_normal(3))
+    base = forward(clip, ps, cfg)
+    moved = forward(Clip(clip.clip_id, frames, clip.subs, clip.statement, clip.label), ps, cfg)
+    keep_v, keep_s = [0, 1, 2, 6, 7, 8], [0, 1, 4, 5]   # node columns of segments 0 and 2
+
+    def same(a, b):
+        return np.max(np.abs(a - b)) <= 1e-15
+
+    assert same(base.segments.visual.data[:, keep_v], moved.segments.visual.data[:, keep_v])
+    assert same(base.segments.text.data[:, keep_s], moved.segments.text.data[:, keep_s])
+    assert not same(base.segments.visual.data[:, 3:6], moved.segments.visual.data[:, 3:6])
+    for name, p in base.segments.passes.items():
+        q = moved.segments.passes[name]
+        keep = keep_v if name.endswith(".v") else keep_s
+        for field in ("gate", "msg", "out"):
+            assert same(getattr(p, field)[:, keep], getattr(q, field)[:, keep]), (name, field)
+        assert same(p.adj[keep], q.adj[keep]), name
+    for t, u in zip(base.temporal, moved.temporal):
+        assert same(t.nodes.data[:, [0, 2]], u.nodes.data[:, [0, 2]])
+        for i in (0, 2):
+            assert same(t.fuse_gates[i], u.fuse_gates[i])
+            assert same(t.seg_attn_v[i], u.seg_attn_v[i])
+            assert same(t.seg_attn_s[i], u.seg_attn_s[i])
+
+
+def test_trace_arrays_are_views_of_the_batched_arrays():
+    rng = np.random.default_rng(26)
+    ps = params_of(rng)
+    trace = forward(make_clip(rng, n_segments=3), ps, cfg_of(fixed_queries=2))
+    assert trace.graph.n_segments == 3
+    assert all(np.shares_memory(v, trace.graph.frame_nodes.data) for v in trace.graph.visual)
+    for t in trace.temporal:
+        arrays = [t.pool_weights, t.refine.adj, t.refine.gate, t.refine.msg, t.refine.out]
+        arrays += t.seg_attn_v + t.seg_attn_s + t.fuse_gates
+        assert all(a.base is not None for a in arrays)
+    first, second = trace.temporal
+    assert first.refine.out.base is second.refine.out.base
+    assert first.seg_attn_v[0].base is second.seg_attn_v[0].base

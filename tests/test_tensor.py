@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -21,6 +22,55 @@ def check(f, ps, tol=1e-4):
     rep = grad_check(f, ps)
     assert rep.passed(tol), repr(rep)
     return rep
+
+
+# ------------------------------------------- oracle ops on the tape's hooks
+# The package does not need these ops; they are kept here as oracles for the
+# tape itself: each is a closed-form op with a known gradient, recorded
+# through the same `_make`/`_acc` hooks as the package's own ops.
+
+def exp(a: Tensor) -> Tensor:
+    with np.errstate(over="ignore"):
+        y = np.exp(a.data)
+    if not np.all(np.isfinite(y)):
+        raise NumericalError("exp overflowed; rescale the input")
+
+    def bw(out: Tensor) -> None:
+        tn._acc(a, out.grad * y)
+
+    return tn._make(y, (a,), bw)
+
+
+def log(a: Tensor) -> Tensor:
+    if np.any(a.data <= 0.0):
+        raise NumericalError("log of a non-positive value")
+    y = np.log(a.data)
+
+    def bw(out: Tensor) -> None:
+        tn._acc(a, out.grad / a.data)
+
+    return tn._make(y, (a,), bw)
+
+
+def cosine_distance(u: Tensor, v: Tensor) -> Tensor:
+    """1 - cos(u, v) for two column vectors, in [0, 2]."""
+    if u.shape != v.shape or u.shape[1] != 1:
+        raise ShapeError(f"cosine_distance: needs matching column vectors, got {u.shape} and {v.shape}")
+    nu = float(np.linalg.norm(u.data))
+    nv = float(np.linalg.norm(v.data))
+    if nu <= 1e-12 or nv <= 1e-12:
+        raise DegenerateInputError("cosine_distance: zero-norm input")
+    uh = u.data / nu
+    vh = v.data / nv
+    c = float((uh * vh).sum())
+    val = min(max(1.0 - c, 0.0), 2.0)
+
+    def bw(out: Tensor) -> None:
+        g = float(out.grad.reshape(-1)[0])
+        tn._acc(u, -g * (vh - c * uh) / nu)
+        tn._acc(v, -g * (uh - c * vh) / nv)
+
+    return tn._make(np.array([[val]]), (u, v), bw)
 
 
 # ---------------------------------------------------------------- matmul
@@ -111,17 +161,17 @@ def test_elementwise_shape_mismatch():
 
 def test_cosine_distance_self_is_zero():
     u = Tensor(np.random.default_rng(1).standard_normal((5, 1)))
-    assert abs(tn.cosine_distance(u, u).item()) <= 1e-12
+    assert abs(cosine_distance(u, u).item()) <= 1e-12
 
 
 def test_cosine_distance_orthogonal():
-    d = tn.cosine_distance(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
+    d = cosine_distance(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
     assert abs(d.item() - 1.0) <= 1e-12
 
 
 def test_cosine_distance_zero_norm_rejected():
     with pytest.raises(DegenerateInputError):
-        tn.cosine_distance(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
+        cosine_distance(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
 
 
 def test_cosine_distance_range():
@@ -129,7 +179,7 @@ def test_cosine_distance_range():
     for _ in range(50):
         u = Tensor(rng.standard_normal((4, 1)))
         v = Tensor(rng.standard_normal((4, 1)))
-        assert 0.0 <= tn.cosine_distance(u, v).item() <= 2.0
+        assert 0.0 <= cosine_distance(u, v).item() <= 2.0
 
 
 # ---------------------------------------------------------------- backward
@@ -187,16 +237,20 @@ OPS = {
     "concat1": (lambda ps: tn.concat([ps["a"], ps["b"]], axis=1).mean(), {"a": (2, 2), "b": (2, 3)}),
     "col": (lambda ps: tn.col(ps["a"], 1).sum(), {"a": (3, 3)}),
     "add_col": (lambda ps: tn.add_col(ps["a"], ps["b"]).sum(), {"a": (3, 4), "b": (3, 1)}),
-    "tile_col": (lambda ps: tn.mul(tn.tile_col(ps["b"], 4), ps["a"]).sum(), {"a": (3, 4), "b": (3, 1)}),
+    "col_range": (lambda ps: tn.mul(tn.col(ps["a"], 1, 3), ps["w"]).sum(), {"a": (3, 4), "w": (3, 2)}),
+    "block_mean": (lambda ps: tn.mul(tn.block_mean(ps["a"], (2, 1, 3)), ps["w"]).sum(),
+                   {"a": (3, 6), "w": (3, 3)}),
+    "block_expand": (lambda ps: tn.mul(tn.block_expand(ps["a"], (2, 1, 3)), ps["w"]).sum(),
+                     {"a": (3, 3), "w": (3, 6)}),
     "sum_ax0": (lambda ps: tn.mul(ps["a"].sum(axis=0), ps["w"]).sum(), {"a": (3, 2), "w": (1, 2)}),
     "mean_ax1": (lambda ps: tn.mul(ps["a"].mean(axis=1), ps["w"]).sum(), {"a": (3, 2), "w": (3, 1)}),
     "softmax": (lambda ps: tn.mul(tn.softmax(ps["a"], axis=1), ps["w"]).sum(), {"a": (3, 4), "w": (3, 4)}),
     "sigmoid": (lambda ps: tn.mul(tn.sigmoid(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
     "softplus": (lambda ps: tn.mul(tn.softplus(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
     "tanh": (lambda ps: tn.mul(tn.tanh(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
-    "exp": (lambda ps: tn.exp(ps["a"]).sum(), {"a": (2, 2)}),
+    "exp": (lambda ps: exp(ps["a"]).sum(), {"a": (2, 2)}),
     "logsumexp": (lambda ps: tn.logsumexp(ps["a"]), {"a": (4, 1)}),
-    "cosine_distance": (lambda ps: tn.cosine_distance(ps["a"], ps["b"]), {"a": (4, 1), "b": (4, 1)}),
+    "cosine_distance": (lambda ps: cosine_distance(ps["a"], ps["b"]), {"a": (4, 1), "b": (4, 1)}),
     "cosine_cost": (lambda ps: tn.mul(tn.cosine_cost(ps["a"], ps["b"]), ps["w"]).sum(),
                     {"a": (3, 2), "b": (3, 4), "w": (2, 4)}),
 }
@@ -220,7 +274,7 @@ def test_log_gradcheck_positive_domain():
         rng = np.random.default_rng(seed)
         ps = ParamStore()
         ps.add("a", rng.uniform(0.2, 3.0, size=(3, 2)))
-        assert grad_check(lambda: tn.log(ps["a"]).sum(), ps).passed(1e-4)
+        assert grad_check(lambda: log(ps["a"]).sum(), ps).passed(1e-4)
 
 
 def test_gw_pair_cost_gradcheck():
@@ -237,15 +291,40 @@ def test_gw_pair_cost_gradcheck():
 
 def test_log_rejects_nonpositive():
     with pytest.raises(NumericalError):
-        tn.log(Tensor([0.0]))
+        log(Tensor([0.0]))
 
 
 def test_exp_overflow_raises():
     with pytest.raises(NumericalError):
-        tn.exp(Tensor([1000.0]))
+        exp(Tensor([1000.0]))
+
+
+def test_block_mean_and_expand_hand_values():
+    a = Tensor([[1.0, 3.0, 5.0, 2.0, 4.0, 6.0]])
+    assert np.array_equal(tn.block_mean(a, (2, 1, 3)).data, [[2.0, 5.0, 4.0]])
+    g = Tensor([[1.0, 2.0, 3.0]])
+    assert np.array_equal(tn.block_expand(g, (2, 1, 3)).data, [[1.0, 1.0, 2.0, 3.0, 3.0, 3.0]])
+    assert np.array_equal(tn.col(a, 1, 4).data, [[3.0, 5.0, 2.0]])
+    with pytest.raises(ShapeError):
+        tn.block_mean(a, (2, 2))
+    with pytest.raises(ShapeError):
+        tn.block_expand(g, (2, 1))
 
 
 # ---------------------------------------------------------------- misc
+
+def test_tape_is_freed_without_the_cycle_collector():
+    ps = make_params(np.random.default_rng(14), a=(3, 4), b=(4, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        loss = tn.softmax(tn.block_expand(tn.matmul(ps["a"], ps["b"]), (2, 3)), axis=0).sum()
+        backward(loss, ps)
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
 
 def test_ops_are_deterministic():
     rng = np.random.default_rng(11)

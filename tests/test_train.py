@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -39,6 +40,25 @@ def clips_of(n, seed=0, difficulty=1.0):
 
 
 # ------------------------------------------------------------------- losses
+
+def test_training_step_leaves_no_reference_cycles():
+    # a dropped tape is freed at once, not when the cycle collector next runs,
+    # so tapes of past clips do not pile up in memory
+    cfg = small_cfg()
+    params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(1))
+    buffer = NegativeBuffer(8)
+    buffer.push([np.ones(cfg.dim)])
+    clip = clips_of(1)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        bundle, trace = run_clip(clip, params, cfg, buffer)
+        backward(bundle.total, params)
+        del bundle, trace
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
 
 def test_entropy_loss_at_half_is_ln2():
     cfg = small_cfg(alpha=0.0, beta=0.0, query_cost=0.0)

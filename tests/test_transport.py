@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,27 @@ from vlgraph.tensor import ParamStore, Tensor, backward, grad_check
 from vlgraph.transport import (
     Coupling,
     OTConfig,
-    brute_force_wd,
     got_distance,
     sinkhorn,
     solve_plan,
     transport_loss,
 )
+
+
+def brute_force_wd(cost: np.ndarray) -> float:
+    """Exact uniform-marginal transport cost by permutation enumeration.
+
+    Valid for square costs up to 6x6, where the optimum sits on a
+    permutation vertex of the doubly stochastic polytope.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ShapeError(f"brute_force_wd: cost must be square, got {cost.shape}")
+    n = cost.shape[0]
+    if n > 6:
+        raise ContractError(f"brute_force_wd: n={n} exceeds the enumeration limit of 6")
+    rows = np.arange(n)
+    return min(float(cost[rows, perm].mean()) for perm in itertools.permutations(range(n)))
 
 
 def uniform(n):
@@ -166,7 +183,7 @@ def seg_of(rng, d=4, k=3, n_tokens=2):
 
 def test_loss_zero_when_alpha_zero():
     rng = np.random.default_rng(7)
-    loss, plans = transport_loss([seg_of(rng)], OTConfig(alpha=0.0))
+    loss, plans = transport_loss(seg_of(rng), OTConfig(alpha=0.0))
     assert loss.item() == 0.0 and plans == []
 
 
@@ -174,7 +191,7 @@ def test_loss_identical_modalities_small():
     rng = np.random.default_rng(8)
     nodes = rng.standard_normal((4, 3))
     seg = SegmentTrace(visual=Tensor(nodes), text=Tensor(nodes.copy()))
-    loss, _ = transport_loss([seg], tight_cfg(alpha=0.1))
+    loss, _ = transport_loss(seg, tight_cfg(alpha=0.1))
     assert 0.0 <= loss.item() <= 0.1 * 1e-2
 
 
@@ -182,9 +199,11 @@ def test_loss_is_mean_over_segments():
     rng = np.random.default_rng(9)
     s1, s2 = seg_of(rng), seg_of(rng, k=2, n_tokens=3)
     cfg = OTConfig(alpha=0.2, sinkhorn_iters=2000)
-    l1 = transport_loss([s1], cfg)[0].item()
-    l2 = transport_loss([s2], cfg)[0].item()
-    both = transport_loss([s1, s2], cfg)[0].item()
+    l1 = transport_loss(s1, cfg)[0].item()
+    l2 = transport_loss(s2, cfg)[0].item()
+    s12 = SegmentTrace(visual=tn.concat([s1.visual, s2.visual], axis=1),
+                       text=tn.concat([s1.text, s2.text], axis=1), v_sizes=(3, 2), s_sizes=(2, 3))
+    both = transport_loss(s12, cfg)[0].item()
     assert abs(both - (l1 + l2) / 2.0) <= 1e-12
 
 
@@ -198,8 +217,8 @@ def test_loss_gradients_flow_through_costs_with_frozen_plan():
     def seg():
         return SegmentTrace(visual=ps["v"], text=ps["s"])
 
-    _, plans = transport_loss([seg()], cfg)
-    rep = grad_check(lambda: transport_loss([seg()], cfg, frozen_plans=plans)[0], ps)
+    _, plans = transport_loss(seg(), cfg)
+    rep = grad_check(lambda: transport_loss(seg(), cfg, frozen_plans=plans)[0], ps)
     assert rep.passed(1e-4), repr(rep)
 
 
@@ -207,8 +226,8 @@ def test_frozen_plans_reproduce_solution():
     rng = np.random.default_rng(11)
     seg = seg_of(rng)
     cfg = OTConfig(sinkhorn_iters=2000)
-    l1, plans = transport_loss([seg], cfg)
-    l2, _ = transport_loss([seg], cfg, frozen_plans=plans)
+    l1, plans = transport_loss(seg, cfg)
+    l2, _ = transport_loss(seg, cfg, frozen_plans=plans)
     assert l1.item() == l2.item()
 
 
@@ -217,7 +236,7 @@ def test_loss_backward_reaches_upstream_parameters():
     ps = ParamStore()
     ps.add("v", rng.standard_normal((3, 4)))
     ps.add("s", rng.standard_normal((3, 2)))
-    loss, _ = transport_loss([SegmentTrace(visual=ps["v"], text=ps["s"])],
+    loss, _ = transport_loss(SegmentTrace(visual=ps["v"], text=ps["s"]),
                              OTConfig(sinkhorn_iters=500))
     grads = backward(loss, ps)
     assert np.any(grads["v"] != 0) and np.any(grads["s"] != 0)
