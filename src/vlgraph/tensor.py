@@ -440,26 +440,132 @@ def cosine_cost(a: Tensor, b: Tensor) -> Tensor:
     return _make(cost, (a, b), bw)
 
 
-def gw_pair_cost(intra_a: Tensor, intra_b: Tensor, plan: np.ndarray) -> Tensor:
+class SortedStructure:
+    """The structure term sum_{ijkl} T_ij T_kl |A_ik - B_jl| from sorted rows.
+
+    Built once for intra-graph costs A (n, n) and B (m, m): each row of B is
+    sorted, and every A_ik is ranked in every sorted row B_j twice, strictly
+    (how many B_jl < A_ik) and not (how many B_jl <= A_ik), so entries tied
+    with A_ik count on neither side and sign(0) = 0 holds exactly.
+
+    For a coupling T, signed prefix sums along the sorted rows, P[r] = (sum
+    of the first r entries) - (sum of the rest), taken of T_kl and of
+    T_kl B_jl and read at the strict rank of A_ik, give
+    sum_l T_kl |A_ik - B_jl| = A_ik P_T - P_TB, hence the linearisation
+    L_ij = sum_kl |A_ik - B_jl| T_kl. Read at both ranks, P_T gives the
+    gradient in A; T_ij scattered at both ranks and summed the same way gives
+    the gradient in B. Memory is O(n^2 m + n m^2): no array of n^2 m^2
+    entries is built. The last linearisation is kept, so a second
+    `linearize` at the same coupling costs a comparison.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        n, m = a.shape[0], b.shape[0]
+        if a.shape != (n, n) or b.shape != (m, m):
+            raise ShapeError(f"SortedStructure: costs must be square, got {a.shape} and {b.shape}")
+        self.a = a
+        self.b = b
+        order = np.argsort(b, axis=1)
+        b_rows = np.sort(b, axis=1)
+        self._order = np.ascontiguousarray(order.T)              # (s, j)
+        self._b_sorted = b_rows.T[:, :, None]
+        # Rank every A_ik in every row B_j. With v the entries of A sorted and
+        # A_ik = v[u], B_jl < v[u] exactly when at most u entries of v are
+        # <= B_jl, and B_jl <= v[u] when at most u are < B_jl, whatever the
+        # ties. So one search of each B_jl in v and a running count over u
+        # give every row's [below, at or below] counts at every entry of A.
+        flat = a.ravel()
+        by_value = np.argsort(flat)
+        at = np.empty(n * n, dtype=np.intp)
+        at[by_value] = np.arange(n * n)
+        vals = flat[by_value]
+        pos = np.stack([np.searchsorted(vals, b_rows, side="right"),
+                        np.searchsorted(vals, b_rows, side="left")])
+        width = n * n + 1
+        bins = (np.arange(2)[:, None, None] * width + pos) * m + np.arange(m)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=2 * width * m).reshape(2, width, m)
+        np.cumsum(counts, axis=1, out=counts)
+        # as flat positions into prefix sums laid out as (rank, j, k): (2, i, j, k)
+        self._at = counts[:, at.reshape(n, n)[:, None, :], np.arange(m)[:, None]]
+        self._at *= m * n
+        self._at += np.arange(m)[:, None] * n + np.arange(n)
+        # the strict ranks into both halves of (2, rank, j, k) as (i, j, 2, k), so
+        # one product with [A_i, -1] sums A_ik P_T - P_TB over k
+        plane = (m + 1) * m * n
+        self._below = np.stack([self._at[0], self._at[0] + plane], axis=2)
+        self._weights = np.concatenate([a, -np.ones((n, n))], axis=1)[:, :, None]
+        # signed prefix sums as one product: [r, s] = +1 for s < r, else -1
+        self._signs = 2.0 * np.tri(m + 1, k=-1) - 1.0
+        self._sorted = np.empty((2, m, m, n))       # [T, T * B] along sorted rows
+        self._prefix = np.empty((2, m + 1, m, n))
+        self._memo: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _sort_plan(self, plan: np.ndarray) -> np.ndarray:
+        """[s, j, k] = T_kl for the l at position s of sorted row B_j."""
+        return np.take(plan.T, self._order, axis=0, out=self._sorted[0])
+
+    def linearize(self, plan: np.ndarray) -> np.ndarray:
+        """L_ij = sum_kl |A_ik - B_jl| T_kl, an (n, m) array."""
+        if self._memo is not None and np.array_equal(self._memo[0], plan):
+            return self._memo[1]
+        n, m = plan.shape
+        np.multiply(self._sort_plan(plan), self._b_sorted, out=self._sorted[1])
+        np.matmul(self._signs[:, :m], self._sorted.reshape(2, m, -1),
+                  out=self._prefix.reshape(2, m + 1, -1))
+        lin = np.matmul(self._prefix.take(self._below).reshape(n, m, 2 * n), self._weights)
+        # each L_ij sums nonnegative terms; the signed sums can round a 0 below it
+        self._memo = (plan.copy(), np.maximum(lin[:, :, 0], 0.0))
+        return self._memo[1]
+
+    def gradients(self, plan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d/dA and d/dB of sum_{ijkl} T_ij T_kl |A_ik - B_jl| at fixed T.
+
+        Both come out doubled from the signed sums and are halved exactly.
+        """
+        n, m = plan.shape
+        sorted_t = self._sort_plan(plan)
+        mass = np.matmul(self._signs[:, :m], sorted_t.reshape(m, -1))
+        # at both ranks of A_ik: 2 sum_l T_kl sign(A_ik - B_jl)
+        below, upto = mass.take(self._at)
+        below += upto
+        grad_a = 0.5 * np.matmul(plan[:, None, :], below)[:, 0, :]
+        # at position s of sorted row B_j, the T_ij with A_ik below B_jl (upto
+        # <= s) less those above (below > s), counted at both ranks:
+        # 2 sum_i T_ij sign(B_jl - A_ik)
+        weights = np.broadcast_to(plan[:, :, None], self._at.shape).ravel()
+        hits = np.bincount(self._at.ravel(), weights, (m + 1) * m * n).reshape(m + 1, -1)
+        sorted_t *= np.matmul(self._signs[1:], hits).reshape(m, m, n)
+        grad_b = np.empty((m, m))
+        grad_b[np.arange(m), self._order] = 0.5 * np.matmul(sorted_t, np.ones(n))
+        return grad_a, grad_b
+
+
+def gw_pair_cost(intra_a: Tensor, intra_b: Tensor, plan: np.ndarray,
+                 structure: SortedStructure | None = None) -> Tensor:
     """Structure-mismatch term sum_{iji'j'} T_ij T_i'j' |A_ii' - B_jj'|.
 
     `plan` is a fixed coupling (envelope convention): gradient flows into the
-    two intra-graph cost matrices only.
+    two intra-graph cost matrices only. The value is sum(T * L) with L the
+    linearisation from `SortedStructure`, and the backward is its gradients,
+    in O(n^2 m + n m^2) memory. `structure` is used only when it was built
+    from these exact arrays; otherwise one is built here.
     """
+    plan = np.asarray(plan, dtype=np.float64)
     n, m = plan.shape
     if intra_a.shape != (n, n) or intra_b.shape != (m, m):
         raise ShapeError(
             f"gw_pair_cost: plan {plan.shape} needs ({n},{n}) and ({m},{m}) costs, "
             f"got {intra_a.shape} and {intra_b.shape}"
         )
-    diff = intra_a.data[:, None, :, None] - intra_b.data[None, :, None, :]
-    val = float(np.einsum("ijkl,ij,kl->", np.abs(diff), plan, plan))
+    if structure is None or structure.a is not intra_a.data or structure.b is not intra_b.data:
+        structure = SortedStructure(intra_a.data, intra_b.data)
+    val = float((plan * structure.linearize(plan)).sum())
 
     def bw(out: Tensor) -> None:
         g = float(out.grad.reshape(-1)[0])
-        sgn = np.sign(diff)
-        _acc(intra_a, g * np.einsum("ijkl,ij,kl->ik", sgn, plan, plan))
-        _acc(intra_b, -g * np.einsum("ijkl,ij,kl->jl", sgn, plan, plan))
+        grad_a, grad_b = structure.gradients(plan)
+        _acc(intra_a, g * grad_a)
+        _acc(intra_b, g * grad_b)
 
     return _make(np.array([[val]]), (intra_a, intra_b), bw)
 

@@ -57,16 +57,22 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("dim", "max_queries", "effective_batch", "neg_buffer"):
+        for name in ("dim", "max_queries", "effective_batch", "neg_buffer",
+                     "ot_sinkhorn_iters", "ot_gw_outer_iters"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")
         if not 0.0 < self.halt_eps < 1.0:
             raise ContractError("halt_eps must lie in (0, 1)")
-        for name in ("query_cost", "lr", "alpha", "beta", "lam", "ot_eps_reg", "ot_tol"):
+        if not self.ot_eps_reg > 0:
+            raise ContractError("ot_eps_reg must be positive")
+        for name in ("query_cost", "lr", "alpha", "beta", "lam", "ot_tol"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be nonnegative")
         if self.epochs < 0:
             raise ContractError("epochs must be nonnegative")
+        if self.fixed_queries is not None and not 1 <= self.fixed_queries <= self.max_queries:
+            raise ContractError(f"fixed_queries must lie in [1, max_queries={self.max_queries}], "
+                                f"got {self.fixed_queries}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -150,7 +156,13 @@ def total_loss(
 
 
 class Adam:
-    """Adam with bias correction; parameter order is the sorted name order."""
+    """Adam with bias correction; parameter order is the sorted name order.
+
+    Each step works in place in two scratch arrays sized to the largest
+    parameter and shared by all of them, in the same operation order as
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), so the result is bitwise the same.
+    """
 
     def __init__(self, params: ParamStore, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -162,6 +174,8 @@ class Adam:
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        size = max((p.data.size for _, p in params.items()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, grad_scale: float = 1.0) -> None:
         self.t += 1
@@ -169,14 +183,28 @@ class Adam:
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            g = (p.grad if p.grad is not None else np.zeros_like(p.data)) * grad_scale
+            g, tmp = (s[: p.data.size].reshape(p.data.shape) for s in self._scratch)
+            if p.grad is None:
+                g.fill(0.0)
+                g *= grad_scale
+            else:
+                np.multiply(p.grad, grad_scale, out=g)
             m = self._m[name]
             v = self._v[name]
             m *= b1
-            m += (1 - b1) * g
+            np.multiply(g, 1 - b1, out=tmp)
+            m += tmp
             v *= b2
-            v += (1 - b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, 1 - b2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            np.divide(m, bc1, out=tmp)
+            tmp *= self.lr
+            tmp /= g
+            p.data -= tmp
 
 
 # ------------------------------------------------------------------ training
@@ -349,6 +377,32 @@ class CheckpointData:
     rng_state: dict | None
 
 
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _param_entry(path: str, name: str, meta) -> tuple[tuple[int, ...], np.dtype, int]:
+    """(shape, dtype, offset) of one header entry, or FormatError naming the field."""
+    where = f"{path}: parameter {name!r}"
+    if not isinstance(meta, dict):
+        raise FormatError(f"{where}: entry is a {type(meta).__name__}, not an object")
+    for key in ("shape", "dtype", "offset"):
+        if key not in meta:
+            raise FormatError(f"{where}: entry has no {key!r}")
+    shape = meta["shape"]
+    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+        raise FormatError(f"{where}: 'shape' {shape!r} is not a list of nonnegative integers")
+    if not _is_count(meta["offset"]):
+        raise FormatError(f"{where}: 'offset' {meta['offset']!r} is not a nonnegative integer")
+    try:
+        dtype = np.dtype(meta["dtype"])
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{where}: 'dtype' {meta['dtype']!r} is not a dtype: {e}") from e
+    if dtype.kind != "f":
+        raise FormatError(f"{where}: 'dtype' {meta['dtype']!r} is not a float type")
+    return tuple(shape), dtype, meta["offset"]
+
+
 def load_checkpoint(path: str) -> CheckpointData:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -366,14 +420,13 @@ def load_checkpoint(path: str) -> CheckpointData:
     payload = blob[head_start + head_len :]
     params = ParamStore()
     for name, meta in header["params"].items():
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape))
-        start = meta["offset"]
-        end = start + count * np.dtype(meta["dtype"]).itemsize
+        shape, dtype, start = _param_entry(path, name, meta)
+        count = math.prod(shape)
+        end = start + count * dtype.itemsize
         if end > len(payload):
             raise FormatError(f"{path}: parameter {name!r} needs payload bytes "
                               f"{start}..{end}, but the payload has {len(payload)}")
-        arr = np.frombuffer(payload, dtype=meta["dtype"], count=count, offset=start)
+        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
         params.add(name, arr.astype(np.float64).reshape(shape))
     cfg = TrainConfig.from_dict(header["config"])
     return CheckpointData(params=params, config=cfg, rng_state=header.get("rng_state"))

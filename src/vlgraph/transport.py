@@ -7,6 +7,14 @@ solved by alternating rounds of linearizing the structure term at the
 current plan and re-solving the linear problem with log-domain Sinkhorn
 scaling under uniform marginals.
 
+The structure term sum T_ij T_kl |A_ik - B_jl| is never expanded into an
+(n, m, n, m) array. Once per segment, `tensor.SortedStructure` sorts each
+row of B and ranks every entry of A in it; the linearization and both
+gradients then come from prefix sums of the plan along the sorted rows, in
+O(n^2 m + n m^2) memory. `solve_plan` returns that structure on the
+`Coupling`, and `transport_loss` hands it on to `tensor.gw_pair_cost` for
+the loss and its gradients.
+
 Training gradients use the envelope convention: the converged plan is a
 constant and gradients flow through the cost matrices only.
 """
@@ -50,6 +58,7 @@ class Coupling:
     distance: float
     marginal_err: float
     converged: bool
+    structure: tn.SortedStructure   # of the two intra costs, reused by the loss
 
 
 def _logsumexp_rows(x: np.ndarray, axis: int) -> np.ndarray:
@@ -111,11 +120,6 @@ def sinkhorn(
     return plan, err, (phi, psi)
 
 
-def _structure_gap(intra_a: np.ndarray, intra_b: np.ndarray) -> np.ndarray:
-    """|A_ii' - B_jj'| arranged as (n, m, n, m)."""
-    return np.abs(intra_a[:, None, :, None] - intra_b[None, :, None, :])
-
-
 def solve_plan(
     node_cost: np.ndarray,
     intra_a: np.ndarray,
@@ -129,12 +133,12 @@ def solve_plan(
         raise ContractError("solve_plan: both node sets must be nonempty")
     p = np.full(n, 1.0 / n)
     q = np.full(m, 1.0 / m)
-    gap = _structure_gap(np.asarray(intra_a, float), np.asarray(intra_b, float))
+    structure = tn.SortedStructure(np.asarray(intra_a, float), np.asarray(intra_b, float))
     plan = np.outer(p, q)
     warm = None
     err = np.inf
     for _ in range(cfg.gw_outer_iters):
-        linear = cfg.lam * node_cost + np.einsum("ijkl,kl->ij", gap, plan)
+        linear = cfg.lam * node_cost + structure.linearize(plan)
         new_plan, err, warm = sinkhorn(
             linear, p, q, cfg.eps_reg, cfg.sinkhorn_iters, cfg.tol, warm
         )
@@ -142,10 +146,10 @@ def solve_plan(
         plan = new_plan
         if delta <= cfg.tol:
             break
-    fused = cfg.lam * node_cost + np.einsum("ijkl,kl->ij", gap, plan)
+    fused = cfg.lam * node_cost + structure.linearize(plan)
     distance = float((plan * fused).sum())
     return Coupling(plan=plan, p=p, q=q, distance=distance, marginal_err=err,
-                    converged=err <= cfg.tol)
+                    converged=err <= cfg.tol, structure=structure)
 
 
 def _np_cosine_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -182,6 +186,9 @@ def transport_loss(
     """
     if cfg.alpha == 0.0:
         return Tensor(0.0), []
+    if frozen_plans is not None and len(frozen_plans) != segments.n_segments:
+        raise ContractError(f"transport_loss: {len(frozen_plans)} frozen plans "
+                            f"for {segments.n_segments} segments")
     plans: list[np.ndarray] = []
     terms: list[Tensor] = []
     for si, (visual, text) in enumerate(segments.split()):
@@ -189,11 +196,12 @@ def transport_loss(
         intra_s = tn.cosine_cost(text, text)
         intra_v = tn.cosine_cost(visual, visual)
         if frozen_plans is not None:
-            plan = frozen_plans[si]
+            plan, structure = frozen_plans[si], None
         else:
-            plan = solve_plan(node_cost.data, intra_s.data, intra_v.data, cfg).plan
+            coupling = solve_plan(node_cost.data, intra_s.data, intra_v.data, cfg)
+            plan, structure = coupling.plan, coupling.structure
         plans.append(plan)
         node_term = tn.mul(node_cost, Tensor(cfg.lam * plan)).sum()
-        terms.append(tn.add(node_term, tn.gw_pair_cost(intra_s, intra_v, plan)))
+        terms.append(tn.add(node_term, tn.gw_pair_cost(intra_s, intra_v, plan, structure)))
     total = terms[0] if len(terms) == 1 else tn.concat(terms, axis=0).sum()
     return tn.scale(total, cfg.alpha / len(terms)), plans

@@ -289,6 +289,85 @@ def test_gw_pair_cost_gradcheck():
         assert grad_check(lambda: tn.gw_pair_cost(ps["ca"], ps["cb"], plan), ps).passed(1e-4)
 
 
+# ------------------------------------------- structure term, dense oracle
+# The (n, m, n, m) formulas that `SortedStructure` replaces, kept as the
+# reference: L_ij = sum_kl |A_ik - B_jl| T_kl, the value sum_ij T_ij L_ij,
+# and the gradients of sum_ijkl T_ij T_kl |A_ik - B_jl| in A and in B.
+
+def dense_structure(a, b, plan):
+    diff = a[:, None, :, None] - b[None, :, None, :]
+    lin = np.einsum("ijkl,kl->ij", np.abs(diff), plan)
+    value = float(np.einsum("ijkl,ij,kl->", np.abs(diff), plan, plan))
+    sgn = np.sign(diff)
+    return (lin, value, np.einsum("ijkl,ij,kl->ik", sgn, plan, plan),
+            -np.einsum("ijkl,ij,kl->jl", sgn, plan, plan))
+
+
+def structure_case(kind, seed):
+    rng = np.random.default_rng([seed, len(kind)])
+    n, m = (int(x) for x in rng.integers(1, 9, size=2))
+    if kind == "thin":
+        n, m = (1, m) if seed % 2 else (n, 1)
+    if kind == "zeros":
+        a, b = np.zeros((n, n)), np.zeros((m, m))
+    elif kind == "ties":
+        # four levels shared by both matrices: most entries tie with some other
+        a, b = rng.integers(0, 4, size=(n, n)) / 2.0, rng.integers(0, 4, size=(m, m)) / 2.0
+    else:
+        a, b = rng.uniform(0.0, 2.0, size=(n, n)), rng.uniform(0.0, 2.0, size=(m, m))
+    plan = rng.uniform(0.0, 1.0, size=(n, m))
+    return a, b, plan / plan.sum()
+
+
+def assert_close(got, ref, what):
+    # relative to the largest reference entry; an all-zero reference needs exact zeros
+    err = float(np.abs(np.asarray(got) - np.asarray(ref)).max())
+    assert err <= 1e-12 * float(np.abs(ref).max()), f"{what}: max error {err:.3g}"
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "zeros", "thin"])
+def test_sorted_structure_matches_dense_oracle(kind):
+    for seed in range(100):
+        a, b, plan = structure_case(kind, seed)
+        lin, value, grad_a, grad_b = dense_structure(a, b, plan)
+        st = tn.SortedStructure(a, b)
+        assert_close(st.linearize(plan), lin, f"{kind} {seed} L")
+        got_a, got_b = st.gradients(plan)
+        assert_close(got_a, grad_a, f"{kind} {seed} d/dA")
+        assert_close(got_b, grad_b, f"{kind} {seed} d/dB")
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = tn.gw_pair_cost(ta, tb, plan)
+        assert_close(out.item(), value, f"{kind} {seed} value")
+        out.grad = np.ones((1, 1))
+        out._backward(out)
+        assert_close(ta.grad, grad_a, f"{kind} {seed} tape d/dA")
+        assert_close(tb.grad, grad_b, f"{kind} {seed} tape d/dB")
+
+
+def test_sorted_structure_linearizes_each_new_plan():
+    a, b, plan = structure_case("random", 3)
+    st = tn.SortedStructure(a, b)
+    first = st.linearize(plan).copy()
+    other = np.roll(plan, 1, axis=1)
+    assert_close(st.linearize(other), dense_structure(a, b, other)[0], "second plan")
+    assert np.array_equal(st.linearize(plan), first)
+
+
+def test_gw_pair_cost_ignores_a_structure_of_other_arrays():
+    a, b, plan = structure_case("random", 5)
+    lin, value, grad_a, grad_b = dense_structure(a, b, plan)
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    others = (tn.SortedStructure(a[::-1, ::-1].copy(), b), tn.SortedStructure(a, b[::-1].copy()))
+    for stale in others:
+        out = tn.gw_pair_cost(ta, tb, plan, stale)
+        assert_close(out.item(), value, "value")
+        out.grad = np.ones((1, 1))
+        out._backward(out)
+        assert_close(ta.grad, grad_a, "d/dA")
+        assert_close(tb.grad, grad_b, "d/dB")
+        ta.grad = tb.grad = None
+
+
 def test_log_rejects_nonpositive():
     with pytest.raises(NumericalError):
         log(Tensor([0.0]))

@@ -178,6 +178,44 @@ def test_gradient_accumulation_matches_mean_loss_step():
         assert np.allclose(p.data, pb[name].data, atol=1e-10), name
 
 
+def reference_adam_steps(params, grads, lr, b1, b2, eps, grad_scale):
+    """The textbook Adam update with full-size temporaries: the oracle for
+    the in-place `Adam.step`. `grads` holds one {name: grad or None} per step."""
+    data = {name: p.data.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(d) for name, d in data.items()}
+    v = {name: np.zeros_like(d) for name, d in data.items()}
+    for t, step in enumerate(grads, start=1):
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for name in sorted(data):
+            g = (step[name] if step[name] is not None else np.zeros_like(data[name])) * grad_scale
+            m[name] *= b1
+            m[name] += (1 - b1) * g
+            v[name] *= b2
+            v[name] += (1 - b2) * g * g
+            data[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+    return data
+
+
+def test_adam_step_is_bitwise_the_reference_update():
+    rng = np.random.default_rng(21)
+    shapes = {"big": (7, 9), "col": (5, 1), "idle": (3, 4), "small": (2, 2)}
+    ps = ParamStore()
+    for name, shape in shapes.items():
+        ps.add(name, rng.standard_normal(shape))
+    grads = [{name: (None if name == "idle" and t != 1 else rng.standard_normal(shape) * 10.0 ** t)
+              for name, shape in shapes.items()} for t in range(4)]
+    want = reference_adam_steps(ps, grads, 3e-3, 0.9, 0.999, 1e-8, 0.25)
+    opt = Adam(ps, 3e-3, 0.9, 0.999, 1e-8)
+    for step in grads:
+        for name, p in ps.items():
+            p.grad = None if step[name] is None else step[name].copy()
+        opt.step(grad_scale=0.25)
+    for name, p in ps.items():
+        assert np.array_equal(p.data, want[name]), name
+        # the step reads the gradients and leaves them as they were
+        assert grads[-1][name] is None or np.array_equal(p.grad, grads[-1][name]), name
+
+
 # --------------------------------------------------------------- evaluation
 
 def test_evaluate_accuracy_tie_breaks_to_zero():
@@ -257,19 +295,53 @@ def test_checkpoint_truncated_payload_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("key", ["params", "config"])
-def test_checkpoint_header_without_key_rejected(tmp_path, key):
-    path = _small_checkpoint(tmp_path)
+def _edit_header(path, edit):
     blob = path.read_bytes()
     start = len(CKPT_MAGIC) + 8
     head_len = int.from_bytes(blob[len(CKPT_MAGIC) : start], "little")
     header = json.loads(blob[start : start + head_len])
-    del header[key]
+    edit(header)
     head = json.dumps(header).encode("utf-8")
     path.write_bytes(CKPT_MAGIC + len(head).to_bytes(8, "little") + head
                      + blob[start + head_len :])
+
+
+@pytest.mark.parametrize("key", ["params", "config"])
+def test_checkpoint_header_without_key_rejected(tmp_path, key):
+    path = _small_checkpoint(tmp_path)
+    _edit_header(path, lambda header: header.pop(key))
     with pytest.raises(FormatError, match=rf"model\.ckpt.*'{key}'"):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("change, field", [
+    (lambda e: {**e, "offset": -4}, "offset"),
+    (lambda e: {**e, "dtype": "<U4"}, "dtype"),
+    (lambda e: {**e, "dtype": "nonsense"}, "dtype"),
+    (lambda e: [e["shape"], e["dtype"], e["offset"]], "not an object"),
+    (lambda e: {k: v for k, v in e.items() if k != "shape"}, "shape"),
+    (lambda e: {**e, "shape": [2, -3]}, "shape"),
+], ids=["negative offset", "string dtype", "unknown dtype", "list entry", "no shape",
+        "negative dim"])
+def test_checkpoint_bad_parameter_entry_rejected(tmp_path, change, field):
+    path = _small_checkpoint(tmp_path)
+
+    def edit(header):
+        header["params"]["pool.fuse.w"] = change(header["params"]["pool.fuse.w"])
+
+    _edit_header(path, edit)
+    with pytest.raises(FormatError, match=rf"model\.ckpt: parameter 'pool\.fuse\.w'.*{field}"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ot_eps_reg", 0.0), ("ot_sinkhorn_iters", 0), ("ot_gw_outer_iters", 0),
+    ("fixed_queries", 6), ("fixed_queries", 0),
+])
+def test_config_rejects_bad_derived_settings(field, value):
+    from vlgraph.errors import ContractError
+    with pytest.raises(ContractError, match=field):
+        TrainConfig(dim=8, max_queries=5, **{field: value})
 
 
 def test_config_rejects_unknown_keys():

@@ -10,6 +10,7 @@ from vlgraph.tensor import ParamStore, Tensor, backward, grad_check
 from vlgraph.transport import (
     Coupling,
     OTConfig,
+    _np_cosine_cost,
     got_distance,
     sinkhorn,
     solve_plan,
@@ -31,6 +32,25 @@ def brute_force_wd(cost: np.ndarray) -> float:
         raise ContractError(f"brute_force_wd: n={n} exceeds the enumeration limit of 6")
     rows = np.arange(n)
     return min(float(cost[rows, perm].mean()) for perm in itertools.permutations(range(n)))
+
+
+def dense_solve_plan(node_cost, intra_a, intra_b, cfg):
+    """Fused transport with the structure term linearized through the dense
+    (n, m, n, m) gap |A_ik - B_jl|: the reference for `solve_plan`."""
+    n, m = node_cost.shape
+    p, q = uniform(n), uniform(m)
+    gap = np.abs(intra_a[:, None, :, None] - intra_b[None, :, None, :])
+    plan = np.outer(p, q)
+    warm = None
+    for _ in range(cfg.gw_outer_iters):
+        linear = cfg.lam * node_cost + np.einsum("ijkl,kl->ij", gap, plan)
+        new_plan, _, warm = sinkhorn(linear, p, q, cfg.eps_reg, cfg.sinkhorn_iters, cfg.tol, warm)
+        delta = float(np.abs(new_plan - plan).max())
+        plan = new_plan
+        if delta <= cfg.tol:
+            break
+    fused = cfg.lam * node_cost + np.einsum("ijkl,kl->ij", gap, plan)
+    return plan, float((plan * fused).sum())
 
 
 def uniform(n):
@@ -166,6 +186,20 @@ def test_node_relabeling_invariance():
     assert abs(got_distance(a, b[:, perm], cfg)[0] - base) <= 1e-8
 
 
+def test_solve_plan_matches_dense_structure_oracle():
+    cfg = OTConfig(sinkhorn_iters=500)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        k, t = (int(x) for x in rng.integers(1, 9, size=2))
+        a = rng.standard_normal((5, t))
+        b = rng.standard_normal((5, k))
+        costs = (_np_cosine_cost(a, b), _np_cosine_cost(a, a), _np_cosine_cost(b, b))
+        plan, distance = dense_solve_plan(*costs, cfg)
+        coupling = solve_plan(*costs, cfg)
+        assert np.abs(coupling.plan - plan).max() <= 1e-12 * plan.max()
+        assert abs(coupling.distance - distance) <= 1e-12 * distance
+
+
 def test_marginals_satisfied_on_coupling():
     rng = np.random.default_rng(6)
     _, coupling = got_distance(rng.standard_normal((4, 5)), rng.standard_normal((4, 3)),
@@ -240,3 +274,34 @@ def test_loss_backward_reaches_upstream_parameters():
                              OTConfig(sinkhorn_iters=500))
     grads = backward(loss, ps)
     assert np.any(grads["v"] != 0) and np.any(grads["s"] != 0)
+
+
+def two_segments(rng):
+    return SegmentTrace(visual=Tensor(rng.standard_normal((4, 5))),
+                        text=Tensor(rng.standard_normal((4, 5))), v_sizes=(3, 2), s_sizes=(2, 3))
+
+
+def test_frozen_plan_count_must_match_segments():
+    both = two_segments(np.random.default_rng(13))
+    _, plans = transport_loss(both, OTConfig())
+    for wrong in (plans[:1], plans + plans[:1]):
+        with pytest.raises(ContractError, match=rf"{len(wrong)} frozen plans for 2 segments"):
+            transport_loss(both, OTConfig(), frozen_plans=wrong)
+
+
+def test_structure_is_built_once_per_segment(monkeypatch):
+    built = []
+
+    class Counted(tn.SortedStructure):
+        def __init__(self, a, b):
+            built.append((a.shape, b.shape))
+            super().__init__(a, b)
+
+    monkeypatch.setattr(tn, "SortedStructure", Counted)
+    both = two_segments(np.random.default_rng(14))
+    _, plans = transport_loss(both, OTConfig())
+    # the solve's structure is handed on to the loss term
+    assert built == [((2, 2), (3, 3)), ((3, 3), (2, 2))]
+    # frozen plans come without one, so the loss term builds its own
+    transport_loss(both, OTConfig(), frozen_plans=plans)
+    assert len(built) == 4
