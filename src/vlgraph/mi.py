@@ -6,6 +6,11 @@ candidate set containing the positive node and sampled negatives. Negatives
 come from the other temporal nodes of the same clip plus a cross-clip ring
 buffer of recent (detached) temporal nodes, refreshed between optimizer
 steps.
+
+All pairs of a clip are scored at once from its one `TemporalTrace`: the
+candidates are its node columns (query-major) followed by the buffer, and
+score column q is every candidate against query q's global node. The
+positive of node column j sits in row j of column `query_ids[j]`.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ class ContrastiveResult:
 
 
 def contrastive_loss(
-    temporal: list[TemporalTrace],
+    temporal: TemporalTrace,
     params: ParamStore,
     beta: float,
     buffer: NegativeBuffer | None = None,
@@ -71,35 +76,29 @@ def contrastive_loss(
 
     The candidate set of every pair is the union of all in-clip temporal
     nodes and the buffer snapshot, which realizes "all other nodes plus
-    buffered negatives" while sharing one score vector per query. Pairs with
+    buffered negatives" while sharing one score column per query. Pairs with
     no available negative (single node, empty buffer) are skipped and
     logged.
     """
-    if not temporal:
-        raise ContractError("contrastive_loss: need at least one query state")
     if beta == 0.0:
         return ContrastiveResult(loss=Tensor(0.0))
-    parts = [trace.nodes for trace in temporal]
-    n_nodes = sum(p.shape[1] for p in parts)
+    n_nodes = temporal.nodes.shape[1]
     buf = buffer.matrix() if buffer is not None else None
     n_cands = n_nodes + (0 if buf is None else buf.shape[1])
     if n_cands < 2:
         log.info("contrastive pairs skipped: no negatives available")
         return ContrastiveResult(loss=Tensor(0.0), n_skipped=n_nodes)
-    if buf is not None:
-        parts.append(Tensor(buf))
-    cands = parts[0] if len(parts) == 1 else tn.concat(parts, axis=1)
-    terms: list[Tensor] = []
-    offset = 0
-    for trace in temporal:
-        scores = tn.matmul(cands.T, tn.matmul(params[DISC_WEIGHT], trace.global_node))
-        lse = tn.logsumexp(scores)
-        for i in range(trace.nodes.shape[1]):
-            terms.append(tn.sub(tn.row(scores, offset + i), lse))
-        offset += trace.nodes.shape[1]
-    mean_est = terms[0] if len(terms) == 1 else tn.concat(terms, axis=0).mean()
+    cands = temporal.nodes if buf is None else tn.concat([temporal.nodes, Tensor(buf)], axis=1)
+    scores = tn.matmul(cands.T, tn.matmul(params[DISC_WEIGHT], temporal.global_nodes))
+    lse = tn.logsumexp(scores)                   # (1, n_q)
+    rows, cols = np.arange(n_nodes), temporal.query_ids
+    positive = np.zeros(scores.shape)
+    positive[rows, cols] = 1.0
+    # every query owns n_segments pairs, so its log-sum-exp enters that often
+    total = tn.sub(tn.mul(scores, Tensor(positive)).sum(),
+                   tn.scale(lse.sum(), float(temporal.n_segments)))
     return ContrastiveResult(
-        loss=tn.scale(mean_est, -beta),
-        estimates=[t.item() for t in terms],
-        n_pairs=len(terms),
+        loss=tn.scale(total, -beta / n_nodes),
+        estimates=(scores.data[rows, cols] - lse.data[0, cols]).tolist(),
+        n_pairs=n_nodes,
     )

@@ -33,10 +33,15 @@ sequential because each query attends from the one before.
 Global level: the mean of the global nodes feeds a small prediction head.
 
 The trace records (`Pass`, `SegmentTrace`, `TemporalTrace`) hold the batched
-arrays or numpy views of them, never copies. All forward paths are pure
-given (params, inputs); the discrete halting decision can be pinned via
-`FrozenDecisions` so that finite-difference checks see a fully
-differentiable function.
+arrays themselves, never copies or per-block slices; a reader takes the
+blocks it needs. One `TemporalTrace` covers all queries, query-major: its
+node column q * n_seg + s is segment s pooled under query q, column q of its
+global nodes is query q's global node, and `query_ids` names the query of
+each node column.
+
+All forward paths are pure given (params, inputs); the discrete halting
+decision can be pinned via `FrozenDecisions` so that finite-difference
+checks see a fully differentiable function.
 """
 
 from __future__ import annotations
@@ -131,11 +136,6 @@ class Pass:
     gate: np.ndarray                     # (d, n_x), share of the message taken
     msg: np.ndarray                      # (d, n_x), aggregated messages
     out: np.ndarray                      # (d, n_x), updated nodes
-
-    def block(self, lo: int, hi: int) -> "Pass":
-        """Views of the block of nodes lo..hi-1 of a pass with Y = X."""
-        return Pass(adj=self.adj[lo:hi, lo:hi], gate=self.gate[:, lo:hi],
-                    msg=self.msg[:, lo:hi], out=self.out[:, lo:hi])
 
 
 def message_pass(X: Tensor, Y: Tensor, g_x: Tensor, g_y: Tensor, params: ParamStore,
@@ -256,26 +256,6 @@ def should_stop(cum_halt: float, step: int, halt_eps: float, max_queries: int) -
     return cum_halt > 1.0 - halt_eps or step >= max_queries
 
 
-def simulate_halting(h_values: list[float], halt_eps: float, max_queries: int,
-                     query_cost: float) -> tuple[int, float, float, float]:
-    """Replay the stop rule on a given halt sequence.
-
-    Returns (n, remainder, surrogate, literal): `remainder` is 1 minus the
-    accumulator before the final step, the surrogate cost is
-    query_cost * (n + remainder), and the literal cost is query_cost * n.
-    """
-    cum = prev = 0.0
-    n = 0
-    for h in h_values[:max_queries]:
-        n += 1
-        prev = cum
-        cum += h
-        if should_stop(cum, n, halt_eps, max_queries):
-            break
-    remainder = 1.0 - prev
-    return n, remainder, query_cost * (n + remainder), query_cost * n
-
-
 @dataclass
 class QueryState:
     queries: list[Tensor]                # each (d, 1)
@@ -341,16 +321,22 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: ModelConfig,
 
 @dataclass
 class TemporalTrace:
-    """The temporal level under one query; the arrays are views of the
-    arrays computed for all queries at once."""
+    """The temporal level for all queries at once, laid out query-major:
+    node column q * n_segments + s is segment s pooled under query q."""
 
-    nodes: Tensor                        # pooled per-segment nodes (d, n_seg)
-    global_node: Tensor                  # (d, 1)
-    pool_weights: np.ndarray             # (n_seg, 1)
-    seg_attn_v: list[np.ndarray]         # per segment (K_i, 1)
-    seg_attn_s: list[np.ndarray]         # per segment (L_i, 1)
-    fuse_gates: list[np.ndarray]         # per segment (d, 1)
+    nodes: Tensor                        # pooled nodes (d, n_q * n_seg)
+    global_nodes: Tensor                 # (d, n_q), column q pools query q's block
+    n_segments: int
+    pool_weights: np.ndarray             # (n_q * n_seg, n_q), zero outside query q's block
+    attn_v: np.ndarray                   # (K, n_q * n_seg), zero outside the segment's frames
+    attn_s: np.ndarray                   # (L, n_q * n_seg), zero outside the segment's tokens
+    fuse_gates: np.ndarray               # (d, n_q * n_seg)
     refine: Pass | None = None           # the temporal pass, when enabled
+
+    @property
+    def query_ids(self) -> np.ndarray:
+        """The query of each node column."""
+        return np.repeat(np.arange(self.global_nodes.shape[1]), self.n_segments)
 
 
 def temporal_pool(T: Tensor, Q: Tensor, params: ParamStore,
@@ -366,43 +352,33 @@ def temporal_pool(T: Tensor, Q: Tensor, params: ParamStore,
 
 
 def reason_over_segments(seg: SegmentTrace, queries: list[Tensor], params: ParamStore,
-                         cfg: ModelConfig) -> list[TemporalTrace]:
-    """Pool every segment under every query, refine each query's row of
-    nodes, pool each row into its global node; one trace per query.
+                         cfg: ModelConfig) -> TemporalTrace:
+    """Pool every segment under every query, refine each query's block of
+    nodes, and pool each block into that query's global node.
 
     All queries run at once: each query's pooled nodes form one column block,
     and blocks neither exchange messages nor pool into each other's global
     node.
     """
-    n_seg, n_q = seg.n_segments, len(queries)
-    Q = queries[0] if n_q == 1 else tn.concat(queries, axis=1)
+    n_seg = seg.n_segments
+    Q = queries[0] if len(queries) == 1 else tn.concat(queries, axis=1)
     P, pool = segment_pool(seg, Q, params)
-    sizes = (n_seg,) * n_q
+    sizes = (n_seg,) * len(queries)
     T, refine = P, None
     if cfg.temporal:
         g = tn.block_mean(T, sizes)
         T, refine = message_pass(T, T, g, g, params, "temporal.gate", sizes, sizes)
     G, weights = temporal_pool(T, Q, params, sizes)
-    v_bounds, s_bounds = block_bounds(seg.v_sizes), block_bounds(seg.s_sizes)
-    traces = []
-    for q, (lo, hi) in enumerate(block_bounds(sizes)):
-        traces.append(TemporalTrace(
-            nodes=P if n_q == 1 else tn.col(P, lo, hi),
-            global_node=G if n_q == 1 else tn.col(G, q),
-            pool_weights=weights.data[lo:hi, q : q + 1],
-            seg_attn_v=[pool["attn_v"][a:b, j : j + 1] for j, (a, b) in zip(range(lo, hi), v_bounds)],
-            seg_attn_s=[pool["attn_s"][a:b, j : j + 1] for j, (a, b) in zip(range(lo, hi), s_bounds)],
-            fuse_gates=[pool["gate"][:, j : j + 1] for j in range(lo, hi)],
-            refine=None if refine is None else refine.block(lo, hi),
-        ))
-    return traces
+    return TemporalTrace(nodes=P, global_nodes=G, n_segments=n_seg, pool_weights=weights.data,
+                         attn_v=pool["attn_v"], attn_s=pool["attn_s"], fuse_gates=pool["gate"],
+                         refine=refine)
 
 
-def predict_global(globals_: list[Tensor], params: ParamStore) -> tuple[Tensor, Tensor]:
-    """Mean the per-query global nodes and classify; returns (prob, logit)."""
-    if not globals_:
+def predict_global(global_nodes: Tensor, params: ParamStore) -> tuple[Tensor, Tensor]:
+    """Mean the (d, n_q) global nodes over queries and classify; returns (prob, logit)."""
+    if global_nodes.shape[1] < 1:
         raise ContractError("prediction needs at least one global node")
-    pooled = globals_[0] if len(globals_) == 1 else tn.concat(globals_, axis=1).mean(axis=1)
+    pooled = global_nodes if global_nodes.shape[1] == 1 else global_nodes.mean(axis=1)
     hidden = tn.tanh(tn.add(tn.matmul(params["head.hidden.w"], pooled), params["head.hidden.b"]))
     logit = tn.add(tn.matmul(params["head.out.w"], hidden), params["head.out.b"])
     return tn.sigmoid(logit), logit
@@ -425,7 +401,7 @@ class Trace:
     graph: ClipGraph
     segments: SegmentTrace               # all segments, as column blocks
     query: QueryState
-    temporal: list[TemporalTrace]        # one per query
+    temporal: TemporalTrace              # all queries, as column blocks
 
     @property
     def n_queries(self) -> int:
@@ -442,7 +418,7 @@ def forward(clip: Clip, params: ParamStore, cfg: ModelConfig,
     segs = refine_segment(graph.frame_nodes, graph.token_nodes, params, cfg,
                           graph.frame_sizes, graph.token_sizes)
     temporal = reason_over_segments(segs, qs.queries, params, cfg)
-    prob, logit = predict_global([t.global_node for t in temporal], params)
+    prob, logit = predict_global(temporal.global_nodes, params)
     return Trace(
         clip_id=clip.clip_id, prob=prob, logit=logit, graph=graph,
         segments=segs, query=qs, temporal=temporal,

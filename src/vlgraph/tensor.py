@@ -268,19 +268,6 @@ def col(a: Tensor, lo: int, hi: int | None = None) -> Tensor:
     return _make(a.data[:, lo:hi].copy(), (a,), bw)
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    """Row i of a 2-D tensor as a (1, cols) tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"row: needs a 2-D tensor, got {a.shape}")
-
-    def bw(out: Tensor) -> None:
-        g = np.zeros_like(a.data)
-        g[i : i + 1, :] = out.grad
-        _acc(a, g)
-
-    return _make(a.data[i : i + 1, :].copy(), (a,), bw)
-
-
 def add_col(mat: Tensor, column: Tensor) -> Tensor:
     """Add a (d, 1) column vector to every column of a (d, n) matrix."""
     if mat.shape[0] != column.shape[0] or column.shape[1] != 1:
@@ -402,17 +389,16 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def logsumexp(a: Tensor) -> Tensor:
-    """log(sum(exp(x))) over all elements, computed with max shifting."""
-    m = a.data.max()
+    """log(sum(exp(x))) down each column, (n, m) -> (1, m), with max shifting."""
+    m = a.data.max(axis=0, keepdims=True)
     e = np.exp(a.data - m)
-    s = e.sum()
-    val = m + math.log(s)
+    s = e.sum(axis=0, keepdims=True)
     w = e / s
 
     def bw(out: Tensor) -> None:
-        _acc(a, float(out.grad.reshape(-1)[0]) * w)
+        _acc(a, out.grad * w)
 
-    return _make(np.array([[val]]), (a,), bw)
+    return _make(m + np.log(s), (a,), bw)
 
 
 def _col_norms(x: np.ndarray) -> np.ndarray:

@@ -27,6 +27,9 @@ from .transport import OTConfig, transport_loss
 
 CKPT_MAGIC = b"AHGN1\n"
 
+# the JSON values each `TrainConfig` annotation accepts (bool is not an int here)
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "int | None": (int, type(None))}
+
 
 @dataclass
 class TrainConfig:
@@ -93,10 +96,14 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(kinds))
         if unknown:
             raise ContractError(f"unknown config keys: {unknown}")
+        for name, value in data.items():
+            kind = kinds[name]
+            if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+                raise ContractError(f"config key {name!r}: {value!r} is not {kind}")
         return cls(**data)
 
 
@@ -214,7 +221,6 @@ class TrainResult:
     params: ParamStore
     metrics: list[dict]
     config: TrainConfig
-    rng_state: dict | None = None
 
 
 def run_clip(clip: Clip, params: ParamStore, cfg: TrainConfig,
@@ -259,8 +265,7 @@ def train(
             bundle, trace = run_clip(clip, params, cfg, buffer)
             bundle.check_finite()
             backward(bundle.total, params)
-            for t in trace.temporal:
-                pending.extend(t.nodes.data.T)
+            pending.extend(trace.temporal.nodes.data.T)
             for key, val in bundle.as_floats().items():
                 sums[key] += val
             n_sum += bundle.n_queries
@@ -289,8 +294,7 @@ def train(
                   f"l_ent={metrics[-1]['l_ent']:.4f} l_cm={metrics[-1]['l_cm']:.4f} "
                   f"l_cl={metrics[-1]['l_cl']:.4f} mean_N={metrics[-1]['mean_N']:.2f} "
                   f"({dt:.1f}s)", flush=True)
-    state = rng.bit_generator.state
-    return TrainResult(params=params, metrics=metrics, config=cfg, rng_state=state)
+    return TrainResult(params=params, metrics=metrics, config=cfg)
 
 
 def evaluate_accuracy(clips: list[Clip], params: ParamStore, mcfg: ModelConfig) -> float:
@@ -334,8 +338,7 @@ def evaluate(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -> EvalRes
 
 # ---------------------------------------------------------------- checkpoints
 
-def save_checkpoint(path: str, params: ParamStore, cfg: TrainConfig,
-                    rng_state: dict | None = None) -> None:
+def save_checkpoint(path: str, params: ParamStore, cfg: TrainConfig) -> None:
     """Magic, JSON header (name -> shape/dtype/offset), then f32 payload."""
     entries: dict[str, dict] = {}
     offset = 0
@@ -345,11 +348,7 @@ def save_checkpoint(path: str, params: ParamStore, cfg: TrainConfig,
         entries[name] = {"shape": list(p.data.shape), "dtype": "<f4", "offset": offset}
         offset += len(blob)
         blobs.append(blob)
-    header = {
-        "params": entries,
-        "config": cfg.to_dict(),
-        "rng_state": _jsonable(rng_state),
-    }
+    header = {"params": entries, "config": cfg.to_dict()}
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
@@ -358,23 +357,10 @@ def save_checkpoint(path: str, params: ParamStore, cfg: TrainConfig,
         fh.write(b"".join(blobs))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 @dataclass
 class CheckpointData:
     params: ParamStore
     config: TrainConfig
-    rng_state: dict | None
 
 
 def _is_count(x) -> bool:
@@ -414,9 +400,13 @@ def load_checkpoint(path: str) -> CheckpointData:
         header = json.loads(blob[head_start : head_start + head_len])
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: corrupt checkpoint header: {e}") from e
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: checkpoint header is not a JSON object")
     for key in ("params", "config"):
         if key not in header:
             raise FormatError(f"{path}: checkpoint header has no {key!r}")
+        if not isinstance(header[key], dict):
+            raise FormatError(f"{path}: checkpoint header {key!r} is not a JSON object")
     payload = blob[head_start + head_len :]
     params = ParamStore()
     for name, meta in header["params"].items():
@@ -428,5 +418,8 @@ def load_checkpoint(path: str) -> CheckpointData:
                               f"{start}..{end}, but the payload has {len(payload)}")
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
         params.add(name, arr.astype(np.float64).reshape(shape))
-    cfg = TrainConfig.from_dict(header["config"])
-    return CheckpointData(params=params, config=cfg, rng_state=header.get("rng_state"))
+    try:
+        cfg = TrainConfig.from_dict(header["config"])
+    except ContractError as e:
+        raise FormatError(f"{path}: checkpoint header 'config': {e}") from e
+    return CheckpointData(params=params, config=cfg)

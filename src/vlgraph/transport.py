@@ -152,27 +152,6 @@ def solve_plan(
                     converged=err <= cfg.tol, structure=structure)
 
 
-def _np_cosine_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na = np.linalg.norm(a, axis=0, keepdims=True)
-    nb = np.linalg.norm(b, axis=0, keepdims=True)
-    if na.min() <= 1e-12 or nb.min() <= 1e-12:
-        raise ContractError("cosine cost: zero-norm node")
-    return np.clip(1.0 - (a / na).T @ (b / nb), 0.0, 2.0)
-
-
-def got_distance(a_nodes: np.ndarray, b_nodes: np.ndarray,
-                 cfg: OTConfig) -> tuple[float, Coupling]:
-    """Fused transport distance between two node matrices (columns = nodes)."""
-    a = np.asarray(a_nodes, dtype=np.float64)
-    b = np.asarray(b_nodes, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] < 1 or b.shape[1] < 1:
-        raise ContractError("got_distance: node matrices must be 2-D and nonempty")
-    coupling = solve_plan(
-        _np_cosine_cost(a, b), _np_cosine_cost(a, a), _np_cosine_cost(b, b), cfg
-    )
-    return coupling.distance, coupling
-
-
 def transport_loss(
     segments: SegmentTrace,
     cfg: OTConfig,

@@ -46,7 +46,7 @@ def nce_estimate(batch: NCEBatch, params: ParamStore) -> Tensor:
     for pair in batch.pairs:
         cands = tn.concat([pair.positive] + pair.negatives, axis=1)
         scores = tn.matmul(cands.T, tn.matmul(params[DISC_WEIGHT], pair.context))
-        terms.append(tn.sub(tn.row(scores, 0), tn.logsumexp(scores)))
+        terms.append(tn.sub(tn.col(scores.T, 0), tn.logsumexp(scores)))
     return terms[0] if len(terms) == 1 else tn.concat(terms, axis=0).mean()
 
 
@@ -64,12 +64,14 @@ def random_pair(rng, d, k_neg):
     )
 
 
-def trace_of(nodes, global_node):
-    """One query's temporal trace over the (d, 1) `nodes`."""
+def trace_of(nodes, global_nodes):
+    """The temporal trace of len(global_nodes) queries over the same number of
+    segments; `nodes` lists each query's (d, 1) segment nodes, query-major."""
+    unread = np.empty((0, 0))                    # contrastive_loss reads nodes and layout only
     return TemporalTrace(
-        nodes=nodes[0] if len(nodes) == 1 else tn.concat(nodes, axis=1), global_node=global_node,
-        pool_weights=np.ones((len(nodes), 1)) / len(nodes),
-        seg_attn_v=[], seg_attn_s=[], fuse_gates=[],
+        nodes=tn.concat(nodes, axis=1), global_nodes=tn.concat(global_nodes, axis=1),
+        n_segments=len(nodes) // len(global_nodes),
+        pool_weights=unread, attn_v=unread, attn_s=unread, fuse_gates=unread,
     )
 
 
@@ -138,8 +140,8 @@ def test_gradcheck_discriminator_and_upstream_nodes():
         ps.add("o1", rng.standard_normal((d, 1)))
 
         def loss():
-            traces = [trace_of([ps["t0"]], ps["o0"]), trace_of([ps["t1"]], ps["o1"])]
-            return contrastive_loss(traces, ps, beta=0.7).loss
+            trace = trace_of([ps["t0"], ps["t1"]], [ps["o0"], ps["o1"]])
+            return contrastive_loss(trace, ps, beta=0.7).loss
 
         assert grad_check(loss, ps).passed(1e-4)
 
@@ -147,17 +149,17 @@ def test_gradcheck_discriminator_and_upstream_nodes():
 def test_contrastive_zero_beta_short_circuits():
     rng = np.random.default_rng(2)
     ps = disc_params(rng, 3)
-    res = contrastive_loss([trace_of([Tensor(rng.standard_normal((3, 1)))],
-                                     Tensor(rng.standard_normal((3, 1))))], ps, beta=0.0)
+    res = contrastive_loss(trace_of([Tensor(rng.standard_normal((3, 1)))],
+                                    [Tensor(rng.standard_normal((3, 1)))]), ps, beta=0.0)
     assert res.loss.item() == 0.0 and res.n_pairs == 0
 
 
 def test_single_pair_without_negatives_is_skipped(caplog):
     rng = np.random.default_rng(3)
     ps = disc_params(rng, 3)
-    lone = trace_of([Tensor(rng.standard_normal((3, 1)))], Tensor(rng.standard_normal((3, 1))))
+    lone = trace_of([Tensor(rng.standard_normal((3, 1)))], [Tensor(rng.standard_normal((3, 1)))])
     with caplog.at_level("INFO", logger="vlgraph.mi"):
-        res = contrastive_loss([lone], ps, beta=0.5, buffer=NegativeBuffer(8))
+        res = contrastive_loss(lone, ps, beta=0.5, buffer=NegativeBuffer(8))
     assert res.loss.item() == 0.0 and res.n_skipped == 1
     assert "skipped" in caplog.text
 
@@ -167,20 +169,19 @@ def test_single_pair_falls_back_to_buffer():
     ps = disc_params(rng, 3)
     buf = NegativeBuffer(8)
     buf.push([rng.standard_normal(3), rng.standard_normal(3)])
-    lone = trace_of([Tensor(rng.standard_normal((3, 1)))], Tensor(rng.standard_normal((3, 1))))
-    res = contrastive_loss([lone], ps, beta=0.5, buffer=buf)
+    lone = trace_of([Tensor(rng.standard_normal((3, 1)))], [Tensor(rng.standard_normal((3, 1)))])
+    res = contrastive_loss(lone, ps, beta=0.5, buffer=buf)
     assert res.n_pairs == 1 and res.loss.item() != 0.0
 
 
 def test_two_by_two_clip_averages_four_pair_terms():
     rng = np.random.default_rng(5)
     ps = disc_params(rng, 3)
-    traces = [
-        trace_of([Tensor(rng.standard_normal((3, 1))) for _ in range(2)],
-                 Tensor(rng.standard_normal((3, 1))))
-        for _ in range(2)
-    ]
-    res = contrastive_loss(traces, ps, beta=0.3)
+    nodes, global_nodes = [], []
+    for _ in range(2):
+        nodes += [Tensor(rng.standard_normal((3, 1))) for _ in range(2)]
+        global_nodes.append(Tensor(rng.standard_normal((3, 1))))
+    res = contrastive_loss(trace_of(nodes, global_nodes), ps, beta=0.3)
     assert res.n_pairs == 4
     assert abs(res.loss.item() - (-0.3 * np.mean(res.estimates))) <= 1e-12
 
@@ -188,18 +189,23 @@ def test_two_by_two_clip_averages_four_pair_terms():
 def test_contrastive_matches_explicit_nce_batch():
     rng = np.random.default_rng(6)
     ps = disc_params(rng, 4)
-    nodes = [[Tensor(rng.standard_normal((4, 1))) for _ in range(2)] for _ in range(2)]
-    traces = [trace_of(ns, Tensor(rng.standard_normal((4, 1)))) for ns in nodes]
-    res = contrastive_loss(traces, ps, beta=1.0)
-    all_nodes = [n for ns in nodes for n in ns]
-    pairs = []
-    for n, (ns, t) in enumerate(zip(nodes, traces)):
-        for i, node in enumerate(ns):
-            flat = n * 2 + i
-            negs = [m.detach() for j, m in enumerate(all_nodes) if j != flat]
-            pairs.append(NCEPair(positive=node, context=t.global_node, negatives=negs))
-    explicit = nce_estimate(NCEBatch(pairs), ps).item()
-    assert abs(res.loss.item() - (-explicit)) <= 1e-12
+    for n_q, n_seg, n_buf in ((2, 2, 0), (3, 1, 3), (2, 3, 0)):
+        nodes = [Tensor(rng.standard_normal((4, 1))) for _ in range(n_q * n_seg)]
+        global_nodes = [Tensor(rng.standard_normal((4, 1))) for _ in range(n_q)]
+        buf = NegativeBuffer(8)
+        buf.push(list(rng.standard_normal((n_buf, 4))))
+        res = contrastive_loss(trace_of(nodes, global_nodes), ps, beta=1.0, buffer=buf)
+        # buffer columns only ever join the negatives, never a positive
+        buffered = [Tensor(v) for v in buf.matrix().T] if n_buf else []
+        pairs = []
+        for j, node in enumerate(nodes):
+            negs = [m.detach() for k, m in enumerate(nodes) if k != j] + buffered
+            pairs.append(NCEPair(positive=node, context=global_nodes[j // n_seg], negatives=negs))
+        assert res.n_pairs == len(pairs) == n_q * n_seg
+        per_pair = [nce_estimate(NCEBatch([p]), ps).item() for p in pairs]
+        assert np.allclose(res.estimates, per_pair, rtol=0, atol=1e-12)
+        explicit = nce_estimate(NCEBatch(pairs), ps).item()
+        assert abs(res.loss.item() - (-explicit)) <= 1e-12
 
 
 def test_negative_buffer_ring_behavior():
@@ -227,7 +233,7 @@ def test_correlated_pairs_beat_shuffled_after_training():
             terms = []
             for k in range(n):
                 scores = tn.matmul(cands.T, tn.matmul(ps["disc.w"], tn.col(Tensor(o_vals), order[k])))
-                terms.append(tn.sub(tn.row(scores, k), tn.logsumexp(scores)))
+                terms.append(tn.sub(tn.col(scores.T, k), tn.logsumexp(scores)))
             return tn.concat(terms, axis=0).mean()
 
         opt = Adam(ps, lr=0.01)

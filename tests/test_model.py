@@ -6,6 +6,7 @@ import pytest
 from vlgraph import model as md
 from vlgraph import tensor as tn
 from vlgraph.graph import Clip, FrameNode, SubtitleLine
+from vlgraph.mi import NegativeBuffer, contrastive_loss
 from vlgraph.model import (
     FrozenDecisions,
     ModelConfig,
@@ -17,7 +18,7 @@ from vlgraph.model import (
     refine_segment,
     reason_over_segments,
     segment_pool,
-    simulate_halting,
+    should_stop,
     temporal_pool,
 )
 from vlgraph.tensor import Tensor, grad_check
@@ -239,6 +240,26 @@ def test_segment_pool_token_permutation_invariance():
 
 # ------------------------------------------------------------------ halting
 
+def simulate_halting(h_values: list[float], halt_eps: float, max_queries: int,
+                     query_cost: float) -> tuple[int, float, float, float]:
+    """Replay the stop rule on a given halt sequence.
+
+    Returns (n, remainder, surrogate, literal): `remainder` is 1 minus the
+    accumulator before the final step, the surrogate cost is
+    query_cost * (n + remainder), and the literal cost is query_cost * n.
+    """
+    cum = prev = 0.0
+    n = 0
+    for h in h_values[:max_queries]:
+        n += 1
+        prev = cum
+        cum += h
+        if should_stop(cum, n, halt_eps, max_queries):
+            break
+    remainder = 1.0 - prev
+    return n, remainder, query_cost * (n + remainder), query_cost * n
+
+
 def test_halting_schedule_examples():
     n, rem, surrogate, literal = simulate_halting([0.5, 0.3, 0.3], 0.1, 5, 0.05)
     assert n == 3
@@ -349,7 +370,7 @@ def test_predict_zero_head_gives_half():
     ps = params_of(rng)
     zero_group(ps, "head.hidden")
     zero_group(ps, "head.out")
-    p, _ = predict_global([Tensor(rng.standard_normal((4, 1)))], ps)
+    p, _ = predict_global(Tensor(rng.standard_normal((4, 1))), ps)
     assert p.item() == 0.5
 
 
@@ -357,8 +378,8 @@ def test_predict_mean_idempotent_on_duplicates():
     rng = np.random.default_rng(17)
     ps = params_of(rng)
     o = Tensor(rng.standard_normal((4, 1)))
-    p1, _ = predict_global([o], ps)
-    p2, _ = predict_global([o, o.detach()], ps)
+    p1, _ = predict_global(o, ps)
+    p2, _ = predict_global(tn.concat([o, o.detach()], axis=1), ps)
     assert abs(p1.item() - p2.item()) < 1e-14
 
 
@@ -418,11 +439,16 @@ def test_forward_attention_vectors_are_probabilities():
     rng = np.random.default_rng(21)
     ps = params_of(rng)
     trace = forward(make_clip(rng, n_segments=3), ps, cfg_of())
-    for t in trace.temporal:
-        assert abs(t.pool_weights.sum() - 1.0) <= 1e-12
-        assert np.all(t.pool_weights > 0)
-        for a in t.seg_attn_v + t.seg_attn_s:
-            assert abs(a.sum() - 1.0) <= 1e-12
+    t = trace.temporal
+    for q in range(trace.n_queries):
+        block = t.pool_weights[t.query_ids == q, q]
+        assert abs(block.sum() - 1.0) <= 1e-12
+        assert np.all(block > 0)
+    for attn, sizes in ((t.attn_v, trace.segments.v_sizes), (t.attn_s, trace.segments.s_sizes)):
+        bounds = np.cumsum((0,) + sizes)
+        for j in range(attn.shape[1]):
+            s = j % t.n_segments
+            assert abs(attn[bounds[s]:bounds[s + 1], j].sum() - 1.0) <= 1e-12
 
 
 def test_forward_ablation_flags():
@@ -462,7 +488,7 @@ def test_batched_levels_match_one_segment_and_one_query_at_a_time():
     S = Tensor(rng.standard_normal((4, sum(s_sizes))))
     seg = refine_segment(V, S, ps, cfg, v_sizes, s_sizes)
     queries = [Tensor(rng.standard_normal((4, 1))) for _ in range(2)]
-    traces = reason_over_segments(seg, queries, ps, cfg)
+    temporal = reason_over_segments(seg, queries, ps, cfg)
     v_bounds = np.cumsum((0,) + v_sizes)
     s_bounds = np.cumsum((0,) + s_sizes)
     alone = [refine_segment(Tensor(V.data[:, v_bounds[i]:v_bounds[i + 1]]),
@@ -473,13 +499,15 @@ def test_batched_levels_match_one_segment_and_one_query_at_a_time():
                            rtol=0, atol=1e-14)
         assert np.allclose(seg.text.data[:, s_bounds[i]:s_bounds[i + 1]], one.text.data,
                            rtol=0, atol=1e-14)
-    for q, (t, query) in enumerate(zip(traces, queries)):
+    for q, query in enumerate(queries):
+        block = temporal.query_ids == q
         nodes = [segment_pool(one, query, ps)[0] for one in alone]
-        assert np.allclose(t.nodes.data, np.hstack([n.data for n in nodes]), rtol=0, atol=1e-14)
+        assert np.allclose(temporal.nodes.data[:, block], np.hstack([n.data for n in nodes]),
+                           rtol=0, atol=1e-14)
         T, _ = self_pass(tn.concat(nodes, axis=1), ps, "temporal.gate")
         glob, weights = temporal_pool(T, query, ps)
-        assert np.allclose(t.global_node.data, glob.data, rtol=0, atol=1e-14)
-        assert np.allclose(t.pool_weights, weights.data, rtol=0, atol=1e-14)
+        assert np.allclose(temporal.global_nodes.data[:, q : q + 1], glob.data, rtol=0, atol=1e-14)
+        assert np.allclose(temporal.pool_weights[block, q : q + 1], weights.data, rtol=0, atol=1e-14)
 
 
 def test_perturbing_one_segment_leaves_the_others_unchanged():
@@ -506,12 +534,12 @@ def test_perturbing_one_segment_leaves_the_others_unchanged():
         for field in ("gate", "msg", "out"):
             assert same(getattr(p, field)[:, keep], getattr(q, field)[:, keep]), (name, field)
         assert same(p.adj[keep], q.adj[keep]), name
-    for t, u in zip(base.temporal, moved.temporal):
-        assert same(t.nodes.data[:, [0, 2]], u.nodes.data[:, [0, 2]])
-        for i in (0, 2):
-            assert same(t.fuse_gates[i], u.fuse_gates[i])
-            assert same(t.seg_attn_v[i], u.seg_attn_v[i])
-            assert same(t.seg_attn_s[i], u.seg_attn_s[i])
+    t, u = base.temporal, moved.temporal
+    kept = [0, 2, 3, 5]                          # segments 0 and 2 under queries 0 and 1
+    assert same(t.nodes.data[:, kept], u.nodes.data[:, kept])
+    assert same(t.fuse_gates[:, kept], u.fuse_gates[:, kept])
+    assert same(t.attn_v[:, kept], u.attn_v[:, kept])
+    assert same(t.attn_s[:, kept], u.attn_s[:, kept])
 
 
 def test_trace_arrays_are_views_of_the_batched_arrays():
@@ -520,10 +548,32 @@ def test_trace_arrays_are_views_of_the_batched_arrays():
     trace = forward(make_clip(rng, n_segments=3), ps, cfg_of(fixed_queries=2))
     assert trace.graph.n_segments == 3
     assert all(np.shares_memory(v, trace.graph.frame_nodes.data) for v in trace.graph.visual)
-    for t in trace.temporal:
-        arrays = [t.pool_weights, t.refine.adj, t.refine.gate, t.refine.msg, t.refine.out]
-        arrays += t.seg_attn_v + t.seg_attn_s + t.fuse_gates
-        assert all(a.base is not None for a in arrays)
-    first, second = trace.temporal
-    assert first.refine.out.base is second.refine.out.base
-    assert first.seg_attn_v[0].base is second.seg_attn_v[0].base
+    t = trace.temporal
+    assert t.nodes.shape == (4, 6) and t.global_nodes.shape == (4, 2)
+    # G = T @ weights, and P = (1 - gate) * (V @ attn_v) + gate * (S @ attn_s):
+    # the record holds the very arrays of those tape tensors
+    refined, weights = t.global_nodes._parents
+    assert refined.data is t.refine.out and weights.data is t.pool_weights
+    keep, take = t.nodes._parents
+    assert take._parents[0].data is t.fuse_gates
+    assert keep._parents[1]._parents[1].data is t.attn_v
+    assert take._parents[1]._parents[1].data is t.attn_s
+
+
+def test_tape_size_does_not_grow_with_the_query_count():
+    rng = np.random.default_rng(27)
+    ps = params_of(rng)
+    cfg = cfg_of()
+    seg = refine_segment(Tensor(rng.standard_normal((4, 6))), Tensor(rng.standard_normal((4, 6))),
+                         ps, cfg, (2, 1, 3), (3, 1, 2))
+    buffer = NegativeBuffer(4)
+    buffer.push(list(rng.standard_normal((4, 4))))
+    counts = []
+    for n_q in (2, 3):
+        queries = [Tensor(rng.standard_normal((4, 1))) for _ in range(n_q)]
+        start = Tensor(0.0).tape_id
+        temporal = reason_over_segments(seg, queries, ps, cfg)
+        predict_global(temporal.global_nodes, ps)
+        contrastive_loss(temporal, ps, beta=0.1, buffer=buffer)
+        counts.append(Tensor(0.0).tape_id - start)
+    assert counts[0] == counts[1], counts

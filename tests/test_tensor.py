@@ -250,6 +250,8 @@ OPS = {
     "tanh": (lambda ps: tn.mul(tn.tanh(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
     "exp": (lambda ps: exp(ps["a"]).sum(), {"a": (2, 2)}),
     "logsumexp": (lambda ps: tn.logsumexp(ps["a"]), {"a": (4, 1)}),
+    "logsumexp_cols": (lambda ps: tn.mul(tn.logsumexp(ps["a"]), ps["w"]).sum(),
+                       {"a": (4, 3), "w": (1, 3)}),
     "cosine_distance": (lambda ps: cosine_distance(ps["a"], ps["b"]), {"a": (4, 1), "b": (4, 1)}),
     "cosine_cost": (lambda ps: tn.mul(tn.cosine_cost(ps["a"], ps["b"]), ps["w"]).sum(),
                     {"a": (3, 2), "b": (3, 4), "w": (2, 4)}),
@@ -438,3 +440,9 @@ def test_logsumexp_matches_reference():
     got = tn.logsumexp(Tensor(x)).item()
     ref = np.log(np.exp(x - x.max()).sum()) + x.max()
     assert abs(got - ref) < 1e-12
+    cols = rng.standard_normal((5, 3)) * 30
+    got = tn.logsumexp(Tensor(cols)).data
+    assert got.shape == (1, 3)
+    for j in range(3):
+        ref = np.log(np.exp(cols[:, j] - cols[:, j].max()).sum()) + cols[:, j].max()
+        assert abs(got[0, j] - ref) < 1e-12

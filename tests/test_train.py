@@ -144,8 +144,8 @@ def test_training_is_deterministic_given_seed(tmp_path):
     assert r1.metrics[0]["l_ent"] == r2.metrics[0]["l_ent"]
     assert r1.metrics == r2.metrics
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(str(p1), r1.params, cfg, r1.rng_state)
-    save_checkpoint(str(p2), r2.params, cfg, r2.rng_state)
+    save_checkpoint(str(p1), r1.params, cfg)
+    save_checkpoint(str(p2), r2.params, cfg)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -260,11 +260,11 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     clips = clips_of(6)
     result = train(clips, [], HEADER, cfg)
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(path, result.params, cfg, result.rng_state)
+    save_checkpoint(path, result.params, cfg)
     loaded = load_checkpoint(path)
     acc1 = evaluate_accuracy(clips, loaded.params, loaded.config.model_config())
     path2 = str(tmp_path / "model2.ckpt")
-    save_checkpoint(path2, loaded.params, loaded.config, loaded.rng_state)
+    save_checkpoint(path2, loaded.params, loaded.config)
     assert (tmp_path / "model.ckpt").read_bytes() == (tmp_path / "model2.ckpt").read_bytes()
     acc2 = evaluate_accuracy(clips, load_checkpoint(path2).params,
                              loaded.config.model_config())
@@ -312,6 +312,30 @@ def test_checkpoint_header_without_key_rejected(tmp_path, key):
     _edit_header(path, lambda header: header.pop(key))
     with pytest.raises(FormatError, match=rf"model\.ckpt.*'{key}'"):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_header_of_the_wrong_type_rejected(tmp_path):
+    edits = [
+        (lambda h: h.update(params=[]), r"'params' is not a JSON object"),
+        (lambda h: h.update(config=[]), r"'config' is not a JSON object"),
+        (lambda h: h["config"].update(dim="x"), r"'config'.*'dim': 'x' is not int"),
+        (lambda h: h["config"].update(dim=0), r"'config'.*dim must be positive"),
+        (lambda h: h["config"].update(temporal=1), r"'config'.*'temporal': 1 is not bool"),
+    ]
+    for edit, message in edits:
+        path = _small_checkpoint(tmp_path)
+        _edit_header(path, edit)
+        with pytest.raises(FormatError, match=rf"model\.ckpt: checkpoint header {message}"):
+            load_checkpoint(str(path))
+    path.write_bytes(CKPT_MAGIC + (1).to_bytes(8, "little") + b"7")
+    with pytest.raises(FormatError, match=r"model\.ckpt: checkpoint header is not a JSON object"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_header_with_rng_state_still_loads(tmp_path):
+    path = _small_checkpoint(tmp_path)
+    _edit_header(path, lambda h: h.update(rng_state={"bit_generator": "PCG64"}))
+    assert load_checkpoint(str(path)).config.to_dict() == small_cfg().to_dict()
 
 
 @pytest.mark.parametrize("change, field", [

@@ -10,12 +10,25 @@ from vlgraph.tensor import ParamStore, Tensor, backward, grad_check
 from vlgraph.transport import (
     Coupling,
     OTConfig,
-    _np_cosine_cost,
-    got_distance,
     sinkhorn,
     solve_plan,
     transport_loss,
 )
+
+
+def np_cosine_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise cosine distances between the columns of a and b, clipped to [0, 2]."""
+    na = np.linalg.norm(a, axis=0, keepdims=True)
+    nb = np.linalg.norm(b, axis=0, keepdims=True)
+    if na.min() <= 1e-12 or nb.min() <= 1e-12:
+        raise ContractError("cosine cost: zero-norm node")
+    return np.clip(1.0 - (a / na).T @ (b / nb), 0.0, 2.0)
+
+
+def got_distance(a: np.ndarray, b: np.ndarray, cfg: OTConfig) -> tuple[float, Coupling]:
+    """Fused transport distance between two node matrices (columns = nodes)."""
+    coupling = solve_plan(np_cosine_cost(a, b), np_cosine_cost(a, a), np_cosine_cost(b, b), cfg)
+    return coupling.distance, coupling
 
 
 def brute_force_wd(cost: np.ndarray) -> float:
@@ -193,7 +206,7 @@ def test_solve_plan_matches_dense_structure_oracle():
         k, t = (int(x) for x in rng.integers(1, 9, size=2))
         a = rng.standard_normal((5, t))
         b = rng.standard_normal((5, k))
-        costs = (_np_cosine_cost(a, b), _np_cosine_cost(a, a), _np_cosine_cost(b, b))
+        costs = (np_cosine_cost(a, b), np_cosine_cost(a, a), np_cosine_cost(b, b))
         plan, distance = dense_solve_plan(*costs, cfg)
         coupling = solve_plan(*costs, cfg)
         assert np.abs(coupling.plan - plan).max() <= 1e-12 * plan.max()
