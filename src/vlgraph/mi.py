@@ -33,29 +33,31 @@ DISC_WEIGHT = "disc.w"
 class NegativeBuffer:
     """Ring buffer of recent temporal node values (no tape attachment).
 
-    Single-writer: `push` only between optimizer steps; `matrix` snapshots
-    the current contents.
+    Single-writer: `push` only between optimizer steps. The contents are one
+    constant (n, d) tensor of rows, rebuilt by `push`, so every clip between
+    two pushes scores the same snapshot without copying it; `matrix` is its
+    (d, n) column view.
     """
 
     def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ContractError("buffer capacity must be positive")
         self.capacity = capacity
-        self._items: list[np.ndarray] = []
+        self.rows: Tensor | None = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return 0 if self.rows is None else self.rows.shape[0]
 
     def push(self, nodes: list[np.ndarray]) -> None:
-        for v in nodes:
-            self._items.append(np.array(v, dtype=np.float64).reshape(-1, 1))
-        if len(self._items) > self.capacity:
-            self._items = self._items[-self.capacity :]
+        new = [np.asarray(v, dtype=np.float64).reshape(1, -1) for v in nodes]
+        if not new:
+            return
+        kept = [] if self.rows is None else [self.rows.data]
+        self.rows = Tensor(np.concatenate(kept + new, axis=0)[-self.capacity :])
+        self.rows.data.flags.writeable = False
 
     def matrix(self) -> np.ndarray | None:
-        if not self._items:
-            return None
-        return np.concatenate(self._items, axis=1)
+        return None if self.rows is None else self.rows.data.T
 
 
 @dataclass
@@ -83,13 +85,16 @@ def contrastive_loss(
     if beta == 0.0:
         return ContrastiveResult(loss=Tensor(0.0))
     n_nodes = temporal.nodes.shape[1]
-    buf = buffer.matrix() if buffer is not None else None
-    n_cands = n_nodes + (0 if buf is None else buf.shape[1])
+    buf = buffer.rows if buffer is not None else None
+    n_cands = n_nodes + (0 if buf is None else buf.shape[0])
     if n_cands < 2:
         log.info("contrastive pairs skipped: no negatives available")
         return ContrastiveResult(loss=Tensor(0.0), n_skipped=n_nodes)
-    cands = temporal.nodes if buf is None else tn.concat([temporal.nodes, Tensor(buf)], axis=1)
-    scores = tn.matmul(cands.T, tn.matmul(params[DISC_WEIGHT], temporal.global_nodes))
+    key = tn.matmul(params[DISC_WEIGHT], temporal.global_nodes)     # (d, n_q)
+    scores = tn.matmul(temporal.nodes.T, key)
+    if buf is not None:
+        # the buffer rows are constants: their block's backward feeds `key` only
+        scores = tn.concat([scores, tn.matmul(buf, key)], axis=0)
     lse = tn.logsumexp(scores)                   # (1, n_q)
     rows, cols = np.arange(n_nodes), temporal.query_ids
     positive = np.zeros(scores.shape)

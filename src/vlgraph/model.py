@@ -78,28 +78,45 @@ class ModelConfig:
             raise ContractError("fixed_queries must lie in [1, max_queries]")
 
 
+def linear_layout(d: int, d_v: int, d_s: int, d_h: int) -> list[tuple[str, int, int, bool]]:
+    """(name, out_dim, in_dim, has_bias) of every affine map, in draw order."""
+    return [
+        ("proj.v", d, d_v, True),
+        ("proj.s", d, d_s, True),
+        ("proj.h", d, d_h, True),
+        ("inter.v", d, 3 * d, True),
+        ("inter.s", d, 3 * d, True),
+        ("intra.v", d, 3 * d, True),
+        ("intra.s", d, 3 * d, True),
+        ("pool.attn_v", d, d, False),
+        ("pool.attn_s", d, d, False),
+        ("pool.fuse", d, 3 * d, True),
+        ("query.attn", d, 2 * d, False),
+        ("query.halt", d, d, True),
+        ("temporal.gate", d, 3 * d, True),
+        ("temporal.attn", d, d, False),
+        ("head.hidden", d, d, True),
+        ("head.out", 1, d, True),
+        ("disc", d, d, False),
+    ]
+
+
+def param_shapes(d: int, d_v: int, d_s: int, d_h: int) -> dict[str, tuple[int, int]]:
+    """Parameter name -> shape of the model `init_params` builds."""
+    shapes = {}
+    for name, out_dim, in_dim, bias in linear_layout(d, d_v, d_s, d_h):
+        shapes[f"{name}.w"] = (out_dim, in_dim)
+        if bias:
+            shapes[f"{name}.b"] = (out_dim, 1)
+    return shapes
+
+
 def init_params(cfg: ModelConfig, d_v: int, d_s: int, d_h: int,
                 rng: np.random.Generator) -> ParamStore:
     """All trainable tensors, including the MI discriminator weight."""
-    d = cfg.dim
     ps = ParamStore()
-    ps.add_linear("proj.v", d, d_v, rng)
-    ps.add_linear("proj.s", d, d_s, rng)
-    ps.add_linear("proj.h", d, d_h, rng)
-    ps.add_linear("inter.v", d, 3 * d, rng)
-    ps.add_linear("inter.s", d, 3 * d, rng)
-    ps.add_linear("intra.v", d, 3 * d, rng)
-    ps.add_linear("intra.s", d, 3 * d, rng)
-    ps.add_linear("pool.attn_v", d, d, rng, bias=False)
-    ps.add_linear("pool.attn_s", d, d, rng, bias=False)
-    ps.add_linear("pool.fuse", d, 3 * d, rng)
-    ps.add_linear("query.attn", d, 2 * d, rng, bias=False)
-    ps.add_linear("query.halt", d, d, rng)
-    ps.add_linear("temporal.gate", d, 3 * d, rng)
-    ps.add_linear("temporal.attn", d, d, rng, bias=False)
-    ps.add_linear("head.hidden", d, d, rng)
-    ps.add_linear("head.out", 1, d, rng)
-    ps.add_linear("disc", d, d, rng, bias=False)
+    for name, out_dim, in_dim, bias in linear_layout(cfg.dim, d_v, d_s, d_h):
+        ps.add_linear(name, out_dim, in_dim, rng, bias=bias)
     return ps
 
 

@@ -11,6 +11,18 @@ a global creation counter, so descending id order is a valid topological
 order for replay. Tape construction is single-threaded per forward/backward
 pass; tensors without tape attachments are immutable values and safe to
 share across threads.
+
+Parameter gradients are kept as factors. A `Parameter` (the tensors a
+`ParamStore` holds) that is the left operand W of a matmul W X does not get
+that matmul's weight gradient G X^T, G the output gradient, at once: the
+backward appends the pair (G, X) to the parameter's `factors` and computes
+only the input gradient W^T G, which the rest of the tape needs.
+`Parameter.form_grad` later forms sum_k G_k X_k^T as one product of the
+concatenated factors, plus whatever reached `.grad` directly (biases, other
+ops). `backward(loss, params)` forms every parameter's gradient before it
+returns; a training loop instead calls `backward(loss)` per clip and leaves
+the forming to the optimizer step, so each weight gradient is formed once
+per optimizer window rather than once per clip.
 """
 
 from __future__ import annotations
@@ -198,8 +210,10 @@ def mul(a, b) -> Tensor:
     if isinstance(a, Tensor) and isinstance(b, Tensor):
 
         def bw(out: Tensor) -> None:
-            _acc(a, out.grad * b.data)
-            _acc(b, out.grad * a.data)
+            if a.requires_grad:
+                _acc(a, out.grad * b.data)
+            if b.requires_grad:
+                _acc(b, out.grad * a.data)
 
         return _make(a.data * b.data, (a, b), bw)
     t, s = (a, b) if isinstance(a, Tensor) else (b, a)
@@ -222,8 +236,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions differ: {a.shape} x {b.shape}")
 
     def bw(out: Tensor) -> None:
-        _acc(a, out.grad @ b.data.T)
-        _acc(b, a.data.T @ out.grad)
+        if isinstance(a, Parameter):
+            # a parameter's data changes at the optimizer step: keep the value used here
+            a.factors.append((out.grad, b.data.copy() if isinstance(b, Parameter) else b.data))
+        elif a.requires_grad:
+            _acc(a, out.grad @ b.data.T)
+        if b.requires_grad:
+            _acc(b, a.data.T @ out.grad)
 
     return _make(a.data @ b.data, (a, b), bw)
 
@@ -556,17 +575,45 @@ def gw_pair_cost(intra_a: Tensor, intra_b: Tensor, plan: np.ndarray,
     return _make(np.array([[val]]), (intra_a, intra_b), bw)
 
 
+class Parameter(Tensor):
+    """A trainable tensor whose matmul weight gradients wait as factors.
+
+    `factors` holds one (G, X) pair per matmul W X with this tensor as W; the
+    gradient of every other use accumulates into `.grad` as for any tensor.
+    """
+
+    __slots__ = ("factors",)
+
+    def __init__(self, data) -> None:
+        super().__init__(data, requires_grad=True)
+        self.factors: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def form_grad(self, out: np.ndarray) -> np.ndarray:
+        """Write the gradient so far into `out` and return it: sum_k G_k X_k^T
+        over the factors, as one product, plus `.grad`; zero when nothing
+        reached this parameter. The factors stay pending."""
+        if self.factors:
+            gs, xs = zip(*self.factors)
+            np.matmul(np.concatenate(gs, axis=1), np.concatenate(xs, axis=1).T, out=out)
+            if self.grad is not None:
+                out += self.grad
+        elif self.grad is not None:
+            np.copyto(out, self.grad)
+        else:
+            out.fill(0.0)
+        return out
+
+
 class ParamStore:
     """Named trainable tensors with deterministic (sorted) iteration order."""
 
     def __init__(self) -> None:
-        self._params: dict[str, Tensor] = {}
+        self._params: dict[str, Parameter] = {}
 
-    def add(self, name: str, value: np.ndarray | Tensor) -> Tensor:
+    def add(self, name: str, value: np.ndarray) -> Parameter:
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = value if isinstance(value, Tensor) else Tensor(value)
-        t.requires_grad = True
+        t = Parameter(value)
         self._params[name] = t
         return t
 
@@ -578,7 +625,7 @@ class ParamStore:
         if bias:
             self.add(f"{name}.b", rng.uniform(-bound, bound, size=(out_dim, 1)))
 
-    def __getitem__(self, name: str) -> Tensor:
+    def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
     def __contains__(self, name: str) -> bool:
@@ -590,12 +637,14 @@ class ParamStore:
     def names(self) -> list[str]:
         return sorted(self._params)
 
-    def items(self) -> list[tuple[str, Tensor]]:
+    def items(self) -> list[tuple[str, Parameter]]:
         return [(n, self._params[n]) for n in self.names()]
 
     def zero_grad(self) -> None:
+        """Drop every gradient, direct or pending as factors."""
         for _, t in self.items():
             t.grad = None
+            t.factors.clear()
 
     def n_coords(self) -> int:
         return sum(t.data.size for _, t in self.items())
@@ -604,10 +653,12 @@ class ParamStore:
 def backward(loss: Tensor, params: ParamStore | None = None) -> dict[str, np.ndarray]:
     """Reverse-mode sweep from a scalar loss.
 
-    Gradients accumulate into `.grad` (call `params.zero_grad()` to reset
-    between accumulation windows). Parameters not reachable from the loss
-    get a zero gradient. Returns a name -> gradient view map when `params`
-    is given.
+    Gradients accumulate into `.grad`, except a parameter's matmul weight
+    gradients, which accumulate as factors (see the module docstring); call
+    `params.zero_grad()` to reset both between accumulation windows. With
+    `params`, every parameter's gradient is formed into `.grad` and its
+    factors are dropped, parameters not reachable from the loss get a zero
+    gradient, and a name -> gradient view map is returned.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -630,8 +681,9 @@ def backward(loss: Tensor, params: ParamStore | None = None) -> dict[str, np.nda
         return {}
     out: dict[str, np.ndarray] = {}
     for name, p in params.items():
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
+        if p.factors or p.grad is None:
+            p.grad = p.form_grad(np.empty_like(p.data))
+            p.factors.clear()
         out[name] = p.grad
     return out
 

@@ -1,10 +1,12 @@
 """Loss assembly, optimization loop, evaluation, and checkpoints.
 
 Clips are processed one at a time (segment counts, node counts, and query
-counts are all ragged); gradients accumulate across a window and a single
-Adam step applies their mean, which matches one step on the mean loss of
-the window. Parameters live in float64 and are stored in checkpoints as
-little-endian float32 behind a JSON header.
+counts are all ragged). Each clip's backward leaves its weight gradients as
+(output gradient, input) factors on the parameters (see `tensor`); the Adam
+step at the end of a window forms each parameter's summed gradient once, in
+one product over all the window's factors, and applies their mean, which
+matches one step on the mean loss of the window. Parameters live in float64
+and are stored in checkpoints as little-endian float32 behind a JSON header.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from . import tensor as tn
 from .errors import ContractError, EmptyInputError, FormatError, NumericalError
 from .graph import Clip
 from .mi import ContrastiveResult, NegativeBuffer, contrastive_loss
-from .model import ModelConfig, Trace, forward, init_params
+from .model import ModelConfig, Trace, forward, init_params, param_shapes
 from .tensor import ParamStore, Tensor, backward, no_grad
 from .transport import OTConfig, transport_loss
 
@@ -165,10 +167,13 @@ def total_loss(
 class Adam:
     """Adam with bias correction; parameter order is the sorted name order.
 
-    Each step works in place in two scratch arrays sized to the largest
-    parameter and shared by all of them, in the same operation order as
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
-    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), so the result is bitwise the same.
+    Each step forms every parameter's gradient g (`Parameter.form_grad`:
+    pending factors plus `.grad`) into one of two scratch arrays sized to the
+    largest parameter and shared by all of them, scales it, and updates in
+    place in the same operation order as m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g g, p -= lr (m / bc1) / (sqrt(v / bc2) + eps), so
+    the result is bitwise the same. It reads the gradients and leaves them as
+    they were; `ParamStore.zero_grad` drops them.
     """
 
     def __init__(self, params: ParamStore, lr: float, beta1: float = 0.9,
@@ -191,11 +196,8 @@ class Adam:
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
             g, tmp = (s[: p.data.size].reshape(p.data.shape) for s in self._scratch)
-            if p.grad is None:
-                g.fill(0.0)
-                g *= grad_scale
-            else:
-                np.multiply(p.grad, grad_scale, out=g)
+            p.form_grad(g)
+            g *= grad_scale
             m = self._m[name]
             v = self._v[name]
             m *= b1
@@ -264,7 +266,7 @@ def train(
             clip = train_clips[idx]
             bundle, trace = run_clip(clip, params, cfg, buffer)
             bundle.check_finite()
-            backward(bundle.total, params)
+            backward(bundle.total)
             pending.extend(trace.temporal.nodes.data.T)
             for key, val in bundle.as_floats().items():
                 sums[key] += val
@@ -389,6 +391,26 @@ def _param_entry(path: str, name: str, meta) -> tuple[tuple[int, ...], np.dtype,
     return tuple(shape), dtype, meta["offset"]
 
 
+def _check_layout(path: str, shapes: dict[str, tuple[int, ...]], dim: int) -> None:
+    """FormatError naming the first parameter that differs from the model
+    layout at `dim`; the raw feature widths are read from the `proj.*` shapes."""
+    widths = []
+    for name in ("proj.v.w", "proj.s.w", "proj.h.w"):
+        if len(shapes.get(name, ())) != 2:
+            raise FormatError(f"{path}: parameter {name!r} is missing or not 2-D; "
+                              f"its width sets the layout")
+        widths.append(shapes[name][1])
+    want = param_shapes(dim, *widths)
+    for name in sorted(want.keys() | shapes.keys()):
+        if name not in shapes:
+            raise FormatError(f"{path}: parameter {name!r} is missing")
+        if name not in want:
+            raise FormatError(f"{path}: parameter {name!r} is not in the model layout")
+        if shapes[name] != want[name]:
+            raise FormatError(f"{path}: parameter {name!r} has shape {shapes[name]}, but the "
+                              f"model layout at dim={dim} needs {want[name]}")
+
+
 def load_checkpoint(path: str) -> CheckpointData:
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -407,10 +429,15 @@ def load_checkpoint(path: str) -> CheckpointData:
             raise FormatError(f"{path}: checkpoint header has no {key!r}")
         if not isinstance(header[key], dict):
             raise FormatError(f"{path}: checkpoint header {key!r} is not a JSON object")
+    entries = {name: _param_entry(path, name, meta) for name, meta in header["params"].items()}
+    try:
+        cfg = TrainConfig.from_dict(header["config"])
+    except ContractError as e:
+        raise FormatError(f"{path}: checkpoint header 'config': {e}") from e
+    _check_layout(path, {name: entry[0] for name, entry in entries.items()}, cfg.dim)
     payload = blob[head_start + head_len :]
     params = ParamStore()
-    for name, meta in header["params"].items():
-        shape, dtype, start = _param_entry(path, name, meta)
+    for name, (shape, dtype, start) in entries.items():
         count = math.prod(shape)
         end = start + count * dtype.itemsize
         if end > len(payload):
@@ -418,8 +445,4 @@ def load_checkpoint(path: str) -> CheckpointData:
                               f"{start}..{end}, but the payload has {len(payload)}")
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
         params.add(name, arr.astype(np.float64).reshape(shape))
-    try:
-        cfg = TrainConfig.from_dict(header["config"])
-    except ContractError as e:
-        raise FormatError(f"{path}: checkpoint header 'config': {e}") from e
     return CheckpointData(params=params, config=cfg)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vlgraph import tensor as tn
 from vlgraph.errors import ContractError, DegenerateInputError, NumericalError, ShapeError
 from vlgraph.tensor import ParamStore, Tensor, backward, grad_check
+from vlgraph.train import Adam
 
 
 def make_params(rng, **shapes):
@@ -207,6 +208,38 @@ def test_backward_unreachable_param_gets_zero_grad():
     ps = make_params(np.random.default_rng(5), used=(2, 1), unused=(3, 1))
     grads = backward(ps["used"].sum(), ps)
     assert np.array_equal(grads["unused"], np.zeros((3, 1)))
+
+
+def test_parameter_gradient_mixes_direct_and_factored_parts():
+    # w is the left operand of two matmuls (factors) and enters a Hadamard
+    # product (direct .grad); v is a right operand, so its gradient is direct
+    x = np.random.default_rng(30).standard_normal((4, 2))
+    c = np.random.default_rng(31).standard_normal((3, 2))
+
+    def fresh():
+        return make_params(np.random.default_rng(32), v=(4, 2), w=(3, 4))
+
+    def f(ps):
+        w = ps["w"]
+        y = tn.add(tn.matmul(w, Tensor(x)), tn.matmul(w, ps["v"]))
+        return tn.add(tn.mul(y, Tensor(c)).sum(), tn.mul(w, w).sum())
+
+    ps = fresh()
+    backward(f(ps))
+    w, v = ps["w"], ps["v"]
+    assert len(w.factors) == 2 and w.grad is not None and not v.factors
+    want = c @ x.T + c @ v.data.T + 2.0 * w.data
+    assert np.allclose(w.form_grad(np.empty((3, 4))), want, rtol=1e-13, atol=0)
+    check(lambda: f(ps), ps)
+    # Adam updates v before w (name order) and still forms w's gradient from
+    # v as the tape saw it: the same step as on gradients formed at backward
+    deferred, formed = fresh(), fresh()
+    backward(f(deferred))
+    backward(f(formed), formed)
+    for store in (deferred, formed):
+        Adam(store, 1e-2).step()
+    for name, p in deferred.items():
+        assert np.array_equal(p.data, formed[name].data), name
 
 
 def test_backward_accumulates_until_zero_grad():

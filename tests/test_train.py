@@ -7,7 +7,7 @@ import pytest
 
 from vlgraph import synth
 from vlgraph.errors import EmptyInputError, FormatError, NumericalError
-from vlgraph.graph import Clip, parse_clip, read_dataset, validate_dataset
+from vlgraph.graph import Clip, FrameNode, SubtitleLine, parse_clip, read_dataset, validate_dataset
 from vlgraph.mi import NegativeBuffer
 from vlgraph.model import forward, init_params
 from vlgraph.tensor import ParamStore, Tensor, backward
@@ -216,6 +216,77 @@ def test_adam_step_is_bitwise_the_reference_update():
         assert grads[-1][name] is None or np.array_equal(p.grad, grads[-1][name]), name
 
 
+# ------------------------------------------- weight gradients per window
+
+def one_segment_clip(seed=3):
+    rng = np.random.default_rng(seed)
+    frames = [FrameNode(t=0.2 + 0.5 * k, feature=rng.standard_normal(DIMS[0])) for k in range(3)]
+    subs = [SubtitleLine(t0=0.0, t1=2.0, tokens=rng.standard_normal((2, DIMS[1])))]
+    return Clip(clip_id="one-segment", frames=frames, subs=subs,
+                statement=rng.standard_normal((DIMS[2], 3)), label=1)
+
+
+def window_setup():
+    """Both coherence terms on, a filled buffer, and four clips, the last
+    of them a one-segment clip."""
+    cfg = small_cfg(alpha=0.1, beta=0.1)
+    params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(5))
+    buffer = NegativeBuffer(16)
+    buffer.push(list(np.random.default_rng(6).standard_normal((16, cfg.dim))))
+    return cfg, params, buffer, clips_of(3) + [one_segment_clip()]
+
+
+def test_window_gradient_is_the_sum_of_per_clip_gradients():
+    cfg, params, buffer, clips = window_setup()
+    want = {name: np.zeros_like(p.data) for name, p in params.items()}
+    for clip in clips:
+        params.zero_grad()
+        for name, g in backward(run_clip(clip, params, cfg, buffer)[0].total, params).items():
+            want[name] += g
+    params.zero_grad()
+    for clip in clips:
+        backward(run_clip(clip, params, cfg, buffer)[0].total)
+    assert len(params["temporal.gate.w"].factors) == len(clips)
+    for name, p in params.items():
+        got = p.form_grad(np.empty_like(p.data))
+        assert np.linalg.norm(got - want[name]) <= 1e-12 * np.linalg.norm(want[name]), name
+
+
+def test_adam_step_forms_the_deferred_weight_gradients():
+    cfg, _, buffer, clips = window_setup()
+    clips = clips[:3]
+
+    def window(form_in_backward):
+        params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(5))
+        opt = Adam(params, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        for i, clip in enumerate(clips):
+            loss = run_clip(clip, params, cfg, buffer)[0].total
+            backward(loss, params if form_in_backward and i == len(clips) - 1 else None)
+        return params, opt
+
+    deferred, opt = window(form_in_backward=False)
+    # no full-size weight gradient exists before the step
+    assert deferred["inter.v.w"].grad is None
+    opt.step(grad_scale=1.0 / len(clips))
+    formed, opt_formed = window(form_in_backward=True)
+    assert not formed["inter.v.w"].factors
+    opt_formed.step(grad_scale=1.0 / len(clips))
+    for name, p in deferred.items():
+        assert np.array_equal(p.data, formed[name].data), name
+
+
+def test_zero_grad_between_clips_keeps_only_the_second_clip():
+    cfg, params, buffer, clips = window_setup()
+    backward(run_clip(clips[0], params, cfg, buffer)[0].total)
+    params.zero_grad()
+    got = {name: g.copy() for name, g in
+           backward(run_clip(clips[1], params, cfg, buffer)[0].total, params).items()}
+    params.zero_grad()
+    want = backward(run_clip(clips[1], params, cfg, buffer)[0].total, params)
+    for name, g in want.items():
+        assert np.array_equal(got[name], g), name
+
+
 # --------------------------------------------------------------- evaluation
 
 def test_evaluate_accuracy_tie_breaks_to_zero():
@@ -355,6 +426,28 @@ def test_checkpoint_bad_parameter_entry_rejected(tmp_path, change, field):
 
     _edit_header(path, edit)
     with pytest.raises(FormatError, match=rf"model\.ckpt: parameter 'pool\.fuse\.w'.*{field}"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_parameters_must_match_the_model_layout(tmp_path):
+    edits = [
+        (lambda h: h["params"].pop("head.out.w"), r"'head\.out\.w' is missing"),
+        (lambda h: h["params"]["head.hidden.w"].update(shape=[8, 32]),
+         r"'head\.hidden\.w' has shape \(8, 32\), but the model layout at dim=16 needs \(16, 16\)"),
+        (lambda h: h["params"].update({"extra.w": h["params"]["disc.w"]}),
+         r"'extra\.w' is not in the model layout"),
+    ]
+    for edit, message in edits:
+        path = _small_checkpoint(tmp_path)
+        _edit_header(path, edit)
+        with pytest.raises(FormatError, match=rf"model\.ckpt: parameter {message}"):
+            load_checkpoint(str(path))
+    # a config that names another width than the parameters have
+    cfg = small_cfg(dim=8)
+    save_checkpoint(str(path), init_params(cfg.model_config(), *DIMS, np.random.default_rng(0)), cfg)
+    _edit_header(path, lambda h: h["config"].update(dim=16))
+    with pytest.raises(FormatError, match=r"model\.ckpt: parameter 'disc\.w' has shape \(8, 8\), "
+                                          r"but the model layout at dim=16"):
         load_checkpoint(str(path))
 
 
