@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ class FrameNode:
 
     def __post_init__(self) -> None:
         self.feature = np.asarray(self.feature, dtype=np.float64)
+        if not math.isfinite(self.t):
+            raise ValidationError(f"frame timestamp {self.t} is not finite")
         if self.t < 0:
             raise ValidationError(f"frame timestamp {self.t} is negative")
 
@@ -48,6 +51,8 @@ class SubtitleLine:
 
     def __post_init__(self) -> None:
         self.tokens = np.atleast_2d(np.asarray(self.tokens, dtype=np.float64))
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise ValidationError(f"subtitle span [{self.t0}, {self.t1}) is not finite")
         if self.t1 <= self.t0:
             raise ValidationError(f"subtitle span [{self.t0}, {self.t1}) has no length")
         if self.tokens.shape[0] < 1:
@@ -269,9 +274,14 @@ def _read_lines(path: str) -> tuple[dict, list[str]]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path}:1: header is not valid JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}:1: header is not a JSON object")
     for key in ("d_v", "d_s", "d_h"):
         if key not in header:
             raise ValidationError(f"{path}:1: header missing {key!r}")
+        if type(header[key]) is not int or header[key] < 1:
+            raise ValidationError(f"{path}:1: header {key!r}: {header[key]!r} "
+                                  "is not a positive integer")
     return header, lines
 
 
@@ -359,6 +369,9 @@ def _check_record(rec: dict) -> list[str]:
         if type(t) not in _NUMBER:
             problems.append(f"frames[{i}].t: not a number")
             continue
+        if not math.isfinite(t):
+            problems.append(f"frames[{i}].t: not finite")
+            continue
         if t < 0:
             problems.append(f"frames[{i}].t: negative")
         if t < prev_t:
@@ -371,6 +384,9 @@ def _check_record(rec: dict) -> list[str]:
         t0, t1 = s.get("t0"), s.get("t1")
         if type(t0) not in _NUMBER or type(t1) not in _NUMBER:
             problems.append(f"subs[{i}]: span bounds t0, t1 not numbers")
+        elif not (math.isfinite(t0) and math.isfinite(t1)):
+            problems += [f"subs[{i}].{key}: not finite"
+                         for key, t in (("t0", t0), ("t1", t1)) if not math.isfinite(t)]
         elif t1 <= t0:
             problems.append(f"subs[{i}]: span [{t0}, {t1}) not increasing")
         toks = s.get("tokens")
@@ -378,7 +394,7 @@ def _check_record(rec: dict) -> list[str]:
             problems.append(f"subs[{i}].tokens: not a list")
         elif not toks:
             problems.append(f"subs[{i}].tokens: empty")
-    if rec.get("label") not in (0, 1):
+    if isinstance(rec.get("label"), bool) or rec.get("label") not in (0, 1):
         problems.append(f"label: {rec.get('label')!r} not in {{0, 1}}")
     return problems
 

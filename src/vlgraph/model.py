@@ -7,28 +7,28 @@ each segment owns one block of consecutive columns of each (`v_sizes`,
 meets one matmul per clip, not one per segment or per query. This is the
 disjoint union of the per-segment graphs as one block-diagonal graph.
 
-All three hierarchies pass messages with one primitive, `message_pass`:
-nodes X absorb messages from nodes Y over the row-normalized similarity
-adjacency softmax(X^T Y), through a learned per-coordinate convex-combination
-gate. A constant block mask, 0 where a row's block meets the same block's
-columns and -inf elsewhere, is added before the softmax, so a node only
-hears its own block and cross-block weights are exactly zero; a node's own
-block is never empty. The gate reads each block's guidance column (a block
-mean) repeated over the block's nodes. Each call returns a `Pass` record
-that holds references to the adjacency, gate, message and output arrays it
-computed.
+Every level does the same two things, each through one helper. `attend`
+pools nodes under key columns, X @ softmax(X^T keys + mask), with a
+constant mask that keeps each key inside its own block of nodes; message
+passing (`message_pass`) is attention with the receivers as keys over the
+senders. `_gated` fuses what a node had with what it pooled through a
+learned per-coordinate convex-combination gate. A clip of one segment or
+one query takes the same path as any other. Each message pass returns a
+`Pass` record that holds references to the adjacency, gate, message and
+output arrays it computed.
 
 Segment level: cross-modal passing refines each modality with the other,
 then intra-modal passing (Y = X) refines within a modality. Every segment
-is then pooled under every semantic query at once: the attention over a
-modality's nodes is one masked (n, Q * n_seg) softmax, column q * n_seg + s
-pooling segment s under query q.
+is then pooled under every semantic query at once: the keys of a modality
+are its query keys repeated over the segments, key q * n_seg + s pooling
+segment s under query q, and the gate fuses the two modalities' pools.
 
 Temporal level: the queries are the blocks. The pooled nodes of each query
 exchange messages (Y = X again) and are pooled into that query's global
 node, all queries in one pass. The number of queries is decided first, by a
 self-halting accumulator over per-query stop probabilities; that loop stays
-sequential because each query attends from the one before.
+sequential because each query attends from the one before, over statement
+tokens that form no blocks.
 
 Global level: the mean of the global nodes feeds a small prediction head.
 
@@ -122,11 +122,6 @@ def init_params(cfg: ModelConfig, d_v: int, d_s: int, d_h: int,
 
 # --------------------------------------------------------------- building blocks
 
-def _fuse(keep: Tensor, take: Tensor, gate: Tensor) -> Tensor:
-    """Convex combination (1 - gate) * keep + gate * take."""
-    return tn.add(tn.mul(tn.sub(1.0, gate), keep), tn.mul(gate, take))
-
-
 def _sizes(sizes: tuple[int, ...], X: Tensor) -> tuple[int, ...]:
     """Column block sizes of X; one block of all its columns when empty."""
     return tuple(sizes) or (X.shape[1],)
@@ -136,13 +131,28 @@ def _block_ids(sizes: tuple[int, ...]) -> np.ndarray:
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
-def _mask(scores: Tensor, row_ids: np.ndarray, col_ids: np.ndarray) -> Tensor:
-    """`scores` where row and column share a block id, -inf elsewhere.
+def attend(X: Tensor, keys: Tensor, x_ids: np.ndarray,
+           key_ids: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Pool the nodes X under every key column: X @ softmax(X^T keys + mask).
 
-    The constant is added before a softmax, so cross-block weights are exactly
-    zero; every row and column meets its own block, which is never empty.
+    The softmax runs over X's columns, and the constant mask is -inf where a
+    node's block id (`x_ids`) differs from the key's (`key_ids`), 0
+    elsewhere, so a key pools only the nodes of its own block and cross-block
+    weights are exactly zero; every key's block must hold a node. Returns the
+    (d, n_keys) pooled nodes and the (n_x, n_keys) weights.
     """
-    return tn.add(scores, Tensor(np.where(row_ids[:, None] == col_ids[None, :], 0.0, -np.inf)))
+    mask = Tensor(np.where(x_ids[:, None] == key_ids[None, :], 0.0, -np.inf))
+    weights = tn.softmax(tn.add(tn.matmul(X.T, keys), mask), axis=0)
+    return tn.matmul(X, weights), weights
+
+
+def _gated(keep: Tensor, take: Tensor, parts: list[Tensor], params: ParamStore,
+           name: str) -> tuple[Tensor, Tensor]:
+    """(1 - gate) * keep + gate * take, with gate = sigmoid(W [parts] + b)
+    through the weights `name`; returns the result and the gate."""
+    stacked = tn.concat(parts, axis=0)
+    gate = tn.sigmoid(tn.add_col(tn.matmul(params[f"{name}.w"], stacked), params[f"{name}.b"]))
+    return tn.add(tn.mul(tn.sub(1.0, gate), keep), tn.mul(gate, take)), gate
 
 
 @dataclass
@@ -162,24 +172,19 @@ def message_pass(X: Tensor, Y: Tensor, g_x: Tensor, g_y: Tensor, params: ParamSt
 
     The columns of X and Y form matching blocks (`x_sizes`, `y_sizes`; one
     block each by default), and a node only hears the nodes of its own block:
-    the adjacency is softmax(X^T Y) over each receiving node's row, with
-    cross-block entries masked out. `g_x` and `g_y` hold one guidance column
-    per block; the gate reads [g_x; X; g_y], each guidance column repeated
-    over its block's nodes, through the weights `name`. With Y = X, a
-    single-node block is a fixed point.
+    each receiving node of X attends over the senders Y of its block, so the
+    adjacency is softmax(X^T Y) over each receiver's row. `g_x` and `g_y`
+    hold one guidance column per block; the gate reads [g_x; X; g_y], each
+    guidance column repeated over its block's nodes, through the weights
+    `name`. With Y = X, a single-node block is a fixed point.
     """
     x_sizes, y_sizes = _sizes(x_sizes, X), _sizes(y_sizes, Y)
     if len(x_sizes) != len(y_sizes):
         raise ContractError(f"{name}: {len(x_sizes)} receiving blocks but {len(y_sizes)} sending")
-    scores = tn.matmul(X.T, Y)                   # (n_x, n_y)
-    if len(x_sizes) > 1:
-        scores = _mask(scores, _block_ids(x_sizes), _block_ids(y_sizes))
-    adj = tn.softmax(scores, axis=1)
-    msg = tn.matmul(Y, adj.T)                    # (d, n_x)
-    stacked = tn.concat([tn.block_expand(g_x, x_sizes), X, tn.block_expand(g_y, x_sizes)], axis=0)
-    gate = tn.sigmoid(tn.add_col(tn.matmul(params[f"{name}.w"], stacked), params[f"{name}.b"]))
-    out = _fuse(X, msg, gate)
-    return out, Pass(adj=adj.data, gate=gate.data, msg=msg.data, out=out.data)
+    msg, weights = attend(Y, X, _block_ids(y_sizes), _block_ids(x_sizes))     # (d, n_x)
+    parts = [tn.block_expand(g_x, x_sizes), X, tn.block_expand(g_y, x_sizes)]
+    out, gate = _gated(X, msg, parts, params, name)
+    return out, Pass(adj=weights.data.T, gate=gate.data, msg=msg.data, out=out.data)
 
 
 @dataclass
@@ -204,8 +209,6 @@ class SegmentTrace:
 
     def split(self) -> list[tuple[Tensor, Tensor]]:
         """Each segment's (visual, text) nodes, sliced on the tape."""
-        if self.n_segments == 1:
-            return [(self.visual, self.text)]
         return [(tn.col(self.visual, *v), tn.col(self.text, *s))
                 for v, s in zip(block_bounds(self.v_sizes), block_bounds(self.s_sizes))]
 
@@ -245,24 +248,14 @@ def segment_pool(seg: SegmentTrace, Q: Tensor, params: ParamStore) -> tuple[Tens
     n_seg, n_q = seg.n_segments, Q.shape[1]
     pairs = (n_seg,) * n_q                       # each query repeated over the segments
     pair_seg = np.tile(np.arange(n_seg), n_q)    # the segment of each pair
-
-    def attend(X: Tensor, sizes: tuple[int, ...], weight: str) -> Tensor:
-        scores = tn.matmul(X.T, tn.matmul(params[weight], Q))   # (n, n_q)
-        if n_seg > 1:
-            scores = _mask(tn.block_expand(scores, pairs), _block_ids(sizes), pair_seg)
-        return tn.softmax(scores, axis=0)
-
-    attn_v = attend(V, seg.v_sizes, "pool.attn_v.w")
-    attn_s = attend(S, seg.s_sizes, "pool.attn_s.w")
-    v_q = tn.matmul(V, attn_v)
-    s_q = tn.matmul(S, attn_s)
+    v_q, attn_v = attend(V, tn.block_expand(tn.matmul(params["pool.attn_v.w"], Q), pairs),
+                         _block_ids(seg.v_sizes), pair_seg)
+    s_q, attn_s = attend(S, tn.block_expand(tn.matmul(params["pool.attn_s.w"], Q), pairs),
+                         _block_ids(seg.s_sizes), pair_seg)
     g_v, g_s = tn.block_mean(V, seg.v_sizes), tn.block_mean(S, seg.s_sizes)
-    if n_q > 1:
-        g_v, g_s = tn.concat([g_v] * n_q, axis=1), tn.concat([g_s] * n_q, axis=1)
-    q = Q if n_seg == 1 else tn.block_expand(Q, pairs)
-    stacked = tn.concat([g_v, q, g_s], axis=0)
-    gate = tn.sigmoid(tn.add_col(tn.matmul(params["pool.fuse.w"], stacked), params["pool.fuse.b"]))
-    node = _fuse(v_q, s_q, gate)
+    parts = [tn.concat([g_v] * n_q, axis=1), tn.block_expand(Q, pairs),
+             tn.concat([g_s] * n_q, axis=1)]
+    node, gate = _gated(v_q, s_q, parts, params, "pool.fuse")
     return node, dict(attn_v=attn_v.data, attn_s=attn_s.data, gate=gate.data)
 
 
@@ -361,11 +354,9 @@ def temporal_pool(T: Tensor, Q: Tensor, params: ParamStore,
     """Attention-pool column block q of T (`sizes`; one block by default)
     under query q, column q of Q; returns the (d, n_q) pooled nodes and the
     weights."""
-    scores = tn.matmul(T.T, tn.matmul(params["temporal.attn.w"], Q))   # (n, n_q)
-    if len(sizes) > 1:
-        scores = _mask(scores, _block_ids(sizes), np.arange(len(sizes)))
-    weights = tn.softmax(scores, axis=0)
-    return tn.matmul(T, weights), weights
+    sizes = _sizes(sizes, T)
+    return attend(T, tn.matmul(params["temporal.attn.w"], Q), _block_ids(sizes),
+                  np.arange(len(sizes)))
 
 
 def reason_over_segments(seg: SegmentTrace, queries: list[Tensor], params: ParamStore,
@@ -378,7 +369,7 @@ def reason_over_segments(seg: SegmentTrace, queries: list[Tensor], params: Param
     node.
     """
     n_seg = seg.n_segments
-    Q = queries[0] if len(queries) == 1 else tn.concat(queries, axis=1)
+    Q = tn.concat(queries, axis=1)
     P, pool = segment_pool(seg, Q, params)
     sizes = (n_seg,) * len(queries)
     T, refine = P, None
@@ -395,7 +386,7 @@ def predict_global(global_nodes: Tensor, params: ParamStore) -> tuple[Tensor, Te
     """Mean the (d, n_q) global nodes over queries and classify; returns (prob, logit)."""
     if global_nodes.shape[1] < 1:
         raise ContractError("prediction needs at least one global node")
-    pooled = global_nodes if global_nodes.shape[1] == 1 else global_nodes.mean(axis=1)
+    pooled = global_nodes.mean(axis=1)
     hidden = tn.tanh(tn.add(tn.matmul(params["head.hidden.w"], pooled), params["head.hidden.b"]))
     logit = tn.add(tn.matmul(params["head.out.w"], hidden), params["head.out.b"])
     return tn.sigmoid(logit), logit

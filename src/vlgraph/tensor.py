@@ -90,28 +90,6 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; scalars are treated as untracked constants
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     @property
     def T(self) -> "Tensor":
         return transpose(self)
@@ -645,9 +623,6 @@ class ParamStore:
         for _, t in self.items():
             t.grad = None
             t.factors.clear()
-
-    def n_coords(self) -> int:
-        return sum(t.data.size for _, t in self.items())
 
 
 def backward(loss: Tensor, params: ParamStore | None = None) -> dict[str, np.ndarray]:

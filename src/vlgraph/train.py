@@ -62,6 +62,9 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ContractError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("dim", "max_queries", "effective_batch", "neg_buffer",
                      "ot_sinkhorn_iters", "ot_gw_outer_iters"):
             if getattr(self, name) < 1:
@@ -75,6 +78,11 @@ class TrainConfig:
                 raise ContractError(f"{name} must be nonnegative")
         if self.epochs < 0:
             raise ContractError("epochs must be nonnegative")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ContractError(f"{name} must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ContractError("adam_eps must be positive")
         if self.fixed_queries is not None and not 1 <= self.fixed_queries <= self.max_queries:
             raise ContractError(f"fixed_queries must lie in [1, max_queries={self.max_queries}], "
                                 f"got {self.fixed_queries}")

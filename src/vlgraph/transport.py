@@ -182,5 +182,5 @@ def transport_loss(
         plans.append(plan)
         node_term = tn.mul(node_cost, Tensor(cfg.lam * plan)).sum()
         terms.append(tn.add(node_term, tn.gw_pair_cost(intra_s, intra_v, plan, structure)))
-    total = terms[0] if len(terms) == 1 else tn.concat(terms, axis=0).sum()
+    total = tn.concat(terms, axis=0).sum()
     return tn.scale(total, cfg.alpha / len(terms)), plans

@@ -55,6 +55,13 @@ def test_zero_length_span_rejected():
         SubtitleLine(t0=1.0, t1=1.0, tokens=np.ones((1, 2)))
 
 
+def test_non_finite_timestamps_rejected():
+    with pytest.raises(ValidationError, match="not finite"):
+        FrameNode(t=float("nan"), feature=np.zeros(2))
+    with pytest.raises(ValidationError, match="not finite"):
+        SubtitleLine(t0=0.0, t1=float("inf"), tokens=np.ones((1, 2)))
+
+
 def test_overlapping_spans_clipped_at_later_start():
     seg = segment_clip(frames_at(0.5, 1.5, 2.5), lines((0, 3), (1, 4)))
     # first span clipped to [0, 1): frame 0.5 in seg 0, rest in seg 1
@@ -209,6 +216,11 @@ def bad_records():
         "infinite token": (with_field(**{"subs.0.tokens.0.1": float("inf")}),
                            "subs[0].tokens[0]: not finite numbers"),
         "text feature": (with_field(**{"statement.0.0": "high"}), "statement[0]: not finite numbers"),
+        "boolean label": (with_field(label=True), "label: True"),
+        "NaN frame time": (with_field(**{"frames.0.t": float("nan")}), "frames[0].t: not finite"),
+        "infinite span end": (with_field(**{"subs.0.t1": float("inf")}), "subs[0].t1: not finite"),
+        "infinite span start": (with_field(**{"subs.0.t0": float("-inf")}),
+                                "subs[0].t0: not finite"),
     }
 
 
@@ -221,6 +233,21 @@ def test_read_dataset_rejects_bad_record_with_line(tmp_path, problem):
     report = gr.validate_dataset(path)
     assert [r.ok for r in report.records] == [True, False]
     assert any(message in p for p in report.records[1].problems)
+
+
+@pytest.mark.parametrize("header, message", [
+    (5, "header is not a JSON object"),
+    ([3, 2, 2], "header is not a JSON object"),
+    ({**HEADER, "d_v": 0}, "header 'd_v': 0 is not a positive integer"),
+    ({**HEADER, "d_s": True}, "header 'd_s': True is not a positive integer"),
+    ({**HEADER, "d_h": 2.0}, "header 'd_h': 2.0 is not a positive integer"),
+    ({**HEADER, "d_v": "3"}, "header 'd_v': '3' is not a positive integer"),
+])
+def test_dataset_header_must_declare_positive_widths(tmp_path, header, message):
+    path = write(tmp_path, [record()], header=header)
+    for read in (gr.read_dataset, gr.validate_dataset):
+        with pytest.raises(ValidationError, match=rf"data\.jsonl:1: {re.escape(message)}"):
+            read(path)
 
 
 def test_read_dataset_rejects_line_that_is_not_json(tmp_path):

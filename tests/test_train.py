@@ -392,6 +392,7 @@ def test_checkpoint_header_of_the_wrong_type_rejected(tmp_path):
         (lambda h: h["config"].update(dim="x"), r"'config'.*'dim': 'x' is not int"),
         (lambda h: h["config"].update(dim=0), r"'config'.*dim must be positive"),
         (lambda h: h["config"].update(temporal=1), r"'config'.*'temporal': 1 is not bool"),
+        (lambda h: h["config"].update(lr=math.nan), r"'config'.*lr must be finite"),
     ]
     for edit, message in edits:
         path = _small_checkpoint(tmp_path)
@@ -454,6 +455,10 @@ def test_checkpoint_parameters_must_match_the_model_layout(tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("ot_eps_reg", 0.0), ("ot_sinkhorn_iters", 0), ("ot_gw_outer_iters", 0),
     ("fixed_queries", 6), ("fixed_queries", 0),
+    ("lr", math.nan), ("alpha", math.inf), ("beta", math.nan), ("lam", math.inf),
+    ("ot_tol", math.nan), ("query_cost", math.inf), ("ot_eps_reg", math.inf),
+    ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0), ("adam_beta2", math.nan),
+    ("adam_eps", 0.0), ("adam_eps", math.inf),
 ])
 def test_config_rejects_bad_derived_settings(field, value):
     from vlgraph.errors import ContractError
