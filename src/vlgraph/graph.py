@@ -394,8 +394,9 @@ def _check_record(rec: dict) -> list[str]:
             problems.append(f"subs[{i}].tokens: not a list")
         elif not toks:
             problems.append(f"subs[{i}].tokens: empty")
-    if isinstance(rec.get("label"), bool) or rec.get("label") not in (0, 1):
-        problems.append(f"label: {rec.get('label')!r} not in {{0, 1}}")
+    label = rec.get("label")
+    if isinstance(label, bool) or label not in (0, 1):
+        problems.append(f"label: {label!r} not in {{0, 1}}")
     return problems
 
 
