@@ -331,9 +331,6 @@ class ValidationReport:
     def n_failures(self) -> int:
         return sum(0 if r.ok else 1 for r in self.records)
 
-    def summary(self) -> str:
-        return f"{len(self.records)} record(s), {self.n_failures} failure(s)"
-
 
 _NUMBER = (int, float)   # JSON numbers; `true` and `false` are not
 

@@ -45,9 +45,6 @@ class NegativeBuffer:
         self.capacity = capacity
         self.rows: Tensor | None = None
 
-    def __len__(self) -> int:
-        return 0 if self.rows is None else self.rows.shape[0]
-
     def push(self, nodes: list[np.ndarray]) -> None:
         new = [np.asarray(v, dtype=np.float64).reshape(1, -1) for v in nodes]
         if not new:

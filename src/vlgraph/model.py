@@ -47,6 +47,7 @@ checks see a fully differentiable function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,27 +56,8 @@ from .errors import ContractError
 from .graph import Clip, ClipGraph, block_bounds, build_clip_graph, project_nodes
 from .tensor import ParamStore, Tensor
 
-
-@dataclass
-class ModelConfig:
-    dim: int
-    halt_eps: float = 0.1
-    max_queries: int = 5
-    query_cost: float = 0.05
-    inter_modal: bool = True
-    intra_modal: bool = True
-    temporal: bool = True
-    fixed_queries: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ContractError("dim must be positive")
-        if not 0.0 < self.halt_eps < 1.0:
-            raise ContractError("halt_eps must lie in (0, 1)")
-        if self.max_queries < 1:
-            raise ContractError("max_queries must be at least 1")
-        if self.fixed_queries is not None and not 1 <= self.fixed_queries <= self.max_queries:
-            raise ContractError("fixed_queries must lie in [1, max_queries]")
+if TYPE_CHECKING:
+    from .train import TrainConfig
 
 
 def linear_layout(d: int, d_v: int, d_s: int, d_h: int) -> list[tuple[str, int, int, bool]]:
@@ -111,7 +93,7 @@ def param_shapes(d: int, d_v: int, d_s: int, d_h: int) -> dict[str, tuple[int, i
     return shapes
 
 
-def init_params(cfg: ModelConfig, d_v: int, d_s: int, d_h: int,
+def init_params(cfg: TrainConfig, d_v: int, d_s: int, d_h: int,
                 rng: np.random.Generator) -> ParamStore:
     """All trainable tensors, including the MI discriminator weight."""
     ps = ParamStore()
@@ -213,7 +195,7 @@ class SegmentTrace:
                 for v, s in zip(block_bounds(self.v_sizes), block_bounds(self.s_sizes))]
 
 
-def refine_segment(V: Tensor, S: Tensor, params: ParamStore, cfg: ModelConfig,
+def refine_segment(V: Tensor, S: Tensor, params: ParamStore, cfg: TrainConfig,
                    v_sizes: tuple[int, ...] = (), s_sizes: tuple[int, ...] = ()) -> SegmentTrace:
     """Cross-modal then intra-modal refinement of all segments of a clip.
 
@@ -278,7 +260,7 @@ class QueryState:
     stopped_early: bool
 
 
-def extract_queries(H: Tensor, params: ParamStore, cfg: ModelConfig,
+def extract_queries(H: Tensor, params: ParamStore, cfg: TrainConfig,
                     force_n: int | None = None) -> QueryState:
     """Attentively extract semantic queries until self-halting fires.
 
@@ -360,7 +342,7 @@ def temporal_pool(T: Tensor, Q: Tensor, params: ParamStore,
 
 
 def reason_over_segments(seg: SegmentTrace, queries: list[Tensor], params: ParamStore,
-                         cfg: ModelConfig) -> TemporalTrace:
+                         cfg: TrainConfig) -> TemporalTrace:
     """Pool every segment under every query, refine each query's block of
     nodes, and pool each block into that query's global node.
 
@@ -416,7 +398,7 @@ class Trace:
         return self.query.n_queries
 
 
-def forward(clip: Clip, params: ParamStore, cfg: ModelConfig,
+def forward(clip: Clip, params: ParamStore, cfg: TrainConfig,
             frozen: FrozenDecisions | None = None) -> Trace:
     graph = build_clip_graph(clip.frames, clip.subs, params)
     H = project_nodes(clip.statement, params, "proj.h")

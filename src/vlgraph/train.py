@@ -7,6 +7,9 @@ step at the end of a window forms each parameter's summed gradient once, in
 one product over all the window's factors, and applies their mean, which
 matches one step on the mean loss of the window. Parameters live in float64
 and are stored in checkpoints as little-endian float32 behind a JSON header.
+
+`TrainConfig` is the one config: the model, the transport solver and the
+training loop read their settings from it, and it checks each setting once.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +25,12 @@ from . import tensor as tn
 from .errors import ContractError, EmptyInputError, FormatError, NumericalError
 from .graph import Clip
 from .mi import ContrastiveResult, NegativeBuffer, contrastive_loss
-from .model import ModelConfig, Trace, forward, init_params, param_shapes
+from .model import Trace, forward, init_params, param_shapes
 from .tensor import ParamStore, Tensor, backward, no_grad
-from .transport import OTConfig, transport_loss
+from .transport import transport_loss
 
 CKPT_MAGIC = b"AHGN1\n"
+CKPT_DTYPE = np.dtype("<f4")   # the one payload type of a checkpoint
 
 # the JSON values each `TrainConfig` annotation accepts (bool is not an int here)
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "int | None": (int, type(None))}
@@ -35,7 +38,12 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "int | Non
 
 @dataclass
 class TrainConfig:
-    """Flat training configuration; mirrors the JSON config file format."""
+    """Every model, transport and training setting, checked once here.
+
+    This is the one config class: `forward`, `solve_plan`, `transport_loss`
+    and `train` all read their settings from it. Its fields are the keys of
+    the JSON config format and of a checkpoint header's `config`.
+    """
 
     dim: int = 512                    # desk-scale runs use 32-64
     halt_eps: float = 0.1
@@ -47,11 +55,11 @@ class TrainConfig:
     seed: int = 0
     alpha: float = 0.1                # transport loss weight
     beta: float = 0.1                 # contrastive loss weight
-    lam: float = 0.5                  # node-cost weight inside the transport
-    ot_eps_reg: float = 0.05
+    lam: float = 0.5                  # node-cost weight inside the fused transport objective
+    ot_eps_reg: float = 0.05          # entropic regularization
     ot_sinkhorn_iters: int = 200
     ot_gw_outer_iters: int = 10
-    ot_tol: float = 1e-6
+    ot_tol: float = 1e-6              # marginal residual target
     neg_buffer: int = 256
     inter_modal: bool = True
     intra_modal: bool = True
@@ -76,8 +84,9 @@ class TrainConfig:
         for name in ("query_cost", "lr", "alpha", "beta", "lam", "ot_tol"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be nonnegative")
-        if self.epochs < 0:
-            raise ContractError("epochs must be nonnegative")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be nonnegative")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ContractError(f"{name} must lie in [0, 1)")
@@ -87,19 +96,12 @@ class TrainConfig:
             raise ContractError(f"fixed_queries must lie in [1, max_queries={self.max_queries}], "
                                 f"got {self.fixed_queries}")
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            dim=self.dim, halt_eps=self.halt_eps, max_queries=self.max_queries,
-            query_cost=self.query_cost, inter_modal=self.inter_modal, intra_modal=self.intra_modal,
-            temporal=self.temporal, fixed_queries=self.fixed_queries,
-        )
+    # `forward` and `transport_loss` take this config itself; both return it
+    def model_config(self) -> TrainConfig:
+        return self
 
-    def ot_config(self) -> OTConfig:
-        return OTConfig(
-            lam=self.lam, alpha=self.alpha, eps_reg=self.ot_eps_reg,
-            sinkhorn_iters=self.ot_sinkhorn_iters,
-            gw_outer_iters=self.ot_gw_outer_iters, tol=self.ot_tol,
-        )
+    def ot_config(self) -> TrainConfig:
+        return self
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -162,7 +164,7 @@ def total_loss(
     """
     ent = tn.softplus(tn.scale(trace.logit, 1.0 - 2.0 * label))
     qe = trace.query.surrogate
-    cm, _ = transport_loss(trace.segments, cfg.ot_config(), frozen_plans=frozen_plans)
+    cm, _ = transport_loss(trace.segments, cfg, frozen_plans=frozen_plans)
     cl_res: ContrastiveResult = contrastive_loss(trace.temporal, params, cfg.beta, buffer)
     total = tn.add(tn.add(tn.add(ent, qe), cm), cl_res.loss)
     return LossBundle(
@@ -235,7 +237,7 @@ class TrainResult:
 
 def run_clip(clip: Clip, params: ParamStore, cfg: TrainConfig,
              buffer: NegativeBuffer | None = None) -> tuple[LossBundle, Trace]:
-    trace = forward(clip, params, cfg.model_config())
+    trace = forward(clip, params, cfg)
     bundle = total_loss(trace, clip.label, params, cfg, buffer)
     return bundle, trace
 
@@ -245,7 +247,6 @@ def train(
     val_clips: list[Clip],
     header: dict,
     cfg: TrainConfig,
-    progress: bool = False,
 ) -> TrainResult:
     """Optimize on `train_clips`; per-epoch accuracy comes from `val_clips`
     (or the training split when no validation split is given).
@@ -256,13 +257,12 @@ def train(
     if not train_clips:
         raise EmptyInputError("training set is empty")
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(cfg.model_config(), header["d_v"], header["d_s"], header["d_h"], rng)
+    params = init_params(cfg, header["d_v"], header["d_s"], header["d_h"], rng)
     opt = Adam(params, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     buffer = NegativeBuffer(cfg.neg_buffer)
     eval_on = val_clips if val_clips else train_clips
     metrics: list[dict] = []
     for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
         order = rng.permutation(len(train_clips))
         params.zero_grad()
         sums = {"l_ent": 0.0, "l_qe_surrogate": 0.0, "l_qe_literal": 0.0,
@@ -286,7 +286,7 @@ def train(
                 buffer.push(pending)
                 pending = []
                 window = 0
-        acc = evaluate_accuracy(eval_on, params, cfg.model_config())
+        acc = evaluate_accuracy(eval_on, params, cfg)
         n = len(train_clips)
         metrics.append({
             "epoch": epoch,
@@ -298,23 +298,17 @@ def train(
             "l_cl": sums["l_cl"] / n,
             "mean_N": n_sum / n,
         })
-        if progress:
-            dt = time.perf_counter() - t0
-            print(f"epoch {epoch}: acc={acc:.4f} "
-                  f"l_ent={metrics[-1]['l_ent']:.4f} l_cm={metrics[-1]['l_cm']:.4f} "
-                  f"l_cl={metrics[-1]['l_cl']:.4f} mean_N={metrics[-1]['mean_N']:.2f} "
-                  f"({dt:.1f}s)", flush=True)
     return TrainResult(params=params, metrics=metrics, config=cfg)
 
 
-def evaluate_accuracy(clips: list[Clip], params: ParamStore, mcfg: ModelConfig) -> float:
+def evaluate_accuracy(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -> float:
     """Fraction of clips where (prob > 0.5) matches the label (tie counts as 0)."""
     if not clips:
         raise EmptyInputError("evaluation set is empty")
     correct = 0
     with no_grad():
         for clip in clips:
-            pred = 1 if forward(clip, params, mcfg).prob.item() > 0.5 else 0
+            pred = 1 if forward(clip, params, cfg).prob.item() > 0.5 else 0
             correct += int(pred == clip.label)
     return correct / len(clips)
 
@@ -349,13 +343,16 @@ def evaluate(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -> EvalRes
 # ---------------------------------------------------------------- checkpoints
 
 def save_checkpoint(path: str, params: ParamStore, cfg: TrainConfig) -> None:
-    """Magic, JSON header (name -> shape/dtype/offset), then f32 payload."""
+    """Magic, JSON header (name -> shape/dtype/offset), then f32 payload.
+
+    The payload holds the parameters in sorted name order, back to back.
+    """
     entries: dict[str, dict] = {}
     offset = 0
     blobs: list[bytes] = []
     for name, p in params.items():
-        blob = p.data.astype("<f4").tobytes()
-        entries[name] = {"shape": list(p.data.shape), "dtype": "<f4", "offset": offset}
+        blob = p.data.astype(CKPT_DTYPE).tobytes()
+        entries[name] = {"shape": list(p.data.shape), "dtype": CKPT_DTYPE.str, "offset": offset}
         offset += len(blob)
         blobs.append(blob)
     header = {"params": entries, "config": cfg.to_dict()}
@@ -377,8 +374,8 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
-def _param_entry(path: str, name: str, meta) -> tuple[tuple[int, ...], np.dtype, int]:
-    """(shape, dtype, offset) of one header entry, or FormatError naming the field."""
+def _param_entry(path: str, name: str, meta) -> tuple[tuple[int, ...], int]:
+    """(shape, offset) of one header entry, or FormatError naming the field."""
     where = f"{path}: parameter {name!r}"
     if not isinstance(meta, dict):
         raise FormatError(f"{where}: entry is a {type(meta).__name__}, not an object")
@@ -390,13 +387,9 @@ def _param_entry(path: str, name: str, meta) -> tuple[tuple[int, ...], np.dtype,
         raise FormatError(f"{where}: 'shape' {shape!r} is not a list of nonnegative integers")
     if not _is_count(meta["offset"]):
         raise FormatError(f"{where}: 'offset' {meta['offset']!r} is not a nonnegative integer")
-    try:
-        dtype = np.dtype(meta["dtype"])
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"{where}: 'dtype' {meta['dtype']!r} is not a dtype: {e}") from e
-    if dtype.kind != "f":
-        raise FormatError(f"{where}: 'dtype' {meta['dtype']!r} is not a float type")
-    return tuple(shape), dtype, meta["offset"]
+    if meta["dtype"] != CKPT_DTYPE.str:
+        raise FormatError(f"{where}: 'dtype' {meta['dtype']!r} is not {CKPT_DTYPE.str!r}")
+    return tuple(shape), meta["offset"]
 
 
 def _check_layout(path: str, shapes: dict[str, tuple[int, ...]], dim: int) -> None:
@@ -445,12 +438,18 @@ def load_checkpoint(path: str) -> CheckpointData:
     _check_layout(path, {name: entry[0] for name, entry in entries.items()}, cfg.dim)
     payload = blob[head_start + head_len :]
     params = ParamStore()
-    for name, (shape, dtype, start) in entries.items():
+    end = 0
+    for name, (shape, start) in sorted(entries.items()):
+        if start != end:
+            raise FormatError(f"{path}: parameter {name!r}: 'offset' {start} is not {end}, "
+                              f"the end of the parameters before it in name order")
         count = math.prod(shape)
-        end = start + count * dtype.itemsize
+        end = start + count * CKPT_DTYPE.itemsize
         if end > len(payload):
             raise FormatError(f"{path}: parameter {name!r} needs payload bytes "
                               f"{start}..{end}, but the payload has {len(payload)}")
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=start)
+        arr = np.frombuffer(payload, dtype=CKPT_DTYPE, count=count, offset=start)
         params.add(name, arr.astype(np.float64).reshape(shape))
+    if end != len(payload):
+        raise FormatError(f"{path}: {len(payload) - end} trailing byte(s) after the last parameter")
     return CheckpointData(params=params, config=cfg)

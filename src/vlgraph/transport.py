@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,23 +32,10 @@ from .errors import ContractError, NumericalError, ShapeError
 from .model import SegmentTrace
 from .tensor import Tensor
 
+if TYPE_CHECKING:
+    from .train import TrainConfig
+
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class OTConfig:
-    lam: float = 0.5              # node-cost weight inside the fused objective
-    alpha: float = 0.1            # loss weight applied by transport_loss
-    eps_reg: float = 0.05         # entropic regularization
-    sinkhorn_iters: int = 200
-    gw_outer_iters: int = 10
-    tol: float = 1e-6             # marginal residual target
-
-    def __post_init__(self) -> None:
-        if self.eps_reg <= 0:
-            raise ContractError("eps_reg must be positive")
-        if self.sinkhorn_iters < 1 or self.gw_outer_iters < 1:
-            raise ContractError("iteration caps must be at least 1")
 
 
 @dataclass
@@ -124,7 +112,7 @@ def solve_plan(
     node_cost: np.ndarray,
     intra_a: np.ndarray,
     intra_b: np.ndarray,
-    cfg: OTConfig,
+    cfg: TrainConfig,
 ) -> Coupling:
     """Fused node/structure transport with uniform marginals."""
     node_cost = np.asarray(node_cost, dtype=np.float64)
@@ -137,24 +125,24 @@ def solve_plan(
     plan = np.outer(p, q)
     warm = None
     err = np.inf
-    for _ in range(cfg.gw_outer_iters):
+    for _ in range(cfg.ot_gw_outer_iters):
         linear = cfg.lam * node_cost + structure.linearize(plan)
         new_plan, err, warm = sinkhorn(
-            linear, p, q, cfg.eps_reg, cfg.sinkhorn_iters, cfg.tol, warm
+            linear, p, q, cfg.ot_eps_reg, cfg.ot_sinkhorn_iters, cfg.ot_tol, warm
         )
         delta = float(np.abs(new_plan - plan).max())
         plan = new_plan
-        if delta <= cfg.tol:
+        if delta <= cfg.ot_tol:
             break
     fused = cfg.lam * node_cost + structure.linearize(plan)
     distance = float((plan * fused).sum())
     return Coupling(plan=plan, p=p, q=q, distance=distance, marginal_err=err,
-                    converged=err <= cfg.tol, structure=structure)
+                    converged=err <= cfg.ot_tol, structure=structure)
 
 
 def transport_loss(
     segments: SegmentTrace,
-    cfg: OTConfig,
+    cfg: TrainConfig,
     frozen_plans: list[np.ndarray] | None = None,
 ) -> tuple[Tensor, list[np.ndarray]]:
     """Mean per-segment fused distance, scaled by alpha, on the tape.

@@ -76,6 +76,13 @@ def test_frameless_line_dropped_and_logged(caplog):
     assert "dropped" in caplog.text
 
 
+def test_line_whose_span_collapses_under_clipping_dropped():
+    # both lines start at 0.0, so the first is clipped to [0, 0) and dropped
+    seg = segment_clip(frames_at(0.5), lines((0, 1), (0, 2)))
+    assert seg.dropped_lines == [0]
+    assert seg.line_index == [1] and seg.spans == [(0, 2)]
+
+
 def test_segment_order_follows_start_times():
     seg = segment_clip(frames_at(0.5, 2.5), [
         SubtitleLine(t0=2.0, t1=3.0, tokens=np.ones((1, 2))),
@@ -200,8 +207,8 @@ def with_field(**fields):
 
 def bad_records():
     """Problem id -> (record, what the error must say about it)."""
-    no_statement, no_id = record(), record()
-    del no_statement["statement"], no_id["clip_id"]
+    no_statement, no_id, no_feature = record(), record(), record()
+    del no_statement["statement"], no_id["clip_id"], no_feature["frames"][0]["f"]
     return {
         "statement": (no_statement, "statement"),
         "d_v": (record(frame_w=2), "d_v"),
@@ -221,6 +228,14 @@ def bad_records():
         "infinite span end": (with_field(**{"subs.0.t1": float("inf")}), "subs[0].t1: not finite"),
         "infinite span start": (with_field(**{"subs.0.t0": float("-inf")}),
                                 "subs[0].t0: not finite"),
+        "frame without feature": (no_feature, "frames[0].f: missing"),
+        "negative frame time": (with_field(**{"frames.0.t": -0.5}), "frames[0].t: negative"),
+        "sub not an object": (with_field(subs=[5]), "subs[0]: not an object"),
+        "string span start": (with_field(**{"subs.0.t0": "0"}),
+                              "subs[0]: span bounds t0, t1 not numbers"),
+        "empty span": (with_field(**{"subs.0.t1": 0.0}), "subs[0]: span [0.0, 0.0) not increasing"),
+        "tokens not a list": (with_field(**{"subs.0.tokens": "ab"}), "subs[0].tokens: not a list"),
+        "no tokens": (with_field(**{"subs.0.tokens": []}), "subs[0].tokens: empty"),
     }
 
 
@@ -242,12 +257,21 @@ def test_read_dataset_rejects_bad_record_with_line(tmp_path, problem):
     ({**HEADER, "d_s": True}, "header 'd_s': True is not a positive integer"),
     ({**HEADER, "d_h": 2.0}, "header 'd_h': 2.0 is not a positive integer"),
     ({**HEADER, "d_v": "3"}, "header 'd_v': '3' is not a positive integer"),
+    ({"d_v": 3, "d_s": 2}, "header missing 'd_h'"),
 ])
 def test_dataset_header_must_declare_positive_widths(tmp_path, header, message):
     path = write(tmp_path, [record()], header=header)
     for read in (gr.read_dataset, gr.validate_dataset):
         with pytest.raises(ValidationError, match=rf"data\.jsonl:1: {re.escape(message)}"):
             read(path)
+
+
+def test_dataset_header_that_is_not_json_rejected(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text("{not json\n" + json.dumps(record()) + "\n")
+    for read in (gr.read_dataset, gr.validate_dataset):
+        with pytest.raises(ValidationError, match=r"data\.jsonl:1: header is not valid JSON"):
+            read(str(path))
 
 
 def test_read_dataset_rejects_line_that_is_not_json(tmp_path):

@@ -9,7 +9,6 @@ from vlgraph.graph import Clip, FrameNode, SubtitleLine
 from vlgraph.mi import NegativeBuffer, contrastive_loss
 from vlgraph.model import (
     FrozenDecisions,
-    ModelConfig,
     extract_queries,
     forward,
     init_params,
@@ -22,10 +21,11 @@ from vlgraph.model import (
     temporal_pool,
 )
 from vlgraph.tensor import Tensor, grad_check
+from vlgraph.train import TrainConfig
 
 
 def cfg_of(d=4, **kw):
-    return ModelConfig(dim=d, **kw)
+    return TrainConfig(dim=d, **kw)
 
 
 def params_of(rng, d=4, d_v=3, d_s=3, d_h=3):

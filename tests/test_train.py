@@ -417,8 +417,11 @@ def test_checkpoint_header_with_rng_state_still_loads(tmp_path):
     (lambda e: [e["shape"], e["dtype"], e["offset"]], "not an object"),
     (lambda e: {k: v for k, v in e.items() if k != "shape"}, "shape"),
     (lambda e: {**e, "shape": [2, -3]}, "shape"),
+    (lambda e: {**e, "dtype": "<f8"}, "dtype"),
+    (lambda e: {**e, "offset": 0}, "offset"),
+    (lambda e: {**e, "offset": e["offset"] + 4}, "offset"),
 ], ids=["negative offset", "string dtype", "unknown dtype", "list entry", "no shape",
-        "negative dim"])
+        "negative dim", "float64 dtype", "aliased offset", "gap before"])
 def test_checkpoint_bad_parameter_entry_rejected(tmp_path, change, field):
     path = _small_checkpoint(tmp_path)
 
@@ -427,6 +430,13 @@ def test_checkpoint_bad_parameter_entry_rejected(tmp_path, change, field):
 
     _edit_header(path, edit)
     with pytest.raises(FormatError, match=rf"model\.ckpt: parameter 'pool\.fuse\.w'.*{field}"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = _small_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 13)
+    with pytest.raises(FormatError, match=r"model\.ckpt: 13 trailing byte\(s\)"):
         load_checkpoint(str(path))
 
 
@@ -458,7 +468,7 @@ def test_checkpoint_parameters_must_match_the_model_layout(tmp_path):
     ("lr", math.nan), ("alpha", math.inf), ("beta", math.nan), ("lam", math.inf),
     ("ot_tol", math.nan), ("query_cost", math.inf), ("ot_eps_reg", math.inf),
     ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0), ("adam_beta2", math.nan),
-    ("adam_eps", 0.0), ("adam_eps", math.inf),
+    ("adam_eps", 0.0), ("adam_eps", math.inf), ("seed", -1),
 ])
 def test_config_rejects_bad_derived_settings(field, value):
     from vlgraph.errors import ContractError

@@ -7,9 +7,9 @@ from vlgraph import tensor as tn
 from vlgraph.errors import ContractError, ShapeError
 from vlgraph.model import SegmentTrace
 from vlgraph.tensor import ParamStore, Tensor, backward, grad_check
+from vlgraph.train import TrainConfig
 from vlgraph.transport import (
     Coupling,
-    OTConfig,
     sinkhorn,
     solve_plan,
     transport_loss,
@@ -25,7 +25,7 @@ def np_cosine_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - (a / na).T @ (b / nb), 0.0, 2.0)
 
 
-def got_distance(a: np.ndarray, b: np.ndarray, cfg: OTConfig) -> tuple[float, Coupling]:
+def got_distance(a: np.ndarray, b: np.ndarray, cfg: TrainConfig) -> tuple[float, Coupling]:
     """Fused transport distance between two node matrices (columns = nodes)."""
     coupling = solve_plan(np_cosine_cost(a, b), np_cosine_cost(a, a), np_cosine_cost(b, b), cfg)
     return coupling.distance, coupling
@@ -55,12 +55,13 @@ def dense_solve_plan(node_cost, intra_a, intra_b, cfg):
     gap = np.abs(intra_a[:, None, :, None] - intra_b[None, :, None, :])
     plan = np.outer(p, q)
     warm = None
-    for _ in range(cfg.gw_outer_iters):
+    for _ in range(cfg.ot_gw_outer_iters):
         linear = cfg.lam * node_cost + np.einsum("ijkl,kl->ij", gap, plan)
-        new_plan, _, warm = sinkhorn(linear, p, q, cfg.eps_reg, cfg.sinkhorn_iters, cfg.tol, warm)
+        new_plan, _, warm = sinkhorn(linear, p, q, cfg.ot_eps_reg, cfg.ot_sinkhorn_iters,
+                                     cfg.ot_tol, warm)
         delta = float(np.abs(new_plan - plan).max())
         plan = new_plan
-        if delta <= cfg.tol:
+        if delta <= cfg.ot_tol:
             break
     fused = cfg.lam * node_cost + np.einsum("ijkl,kl->ij", gap, plan)
     return plan, float((plan * fused).sum())
@@ -73,8 +74,8 @@ def uniform(n):
 def tight_cfg(eps=1e-3, lam=1.0, alpha=0.1, tol=1e-5):
     # at eps=1e-3 the marginal error stalls near 1e-6 in float64 while the
     # transported cost is already accurate at 1e-5; don't burn the iter cap
-    return OTConfig(lam=lam, alpha=alpha, eps_reg=eps, sinkhorn_iters=20000,
-                    gw_outer_iters=10, tol=tol)
+    return TrainConfig(lam=lam, alpha=alpha, ot_eps_reg=eps, ot_sinkhorn_iters=20000,
+                       ot_gw_outer_iters=10, ot_tol=tol)
 
 
 # ----------------------------------------------------------------- sinkhorn
@@ -176,11 +177,11 @@ def test_distance_nonincreasing_in_regularization():
     cost = rng.uniform(0.0, 2.0, size=(5, 4))
     self_vals, wd_vals = [], []
     for eps in (0.1, 0.05, 0.01, 0.001):
-        cfg = OTConfig(lam=0.5, eps_reg=eps, sinkhorn_iters=20000,
-                       gw_outer_iters=10, tol=1e-8)
+        cfg = TrainConfig(lam=0.5, ot_eps_reg=eps, ot_sinkhorn_iters=20000,
+                          ot_gw_outer_iters=10, ot_tol=1e-8)
         self_vals.append(got_distance(nodes, nodes, cfg)[0])
-        cfg_wd = OTConfig(lam=1.0, eps_reg=eps, sinkhorn_iters=20000,
-                          gw_outer_iters=10, tol=1e-8)
+        cfg_wd = TrainConfig(lam=1.0, ot_eps_reg=eps, ot_sinkhorn_iters=20000,
+                             ot_gw_outer_iters=10, ot_tol=1e-8)
         wd_vals.append(solve_plan(cost, np.zeros((5, 5)), np.zeros((4, 4)), cfg_wd).distance)
     for series in (self_vals, wd_vals):
         for hi, lo in zip(series, series[1:]):
@@ -200,7 +201,7 @@ def test_node_relabeling_invariance():
 
 
 def test_solve_plan_matches_dense_structure_oracle():
-    cfg = OTConfig(sinkhorn_iters=500)
+    cfg = TrainConfig(ot_sinkhorn_iters=500)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         k, t = (int(x) for x in rng.integers(1, 9, size=2))
@@ -216,7 +217,7 @@ def test_solve_plan_matches_dense_structure_oracle():
 def test_marginals_satisfied_on_coupling():
     rng = np.random.default_rng(6)
     _, coupling = got_distance(rng.standard_normal((4, 5)), rng.standard_normal((4, 3)),
-                               OTConfig(sinkhorn_iters=2000))
+                               TrainConfig(ot_sinkhorn_iters=2000))
     assert np.abs(coupling.plan.sum(axis=1) - coupling.p).max() <= 1e-6
     assert np.abs(coupling.plan.sum(axis=0) - coupling.q).max() <= 1e-6
 
@@ -230,7 +231,7 @@ def seg_of(rng, d=4, k=3, n_tokens=2):
 
 def test_loss_zero_when_alpha_zero():
     rng = np.random.default_rng(7)
-    loss, plans = transport_loss(seg_of(rng), OTConfig(alpha=0.0))
+    loss, plans = transport_loss(seg_of(rng), TrainConfig(alpha=0.0))
     assert loss.item() == 0.0 and plans == []
 
 
@@ -245,7 +246,7 @@ def test_loss_identical_modalities_small():
 def test_loss_is_mean_over_segments():
     rng = np.random.default_rng(9)
     s1, s2 = seg_of(rng), seg_of(rng, k=2, n_tokens=3)
-    cfg = OTConfig(alpha=0.2, sinkhorn_iters=2000)
+    cfg = TrainConfig(alpha=0.2, ot_sinkhorn_iters=2000)
     l1 = transport_loss(s1, cfg)[0].item()
     l2 = transport_loss(s2, cfg)[0].item()
     s12 = SegmentTrace(visual=tn.concat([s1.visual, s2.visual], axis=1),
@@ -259,7 +260,7 @@ def test_loss_gradients_flow_through_costs_with_frozen_plan():
     ps = ParamStore()
     ps.add("v", rng.standard_normal((3, 3)))
     ps.add("s", rng.standard_normal((3, 2)))
-    cfg = OTConfig(alpha=0.3, sinkhorn_iters=2000)
+    cfg = TrainConfig(alpha=0.3, ot_sinkhorn_iters=2000)
 
     def seg():
         return SegmentTrace(visual=ps["v"], text=ps["s"])
@@ -272,7 +273,7 @@ def test_loss_gradients_flow_through_costs_with_frozen_plan():
 def test_frozen_plans_reproduce_solution():
     rng = np.random.default_rng(11)
     seg = seg_of(rng)
-    cfg = OTConfig(sinkhorn_iters=2000)
+    cfg = TrainConfig(ot_sinkhorn_iters=2000)
     l1, plans = transport_loss(seg, cfg)
     l2, _ = transport_loss(seg, cfg, frozen_plans=plans)
     assert l1.item() == l2.item()
@@ -284,7 +285,7 @@ def test_loss_backward_reaches_upstream_parameters():
     ps.add("v", rng.standard_normal((3, 4)))
     ps.add("s", rng.standard_normal((3, 2)))
     loss, _ = transport_loss(SegmentTrace(visual=ps["v"], text=ps["s"]),
-                             OTConfig(sinkhorn_iters=500))
+                             TrainConfig(ot_sinkhorn_iters=500))
     grads = backward(loss, ps)
     assert np.any(grads["v"] != 0) and np.any(grads["s"] != 0)
 
@@ -296,10 +297,10 @@ def two_segments(rng):
 
 def test_frozen_plan_count_must_match_segments():
     both = two_segments(np.random.default_rng(13))
-    _, plans = transport_loss(both, OTConfig())
+    _, plans = transport_loss(both, TrainConfig())
     for wrong in (plans[:1], plans + plans[:1]):
         with pytest.raises(ContractError, match=rf"{len(wrong)} frozen plans for 2 segments"):
-            transport_loss(both, OTConfig(), frozen_plans=wrong)
+            transport_loss(both, TrainConfig(), frozen_plans=wrong)
 
 
 def test_structure_is_built_once_per_segment(monkeypatch):
@@ -312,9 +313,9 @@ def test_structure_is_built_once_per_segment(monkeypatch):
 
     monkeypatch.setattr(tn, "SortedStructure", Counted)
     both = two_segments(np.random.default_rng(14))
-    _, plans = transport_loss(both, OTConfig())
+    _, plans = transport_loss(both, TrainConfig())
     # the solve's structure is handed on to the loss term
     assert built == [((2, 2), (3, 3)), ((3, 3), (2, 2))]
     # frozen plans come without one, so the loss term builds its own
-    transport_loss(both, OTConfig(), frozen_plans=plans)
+    transport_loss(both, TrainConfig(), frozen_plans=plans)
     assert len(built) == 4
