@@ -178,13 +178,19 @@ class Adam:
     """Adam with bias correction; parameter order is the sorted name order.
 
     Each step forms every parameter's gradient g (`Parameter.form_grad`:
-    pending factors plus `.grad`) into one of two scratch arrays sized to the
-    largest parameter and shared by all of them, scales it, and updates in
-    place in the same operation order as m = b1 m + (1 - b1) g,
+    pending factors plus `.grad`) into a scratch array sized to the largest
+    parameter and shared by all of them, then scales it and updates in place
+    in the same operation order as m = b1 m + (1 - b1) g,
     v = b2 v + (1 - b2) g g, p -= lr (m / bc1) / (sqrt(v / bc2) + eps), so
-    the result is bitwise the same. It reads the gradients and leaves them as
-    they were; `ParamStore.zero_grad` drops them.
+    the result is bitwise the same. The update runs over consecutive blocks
+    of `BLOCK` entries: the five arrays it touches (p, m, v, g and a
+    temporary) then take 256 KiB each per block and stay in a 2 MiB L2
+    cache through the fifteen passes of the update, instead of streaming a
+    paper-width weight from memory on every pass. It reads the gradients and
+    leaves them as they were; `ParamStore.zero_grad` drops them.
     """
+
+    BLOCK = 32_768
 
     def __init__(self, params: ParamStore, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -197,7 +203,8 @@ class Adam:
         self._m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in params.items()}
         size = max((p.data.size for _, p in params.items()), default=0)
-        self._scratch = (np.empty(size), np.empty(size))
+        self._grad = np.empty(size)
+        self._tmp = np.empty(min(size, self.BLOCK))
 
     def step(self, grad_scale: float = 1.0) -> None:
         self.t += 1
@@ -205,25 +212,29 @@ class Adam:
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            g, tmp = (s[: p.data.size].reshape(p.data.shape) for s in self._scratch)
-            p.form_grad(g)
-            g *= grad_scale
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            np.multiply(g, 1 - b1, out=tmp)
-            m += tmp
-            v *= b2
-            np.multiply(g, 1 - b2, out=tmp)
-            tmp *= g
-            v += tmp
-            np.divide(v, bc2, out=g)
-            np.sqrt(g, out=g)
-            g += self.eps
-            np.divide(m, bc1, out=tmp)
-            tmp *= self.lr
-            tmp /= g
-            p.data -= tmp
+            size = p.data.size
+            p.form_grad(self._grad[:size].reshape(p.data.shape))
+            flat = (p.data.reshape(-1), self._m[name].reshape(-1), self._v[name].reshape(-1),
+                    self._grad)
+            for lo in range(0, size, self.BLOCK):
+                hi = min(lo + self.BLOCK, size)
+                data, m, v, g = (a[lo:hi] for a in flat)
+                tmp = self._tmp[: hi - lo]
+                g *= grad_scale
+                m *= b1
+                np.multiply(g, 1 - b1, out=tmp)
+                m += tmp
+                v *= b2
+                np.multiply(g, 1 - b2, out=tmp)
+                tmp *= g
+                v += tmp
+                np.divide(v, bc2, out=g)
+                np.sqrt(g, out=g)
+                g += self.eps
+                np.divide(m, bc1, out=tmp)
+                tmp *= self.lr
+                tmp /= g
+                data -= tmp
 
 
 # ------------------------------------------------------------------ training
@@ -273,7 +284,10 @@ def train(
         for pos, idx in enumerate(order):
             clip = train_clips[idx]
             bundle, trace = run_clip(clip, params, cfg, buffer)
-            bundle.check_finite()
+            try:
+                bundle.check_finite()
+            except NumericalError as e:
+                raise NumericalError(f"clip {clip.clip_id!r}, epoch {epoch}: {e}") from e
             backward(bundle.total)
             pending.extend(trace.temporal.nodes.data.T)
             for key, val in bundle.as_floats().items():
@@ -449,6 +463,13 @@ def load_checkpoint(path: str) -> CheckpointData:
             raise FormatError(f"{path}: parameter {name!r} needs payload bytes "
                               f"{start}..{end}, but the payload has {len(payload)}")
         arr = np.frombuffer(payload, dtype=CKPT_DTYPE, count=count, offset=start)
+        # a float64 sum of float32 values cannot overflow: it is finite exactly
+        # when every value is, so one sum checks the whole parameter (+inf and
+        # -inf together sum to NaN, which numpy would flag as invalid)
+        with np.errstate(invalid="ignore"):
+            total = arr.sum(dtype=np.float64)
+        if not math.isfinite(total):
+            raise FormatError(f"{path}: parameter {name!r} holds a non-finite value")
         params.add(name, arr.astype(np.float64).reshape(shape))
     if end != len(payload):
         raise FormatError(f"{path}: {len(payload) - end} trailing byte(s) after the last parameter")

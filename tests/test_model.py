@@ -317,6 +317,17 @@ def test_forced_query_count():
     assert qs.n_queries == 4
 
 
+def test_forced_query_count_outside_the_range_rejected():
+    from vlgraph.errors import ContractError
+    rng = np.random.default_rng(11)
+    ps = params_of(rng)
+    clip = make_clip(rng)
+    cfg = cfg_of(max_queries=5)
+    for n in (0, -2, 9):
+        with pytest.raises(ContractError, match=rf"max_queries=5\], got {n}"):
+            forward(clip, ps, cfg, frozen=FrozenDecisions(n_queries=n))
+
+
 def test_query_attention_rows_are_probabilities():
     rng = np.random.default_rng(12)
     ps = params_of(rng)

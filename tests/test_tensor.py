@@ -128,6 +128,26 @@ def test_softmax_outputs_are_probabilities(xs):
 
 # ---------------------------------------------------------------- sigmoid
 
+def masked_sigmoid(x):
+    """The two-branch sigmoid by boolean-mask gathers: the oracle for
+    `tn._sigmoid`, which takes the same branches without gathering."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def test_sigmoid_is_bitwise_the_masked_reference():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 745.2, -745.2,
+                        tiny, -tiny, 1e-310, -1e-310, np.nan])
+    draws = np.random.default_rng(31).uniform(-800.0, 800.0, size=(512, 12))
+    for x in (special.reshape(-1, 1), draws, draws / 100.0):
+        assert np.array_equal(tn._sigmoid(x), masked_sigmoid(x), equal_nan=True)
+
+
 def test_sigmoid_values():
     assert tn.sigmoid(Tensor([0.0])).item() == 0.5
     assert abs(tn.sigmoid(Tensor([1.0])).item() - 0.7310586) < 1e-7
@@ -240,6 +260,19 @@ def test_parameter_gradient_mixes_direct_and_factored_parts():
         Adam(store, 1e-2).step()
     for name, p in deferred.items():
         assert np.array_equal(p.data, formed[name].data), name
+
+
+@pytest.mark.parametrize("shape", [(512, 1536), (512, 1024), (512, 512)])
+@pytest.mark.parametrize("cols", [1, 2, 12])
+def test_weight_input_gradient_matches_the_plain_product(shape, cols):
+    # the right operand's gradient of W X, W a parameter, is W^T G
+    rng = np.random.default_rng(cols)
+    ps = make_params(rng, w=shape)
+    x = Tensor(rng.standard_normal((shape[1], cols)), requires_grad=True)
+    g = rng.standard_normal((shape[0], cols))
+    backward(tn.mul(tn.matmul(ps["w"], x), Tensor(g)).sum())
+    want = ps["w"].data.T @ g
+    assert np.linalg.norm(x.grad - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_backward_accumulates_until_zero_grad():

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,21 @@ def test_nonfinite_loss_aborts_with_component_name():
         bundle.check_finite()
 
 
+def test_nonfinite_loss_in_training_names_the_clip_and_epoch(monkeypatch):
+    clips = clips_of(3)
+    bad = clips[1].clip_id
+
+    def forward_with_nan_logit(clip, params, cfg, frozen=None):
+        trace = forward(clip, params, cfg, frozen)
+        if clip.clip_id == bad:
+            trace.logit = Tensor(math.nan)
+        return trace
+
+    monkeypatch.setattr("vlgraph.train.forward", forward_with_nan_logit)
+    with pytest.raises(NumericalError, match=rf"clip '{re.escape(bad)}', epoch 1: loss component l_ent"):
+        train(clips, [], HEADER, small_cfg())
+
+
 # ---------------------------------------------------------------- optimizer
 
 def test_zero_learning_rate_leaves_parameters_unchanged():
@@ -198,7 +214,8 @@ def reference_adam_steps(params, grads, lr, b1, b2, eps, grad_scale):
 
 def test_adam_step_is_bitwise_the_reference_update():
     rng = np.random.default_rng(21)
-    shapes = {"big": (7, 9), "col": (5, 1), "idle": (3, 4), "small": (2, 2)}
+    # "wide" spans several of the step's blocks, the last one partial
+    shapes = {"big": (7, 9), "col": (5, 1), "idle": (3, 4), "small": (2, 2), "wide": (300, 400)}
     ps = ParamStore()
     for name, shape in shapes.items():
         ps.add(name, rng.standard_normal(shape))
@@ -430,6 +447,17 @@ def test_checkpoint_bad_parameter_entry_rejected(tmp_path, change, field):
 
     _edit_header(path, edit)
     with pytest.raises(FormatError, match=rf"model\.ckpt: parameter 'pool\.fuse\.w'.*{field}"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_checkpoint_nonfinite_parameter_value_rejected(tmp_path, value):
+    cfg = small_cfg()
+    params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(0))
+    params["head.out.b"].data[:] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), params, cfg)
+    with pytest.raises(FormatError, match=r"model\.ckpt: parameter 'head\.out\.b' holds a non-finite"):
         load_checkpoint(str(path))
 
 
