@@ -470,7 +470,7 @@ def load_checkpoint(path: str) -> CheckpointData:
             total = arr.sum(dtype=np.float64)
         if not math.isfinite(total):
             raise FormatError(f"{path}: parameter {name!r} holds a non-finite value")
-        params.add(name, arr.astype(np.float64).reshape(shape))
+        params.add(name, arr.reshape(shape))   # Parameter converts to float64, once
     if end != len(payload):
         raise FormatError(f"{path}: {len(payload) - end} trailing byte(s) after the last parameter")
     return CheckpointData(params=params, config=cfg)
