@@ -273,7 +273,7 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: TrainConfig,
         raise ContractError("statement must have at least one token")
     if force_n is None:
         force_n = cfg.fixed_queries
-    if force_n is not None and not 1 <= force_n <= cfg.max_queries:
+    elif not 1 <= force_n <= cfg.max_queries:
         raise ContractError(f"forced query count must lie in [1, max_queries={cfg.max_queries}], "
                             f"got {force_n}")
     g_h = H.mean(axis=1)

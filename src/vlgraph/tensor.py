@@ -16,12 +16,13 @@ Parameter gradients are kept as factors. A `Parameter` (the tensors a
 `ParamStore` holds) that is the left operand W of a matmul W X does not get
 that matmul's weight gradient G X^T, G the output gradient, at once: the
 backward appends the pair (G, X) to the parameter's `factors` and computes
-only the input gradient W^T G, which the rest of the tape needs. That
-input gradient is formed as (G^T W)^T: BLAS then reads W in its stored
-row-major layout instead of as a transposed operand, which at the paper's
-width takes half the time for the few-column G of one clip, with the same
-result. Other matmuls keep the plain W^T G; at small widths the layout
-gains nothing.
+only the input gradient W^T G, which the rest of the tape needs.
+Every matmul A B forms its right operand's gradient A^T G as (G^T A)^T:
+BLAS then reads A in its stored row-major layout instead of as a
+transposed operand. For the paper's (512, 512)-(512, 1536) weights and the
+few-column G of one clip that takes half the time, with the same bits;
+under about 64k entries of A it costs a few microseconds more per product,
+too little to show in a training call, so one expression serves all.
 `Parameter.form_grad` later forms sum_k G_k X_k^T as one product of the
 concatenated factors, plus whatever reached `.grad` directly (biases, other
 ops). `backward(loss, params)` forms every parameter's gradient before it
@@ -225,8 +226,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         elif a.requires_grad:
             _acc(a, out.grad @ b.data.T)
         if b.requires_grad:
-            # a weight's W^T G as (G^T W)^T, W read in its stored layout (module docstring)
-            _acc(b, (out.grad.T @ a.data).T if isinstance(a, Parameter) else a.data.T @ out.grad)
+            # A^T G as (G^T A)^T, A read in its stored layout (module docstring)
+            _acc(b, (out.grad.T @ a.data).T)
 
     return _make(a.data @ b.data, (a, b), bw)
 

@@ -265,14 +265,15 @@ def test_parameter_gradient_mixes_direct_and_factored_parts():
 @pytest.mark.parametrize("shape", [(512, 1536), (512, 1024), (512, 512)])
 @pytest.mark.parametrize("cols", [1, 2, 12])
 def test_weight_input_gradient_matches_the_plain_product(shape, cols):
-    # the right operand's gradient of W X, W a parameter, is W^T G
+    # the right operand's gradient of W X is W^T G, W a parameter or a plain tensor
     rng = np.random.default_rng(cols)
     ps = make_params(rng, w=shape)
-    x = Tensor(rng.standard_normal((shape[1], cols)), requires_grad=True)
     g = rng.standard_normal((shape[0], cols))
-    backward(tn.mul(tn.matmul(ps["w"], x), Tensor(g)).sum())
-    want = ps["w"].data.T @ g
-    assert np.linalg.norm(x.grad - want) <= 1e-12 * np.linalg.norm(want)
+    for w in (ps["w"], Tensor(ps["w"].data)):
+        x = Tensor(rng.standard_normal((shape[1], cols)), requires_grad=True)
+        backward(tn.mul(tn.matmul(w, x), Tensor(g)).sum())
+        want = ps["w"].data.T @ g
+        assert np.linalg.norm(x.grad - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_backward_accumulates_until_zero_grad():
