@@ -1,11 +1,15 @@
-"""Three-hierarchy reasoning network over clip graphs.
+"""Three-hierarchy reasoning network over clip graphs, for a batch of clips.
 
-Layout: a clip is one frame-node matrix V (d, K) and one token-node matrix
-S (d, L). Their columns are grouped by segment, in segmentation order, and
-each segment owns one block of consecutive columns of each (`v_sizes`,
-`s_sizes`). Every level runs once per clip over all blocks, so each weight
-meets one matmul per clip, not one per segment or per query. This is the
-disjoint union of the per-segment graphs as one block-diagonal graph.
+Layout: a batch is one frame-node matrix V (d, K) and one token-node matrix
+S (d, L) for all its clips. Their columns are grouped by clip, then by
+segment in segmentation order, and each segment owns one block of
+consecutive columns of each (`v_sizes`, `s_sizes`). Every level runs once
+per batch over all blocks, so each weight meets one matmul per batch, not
+one per clip, segment or query. This is the disjoint union of the
+per-segment graphs of every clip as one block-diagonal graph: no weight of
+attention, message passing or pooling crosses a block, so a clip's outputs
+do not depend on its batch-mates. `forward` runs one clip as a batch of one
+through the same code; `train` decides how many clips run together.
 
 Every level does the same two things, each through one helper. `attend`
 pools nodes under key columns, X @ softmax(X^T keys + mask), with a
@@ -19,25 +23,29 @@ output arrays it computed.
 
 Segment level: cross-modal passing refines each modality with the other,
 then intra-modal passing (Y = X) refines within a modality. Every segment
-is then pooled under every semantic query at once: the keys of a modality
-are its query keys repeated over the segments, key q * n_seg + s pooling
-segment s under query q, and the gate fuses the two modalities' pools.
+is then pooled under every semantic query of its own clip at once: pair
+column j pools segment `pair_seg[j]` under query `pair_query[j]`, a clip's
+pairs running query-major, and the gate fuses the two modalities' pools.
 
 Temporal level: the queries are the blocks. The pooled nodes of each query
 exchange messages (Y = X again) and are pooled into that query's global
-node, all queries in one pass. The number of queries is decided first, by a
-self-halting accumulator over per-query stop probabilities; that loop stays
-sequential because each query attends from the one before, over statement
-tokens that form no blocks.
+node, all queries of all clips in one pass. The number of queries is
+decided first, by a self-halting accumulator over per-query stop
+probabilities. That loop stays sequential in the step, because each query
+attends from the one before, but runs all statements in lockstep: step t
+attends once over the statement tokens of every clip still extracting, and
+a clip whose halting fires drops out of the next step.
 
-Global level: the mean of the global nodes feeds a small prediction head.
+Global level: the mean of each clip's global nodes feeds a small
+prediction head, one column per clip.
 
 The trace records (`Pass`, `SegmentTrace`, `TemporalTrace`) hold the batched
-arrays themselves, never copies or per-block slices; a reader takes the
-blocks it needs. One `TemporalTrace` covers all queries, query-major: its
-node column q * n_seg + s is segment s pooled under query q, column q of its
-global nodes is query q's global node, and `query_ids` names the query of
-each node column.
+arrays themselves, never copies. A clip's `Trace` holds its own block of
+each: numpy views of the record arrays and tape-connected column slices
+(`tensor.gather`) of the tensors, which are the batch's own objects when
+the batch is that one clip. A `TemporalTrace` is query-major: node column j
+pools segment j of its query's block, `query_ids` names the query of each
+node column, and column q of its global nodes is query q's global node.
 
 All forward paths are pure given (params, inputs); the discrete halting
 decision can be pinned via `FrozenDecisions` so that finite-difference
@@ -47,7 +55,7 @@ checks see a fully differentiable function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -113,6 +121,21 @@ def _block_ids(sizes: tuple[int, ...]) -> np.ndarray:
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
+def _part(a: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Block [rows, cols] of a batch array as a view; the array itself when
+    the block spans it."""
+    if rows.indices(a.shape[0]) == (0, a.shape[0], 1) and \
+            cols.indices(a.shape[1]) == (0, a.shape[1], 1):
+        return a
+    return a[rows, cols]
+
+
+def _cols(t: Tensor, cols: slice) -> Tensor:
+    """Columns `cols` of a batch tensor, on the tape (the tensor itself when
+    they are all of its columns)."""
+    return tn.gather(t, np.arange(cols.start, cols.stop))
+
+
 def attend(X: Tensor, keys: Tensor, x_ids: np.ndarray,
            key_ids: np.ndarray) -> tuple[Tensor, Tensor]:
     """Pool the nodes X under every key column: X @ softmax(X^T keys + mask).
@@ -146,6 +169,12 @@ class Pass:
     msg: np.ndarray                      # (d, n_x), aggregated messages
     out: np.ndarray                      # (d, n_x), updated nodes
 
+    def part(self, rows: slice, cols: slice) -> Pass:
+        """The pass of receivers `rows` from senders `cols`, as views."""
+        every = slice(None)
+        return Pass(adj=_part(self.adj, rows, cols), gate=_part(self.gate, every, rows),
+                    msg=_part(self.msg, every, rows), out=_part(self.out, every, rows))
+
 
 def message_pass(X: Tensor, Y: Tensor, g_x: Tensor, g_y: Tensor, params: ParamStore,
                  name: str, x_sizes: tuple[int, ...] = (),
@@ -163,15 +192,20 @@ def message_pass(X: Tensor, Y: Tensor, g_x: Tensor, g_y: Tensor, params: ParamSt
     x_sizes, y_sizes = _sizes(x_sizes, X), _sizes(y_sizes, Y)
     if len(x_sizes) != len(y_sizes):
         raise ContractError(f"{name}: {len(x_sizes)} receiving blocks but {len(y_sizes)} sending")
-    msg, weights = attend(Y, X, _block_ids(y_sizes), _block_ids(x_sizes))     # (d, n_x)
-    parts = [tn.block_expand(g_x, x_sizes), X, tn.block_expand(g_y, x_sizes)]
+    x_ids = _block_ids(x_sizes)
+    msg, weights = attend(Y, X, _block_ids(y_sizes), x_ids)     # (d, n_x)
+    parts = [tn.gather(g_x, x_ids), X, tn.gather(g_y, x_ids)]
     out, gate = _gated(X, msg, parts, params, name)
     return out, Pass(adj=weights.data.T, gate=gate.data, msg=msg.data, out=out.data)
 
 
+# the receiving and the sending modality of each segment-level pass
+_PASS_NODES = {"inter.v": "vs", "inter.s": "sv", "intra.v": "vv", "intra.s": "ss"}
+
+
 @dataclass
 class SegmentTrace:
-    """Refined nodes of every segment of a clip, as column blocks."""
+    """Refined nodes of every segment, as column blocks."""
 
     visual: Tensor                       # (d, K), segment by segment
     text: Tensor                         # (d, L)
@@ -191,13 +225,23 @@ class SegmentTrace:
 
     def split(self) -> list[tuple[Tensor, Tensor]]:
         """Each segment's (visual, text) nodes, sliced on the tape."""
-        return [(tn.col(self.visual, *v), tn.col(self.text, *s))
+        return [(_cols(self.visual, slice(*v)), _cols(self.text, slice(*s)))
                 for v, s in zip(block_bounds(self.v_sizes), block_bounds(self.s_sizes))]
+
+    def part(self, v: slice, s: slice, v_sizes: tuple[int, ...],
+             s_sizes: tuple[int, ...]) -> SegmentTrace:
+        """The segments that own frame columns `v` and token columns `s`."""
+        nodes = {"v": v, "s": s}
+        return SegmentTrace(
+            visual=_cols(self.visual, v), text=_cols(self.text, s), v_sizes=v_sizes,
+            s_sizes=s_sizes, passes={name: p.part(nodes[_PASS_NODES[name][0]],
+                                                  nodes[_PASS_NODES[name][1]])
+                                     for name, p in self.passes.items()})
 
 
 def refine_segment(V: Tensor, S: Tensor, params: ParamStore, cfg: TrainConfig,
                    v_sizes: tuple[int, ...] = (), s_sizes: tuple[int, ...] = ()) -> SegmentTrace:
-    """Cross-modal then intra-modal refinement of all segments of a clip.
+    """Cross-modal then intra-modal refinement of all segments.
 
     V and S hold the segments' nodes as column blocks of `v_sizes` and
     `s_sizes` columns (one segment by default), and each level runs once for
@@ -219,24 +263,26 @@ def refine_segment(V: Tensor, S: Tensor, params: ParamStore, cfg: TrainConfig,
     return SegmentTrace(visual=V, text=S, v_sizes=v_sizes, s_sizes=s_sizes, passes=passes)
 
 
-def segment_pool(seg: SegmentTrace, Q: Tensor, params: ParamStore) -> tuple[Tensor, dict]:
-    """Pool every segment under every query (the columns of Q).
+def segment_pool(seg: SegmentTrace, Q: Tensor, params: ParamStore,
+                 pairs: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[Tensor, dict]:
+    """Pool segments under queries (the columns of Q), one pair per column.
 
-    Column q * n_seg + s of the result is segment s pooled under query q; the
-    attention arrays have one column per such pair, zero outside the
-    segment's rows.
+    `pairs` holds the query and the segment of each pair; by default every
+    segment is pooled under every query, column q * n_seg + s pooling
+    segment s under query q. The attention arrays have one column per pair,
+    zero outside the segment's rows.
     """
+    if pairs is None:
+        n_seg, n_q = seg.n_segments, Q.shape[1]
+        pairs = (np.repeat(np.arange(n_q), n_seg), np.tile(np.arange(n_seg), n_q))
+    pair_query, pair_seg = pairs
     V, S = seg.visual, seg.text
-    n_seg, n_q = seg.n_segments, Q.shape[1]
-    pairs = (n_seg,) * n_q                       # each query repeated over the segments
-    pair_seg = np.tile(np.arange(n_seg), n_q)    # the segment of each pair
-    v_q, attn_v = attend(V, tn.block_expand(tn.matmul(params["pool.attn_v.w"], Q), pairs),
+    v_q, attn_v = attend(V, tn.gather(tn.matmul(params["pool.attn_v.w"], Q), pair_query),
                          _block_ids(seg.v_sizes), pair_seg)
-    s_q, attn_s = attend(S, tn.block_expand(tn.matmul(params["pool.attn_s.w"], Q), pairs),
+    s_q, attn_s = attend(S, tn.gather(tn.matmul(params["pool.attn_s.w"], Q), pair_query),
                          _block_ids(seg.s_sizes), pair_seg)
     g_v, g_s = tn.block_mean(V, seg.v_sizes), tn.block_mean(S, seg.s_sizes)
-    parts = [tn.concat([g_v] * n_q, axis=1), tn.block_expand(Q, pairs),
-             tn.concat([g_s] * n_q, axis=1)]
+    parts = [tn.gather(g_v, pair_seg), tn.gather(Q, pair_query), tn.gather(g_s, pair_seg)]
     node, gate = _gated(v_q, s_q, parts, params, "pool.fuse")
     return node, dict(attn_v=attn_v.data, attn_s=attn_s.data, gate=gate.data)
 
@@ -249,67 +295,125 @@ def should_stop(cum_halt: float, step: int, halt_eps: float, max_queries: int) -
 
 
 @dataclass
-class QueryState:
-    queries: list[Tensor]                # each (d, 1)
-    attn: list[Tensor]                   # each (l_h, 1)
-    halts: list[Tensor]                  # each (1, 1)
-    cum: list[Tensor]                    # running sums, each (1, 1)
+class QueryCost:
+    """One statement's share of a query extraction."""
+
     n_queries: int
-    surrogate: Tensor                    # differentiable query-efficiency cost
+    surrogate: Tensor                    # differentiable query-efficiency cost, (1, 1)
     literal: float                       # query_cost * n, logged as a metric
-    stopped_early: bool
+    stopped_early: bool                  # the halting fired before the cap
+
+
+@dataclass
+class QueryState:
+    """Queries of one or more statements, extracted in lockstep.
+
+    Step t runs the statements `active[t]` (indices, ascending); its
+    `attn`, `halts` and `cum` hold one column per active statement. With one
+    statement each step holds one column.
+    """
+
+    queries: Tensor                      # (d, n_queries), statement-major, `counts` columns each
+    counts: tuple[int, ...]              # queries per statement
+    attn: list[Tensor]                   # step t: (l, len(active[t])), l all statement tokens
+    halts: list[Tensor]                  # step t: (1, len(active[t]))
+    cum: list[Tensor]                    # step t: running sums, (1, len(active[t]))
+    active: list[np.ndarray]
+    costs: list[QueryCost]               # one per statement
+
+    @property
+    def n_queries(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def stopped_early(self) -> int:
+        """How many statements halted before the cap."""
+        return sum(c.stopped_early for c in self.costs)
 
 
 def extract_queries(H: Tensor, params: ParamStore, cfg: TrainConfig,
-                    force_n: int | None = None) -> QueryState:
+                    force_n: int | Sequence[int | None] | None = None,
+                    sizes: tuple[int, ...] = ()) -> QueryState:
     """Attentively extract semantic queries until self-halting fires.
 
-    The statement summary (mean token) seeds the first query and is reused,
-    not recomputed, in every attention step. `force_n` pins the query count,
-    bypassing the stop rule (halt probabilities are still computed so the
-    efficiency cost stays differentiable).
+    The columns of H are the statement tokens of one or more statements, in
+    blocks of `sizes` (one statement by default), and all statements run in
+    lockstep. A statement's summary (its mean token) seeds its first query
+    and is reused, not recomputed, in every attention step. `force_n` pins
+    the query count, of every statement or of each one (None leaves a
+    statement to its stop rule); halt probabilities are still computed so
+    the efficiency cost stays differentiable.
     """
-    if H.shape[1] < 1:
+    sizes = _sizes(sizes, H)
+    if min(sizes) < 1:
         raise ContractError("statement must have at least one token")
-    if force_n is None:
-        force_n = cfg.fixed_queries
-    elif not 1 <= force_n <= cfg.max_queries:
-        raise ContractError(f"forced query count must lie in [1, max_queries={cfg.max_queries}], "
-                            f"got {force_n}")
-    g_h = H.mean(axis=1)
-    q = g_h
-    H_T = H.T
-    queries: list[Tensor] = []
+    if force_n is None or isinstance(force_n, int):
+        force_n = [force_n] * len(sizes)
+    forced: list[int | None] = []
+    for n in force_n:
+        if n is None:
+            n = cfg.fixed_queries
+        elif not 1 <= n <= cfg.max_queries:
+            raise ContractError(f"forced query count must lie in [1, max_queries={cfg.max_queries}], "
+                                f"got {n}")
+        forced.append(n)
+    h_ids = _block_ids(sizes)
+    g = tn.block_mean(H, sizes)
+    q, cum = g, None
+    active = np.arange(len(sizes))
+    steps: list[Tensor] = []
     attn: list[Tensor] = []
     halts: list[Tensor] = []
     cums: list[Tensor] = []
-    n = 0
-    stopped_early = False
+    actives: list[np.ndarray] = []
+    counts = [0] * len(sizes)
+    early = [False] * len(sizes)
     while True:
-        n += 1
-        key = tn.matmul(params["query.attn.w"], tn.concat([g_h, q], axis=0))
-        weights = tn.softmax(tn.matmul(H_T, key), axis=0)
-        q = tn.matmul(H, weights)
+        key = tn.matmul(params["query.attn.w"], tn.concat([g, q], axis=0))
+        q, weights = attend(H, key, h_ids, active)
         halt = tn.sigmoid(
-            tn.add(tn.matmul(params["query.halt.w"], q), params["query.halt.b"])
-        ).mean()
-        cum = halt if not cums else tn.add(cums[-1], halt)
-        queries.append(q)
+            tn.add_col(tn.matmul(params["query.halt.w"], q), params["query.halt.b"])
+        ).mean(axis=0)
+        cum = halt if cum is None else tn.add(cum, halt)
+        steps.append(q)
         attn.append(weights)
         halts.append(halt)
         cums.append(cum)
-        if force_n is not None:
-            if n >= force_n:
-                break
-        elif should_stop(cum.item(), n, cfg.halt_eps, cfg.max_queries):
-            stopped_early = cum.item() > 1.0 - cfg.halt_eps
+        actives.append(active)
+        n = len(steps)
+        go_on = []
+        for j, b in enumerate(active):
+            total = float(cum.data[0, j])
+            if forced[b] is not None:
+                stop = n >= forced[b]
+            else:
+                stop = should_stop(total, n, cfg.halt_eps, cfg.max_queries)
+            if stop:
+                counts[b] = n
+                early[b] = forced[b] is None and total > 1.0 - cfg.halt_eps
+            else:
+                go_on.append(j)
+        if not go_on:
             break
-    remainder = Tensor(1.0) if n == 1 else tn.sub(1.0, cums[-2])
-    surrogate = tn.scale(tn.add(remainder, float(n)), cfg.query_cost)
-    return QueryState(
-        queries=queries, attn=attn, halts=halts, cum=cums, n_queries=n,
-        surrogate=surrogate, literal=cfg.query_cost * n, stopped_early=stopped_early,
-    )
+        active = active[go_on]
+        g, q, cum = tn.gather(g, go_on), tn.gather(q, go_on), tn.gather(cum, go_on)
+
+    # query t of statement b is its column of step t
+    offsets = np.cumsum([0] + [step.shape[1] for step in steps])
+    queries = tn.gather(tn.concat(steps, axis=1),
+                        [offsets[t] + np.searchsorted(actives[t], b)
+                         for b, n in enumerate(counts) for t in range(n)])
+    costs = []
+    for b, n in enumerate(counts):
+        if n == 1:
+            remainder = Tensor(1.0)
+        else:
+            remainder = tn.sub(1.0, tn.gather(cums[n - 2], [np.searchsorted(actives[n - 2], b)]))
+        costs.append(QueryCost(n_queries=n,
+                               surrogate=tn.scale(tn.add(remainder, float(n)), cfg.query_cost),
+                               literal=cfg.query_cost * n, stopped_early=early[b]))
+    return QueryState(queries=queries, counts=tuple(counts), attn=attn, halts=halts, cum=cums,
+                      active=actives, costs=costs)
 
 
 # --------------------------------------------------------------- temporal level
@@ -317,21 +421,41 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: TrainConfig,
 @dataclass
 class TemporalTrace:
     """The temporal level for all queries at once, laid out query-major:
-    node column q * n_segments + s is segment s pooled under query q."""
+    query q owns the next `sizes[q]` node columns, one per segment of its
+    clip, so in a clip's own record node column q * n_segments + s is
+    segment s pooled under query q."""
 
-    nodes: Tensor                        # pooled nodes (d, n_q * n_seg)
+    nodes: Tensor                        # pooled nodes (d, sum(sizes))
     global_nodes: Tensor                 # (d, n_q), column q pools query q's block
-    n_segments: int
-    pool_weights: np.ndarray             # (n_q * n_seg, n_q), zero outside query q's block
-    attn_v: np.ndarray                   # (K, n_q * n_seg), zero outside the segment's frames
-    attn_s: np.ndarray                   # (L, n_q * n_seg), zero outside the segment's tokens
-    fuse_gates: np.ndarray               # (d, n_q * n_seg)
+    sizes: tuple[int, ...]               # node columns of each query
+    pool_weights: np.ndarray             # (sum(sizes), n_q), zero outside query q's block
+    attn_v: np.ndarray                   # (K, sum(sizes)), zero outside the segment's frames
+    attn_s: np.ndarray                   # (L, sum(sizes)), zero outside the segment's tokens
+    fuse_gates: np.ndarray               # (d, sum(sizes))
     refine: Pass | None = None           # the temporal pass, when enabled
 
     @property
     def query_ids(self) -> np.ndarray:
         """The query of each node column."""
-        return np.repeat(np.arange(self.global_nodes.shape[1]), self.n_segments)
+        return _block_ids(self.sizes)
+
+    @property
+    def n_segments(self) -> int:
+        """Node columns per query: the clip's segment count, in a clip's record."""
+        if len(set(self.sizes)) != 1:
+            raise ContractError(f"queries pool different segment counts: {self.sizes}")
+        return self.sizes[0]
+
+    def part(self, v: slice, s: slice, p: slice, q: slice, n_segments: int) -> TemporalTrace:
+        """The queries `q`, whose node columns are `p`, of the clip that owns
+        frame columns `v` and token columns `s`."""
+        every = slice(None)
+        return TemporalTrace(
+            nodes=_cols(self.nodes, p), global_nodes=_cols(self.global_nodes, q),
+            sizes=(n_segments,) * (q.stop - q.start), pool_weights=_part(self.pool_weights, p, q),
+            attn_v=_part(self.attn_v, v, p), attn_s=_part(self.attn_s, s, p),
+            fuse_gates=_part(self.fuse_gates, every, p),
+            refine=None if self.refine is None else self.refine.part(p, p))
 
 
 def temporal_pool(T: Tensor, Q: Tensor, params: ParamStore,
@@ -345,35 +469,51 @@ def temporal_pool(T: Tensor, Q: Tensor, params: ParamStore,
 
 
 def reason_over_segments(seg: SegmentTrace, queries: list[Tensor], params: ParamStore,
-                         cfg: TrainConfig) -> TemporalTrace:
-    """Pool every segment under every query, refine each query's block of
-    nodes, and pool each block into that query's global node.
+                         cfg: TrainConfig,
+                         clips: tuple[tuple[int, int], ...] = ()) -> TemporalTrace:
+    """Pool every segment under every query of its clip, refine each query's
+    block of nodes, and pool each block into that query's global node.
 
-    All queries run at once: each query's pooled nodes form one column block,
-    and blocks neither exchange messages nor pool into each other's global
-    node.
+    The columns of `queries` are joined into one matrix. `clips` holds the
+    (segments, queries) of each clip, in order, over consecutive segments
+    and queries; by default one clip owns them all. All queries run at
+    once: each query's pooled nodes form one column block, and blocks
+    neither exchange messages nor pool into each other's global node.
     """
-    n_seg = seg.n_segments
     Q = tn.concat(queries, axis=1)
-    P, pool = segment_pool(seg, Q, params)
-    sizes = (n_seg,) * len(queries)
+    clips = clips or ((seg.n_segments, Q.shape[1]),)
+    if sum(n_seg for n_seg, _ in clips) != seg.n_segments or sum(n for _, n in clips) != Q.shape[1]:
+        raise ContractError(f"clips {clips} do not cover {seg.n_segments} segments "
+                            f"and {Q.shape[1]} queries")
+    seg_start = np.cumsum([0] + [n_seg for n_seg, _ in clips])
+    q_start = np.cumsum([0] + [n for _, n in clips])
+    pairs = (np.concatenate([np.repeat(np.arange(q0, q0 + n), n_seg)
+                             for (n_seg, n), q0 in zip(clips, q_start)]),
+             np.concatenate([np.tile(np.arange(s0, s0 + n_seg), n)
+                             for (n_seg, n), s0 in zip(clips, seg_start)]))
+    P, pool = segment_pool(seg, Q, params, pairs)
+    sizes = tuple(n_seg for n_seg, n in clips for _ in range(n))
     T, refine = P, None
     if cfg.temporal:
         g = tn.block_mean(T, sizes)
         T, refine = message_pass(T, T, g, g, params, "temporal.gate", sizes, sizes)
     G, weights = temporal_pool(T, Q, params, sizes)
-    return TemporalTrace(nodes=P, global_nodes=G, n_segments=n_seg, pool_weights=weights.data,
+    return TemporalTrace(nodes=P, global_nodes=G, sizes=sizes, pool_weights=weights.data,
                          attn_v=pool["attn_v"], attn_s=pool["attn_s"], fuse_gates=pool["gate"],
                          refine=refine)
 
 
-def predict_global(global_nodes: Tensor, params: ParamStore) -> tuple[Tensor, Tensor]:
-    """Mean the (d, n_q) global nodes over queries and classify; returns (prob, logit)."""
+def predict_global(global_nodes: Tensor, params: ParamStore,
+                   sizes: tuple[int, ...] = ()) -> tuple[Tensor, Tensor]:
+    """Mean each block of `sizes` columns of the (d, n_q) global nodes (one
+    block by default) and classify it; returns (prob, logit), one column per
+    block."""
     if global_nodes.shape[1] < 1:
         raise ContractError("prediction needs at least one global node")
-    pooled = global_nodes.mean(axis=1)
-    hidden = tn.tanh(tn.add(tn.matmul(params["head.hidden.w"], pooled), params["head.hidden.b"]))
-    logit = tn.add(tn.matmul(params["head.out.w"], hidden), params["head.out.b"])
+    pooled = tn.block_mean(global_nodes, _sizes(sizes, global_nodes))
+    hidden = tn.tanh(tn.add_col(tn.matmul(params["head.hidden.w"], pooled),
+                                params["head.hidden.b"]))
+    logit = tn.add_col(tn.matmul(params["head.out.w"], hidden), params["head.out.b"])
     return tn.sigmoid(logit), logit
 
 
@@ -388,31 +528,65 @@ class FrozenDecisions:
 
 @dataclass
 class Trace:
+    """One clip's share of a batch: its own blocks of every level."""
+
     clip_id: str
     prob: Tensor
     logit: Tensor
     graph: ClipGraph
-    segments: SegmentTrace               # all segments, as column blocks
-    query: QueryState
-    temporal: TemporalTrace              # all queries, as column blocks
+    segments: SegmentTrace               # the clip's segments, as column blocks
+    query: QueryCost
+    temporal: TemporalTrace              # the clip's queries, as column blocks
 
     @property
     def n_queries(self) -> int:
         return self.query.n_queries
 
 
+@dataclass
+class BatchTrace:
+    """A batch of clips run as one block-diagonal graph, and each clip's share."""
+
+    traces: list[Trace]                  # one per clip, in batch order
+    segments: SegmentTrace               # every clip's segments, clip by clip
+    query: QueryState
+    temporal: TemporalTrace              # every clip's queries, clip by clip
+    prob: Tensor                         # (1, n_clips)
+
+
+def forward_batch(clips: Sequence[Clip], params: ParamStore, cfg: TrainConfig,
+                  frozen: Sequence[FrozenDecisions] | None = None) -> BatchTrace:
+    """Run `clips` as blocks of one graph; `frozen` pins each clip's query count."""
+    if not clips:
+        raise ContractError("a batch needs at least one clip")
+    graphs = [build_clip_graph(clip.frames, clip.subs, params) for clip in clips]
+    H = project_nodes(np.concatenate([clip.statement for clip in clips], axis=1), params, "proj.h")
+    qs = extract_queries(H, params, cfg, None if frozen is None else [f.n_queries for f in frozen],
+                         tuple(clip.statement.shape[1] for clip in clips))
+    segs = refine_segment(tn.concat([g.frame_nodes for g in graphs], axis=1),
+                          tn.concat([g.token_nodes for g in graphs], axis=1), params, cfg,
+                          sum((g.frame_sizes for g in graphs), ()),
+                          sum((g.token_sizes for g in graphs), ()))
+    temporal = reason_over_segments(segs, [qs.queries], params, cfg,
+                                    tuple((g.n_segments, n) for g, n in zip(graphs, qs.counts)))
+    prob, logit = predict_global(temporal.global_nodes, params, qs.counts)
+    traces = []
+    v0 = s0 = p0 = q0 = 0
+    for b, (clip, graph, cost) in enumerate(zip(clips, graphs, qs.costs)):
+        v = slice(v0, v0 + graph.frame_nodes.shape[1])
+        s = slice(s0, s0 + graph.token_nodes.shape[1])
+        p = slice(p0, p0 + cost.n_queries * graph.n_segments)
+        q = slice(q0, q0 + cost.n_queries)
+        traces.append(Trace(
+            clip_id=clip.clip_id, prob=_cols(prob, slice(b, b + 1)),
+            logit=_cols(logit, slice(b, b + 1)), graph=graph,
+            segments=segs.part(v, s, graph.frame_sizes, graph.token_sizes), query=cost,
+            temporal=temporal.part(v, s, p, q, graph.n_segments)))
+        v0, s0, p0, q0 = v.stop, s.stop, p.stop, q.stop
+    return BatchTrace(traces=traces, segments=segs, query=qs, temporal=temporal, prob=prob)
+
+
 def forward(clip: Clip, params: ParamStore, cfg: TrainConfig,
             frozen: FrozenDecisions | None = None) -> Trace:
-    graph = build_clip_graph(clip.frames, clip.subs, params)
-    H = project_nodes(clip.statement, params, "proj.h")
-    qs = extract_queries(
-        H, params, cfg, force_n=frozen.n_queries if frozen is not None else None
-    )
-    segs = refine_segment(graph.frame_nodes, graph.token_nodes, params, cfg,
-                          graph.frame_sizes, graph.token_sizes)
-    temporal = reason_over_segments(segs, qs.queries, params, cfg)
-    prob, logit = predict_global(temporal.global_nodes, params)
-    return Trace(
-        clip_id=clip.clip_id, prob=prob, logit=logit, graph=graph,
-        segments=segs, query=qs, temporal=temporal,
-    )
+    """One clip, as a batch of one."""
+    return forward_batch([clip], params, cfg, None if frozen is None else [frozen]).traces[0]

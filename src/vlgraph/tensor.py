@@ -3,7 +3,7 @@
 Every value is a 2-D (occasionally higher-D) row-major float64 array. There
 is no implicit broadcasting: elementwise ops require identical shapes, and
 the only mixed form allowed is tensor-with-python-scalar. Column-broadcast
-patterns are spelled out as named ops (`add_col`, `block_expand`).
+patterns are spelled out as named ops (`add_col`, `gather`).
 
 Graph recording is a distributed tape: each op output remembers its parent
 tensors and a closure that routes the output gradient to them. `tape_id` is
@@ -19,16 +19,25 @@ backward appends the pair (G, X) to the parameter's `factors` and computes
 only the input gradient W^T G, which the rest of the tape needs.
 Every matmul A B forms its right operand's gradient A^T G as (G^T A)^T:
 BLAS then reads A in its stored row-major layout instead of as a
-transposed operand. For the paper's (512, 512)-(512, 1536) weights and the
-few-column G of one clip that takes half the time, with the same bits;
-under about 64k entries of A it costs a few microseconds more per product,
-too little to show in a training call, so one expression serves all.
+transposed operand, with the same bits. For the paper's (512, 512)-(512,
+1536) weights and the 12-96 column G of a training sub-window (a few clips
+run as one graph, see `train`) it took 0.42-0.77 of the time (one BLAS
+thread); under about 64k entries of A it costs a few microseconds more per
+product, too little to show in a training call, so one expression serves
+all.
 `Parameter.form_grad` later forms sum_k G_k X_k^T as one product of the
 concatenated factors, plus whatever reached `.grad` directly (biases, other
 ops). `backward(loss, params)` forms every parameter's gradient before it
-returns; a training loop instead calls `backward(loss)` per clip and leaves
-the forming to the optimizer step, so each weight gradient is formed once
-per optimizer window rather than once per clip.
+returns; a training loop instead calls `backward(loss)` per sub-window and
+leaves the forming to the optimizer step, so each weight gradient is formed
+once per optimizer window rather than once per sub-window.
+
+A backward sweep drops an op result's gradient as soon as the op has passed
+it to its inputs. Only the leaves (parameters and tensors no op produced)
+keep theirs, so a sweep holds the gradients of its frontier, not one array
+per tape node. With a training sub-window of about five paper-width clips
+on the tape this took the peak RSS of the train-paper benchmark from 326 to
+306 MB (300 MB for one clip at a time with every gradient kept).
 """
 
 from __future__ import annotations
@@ -68,8 +77,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "tape_id", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.array(data, dtype=np.float64, order="C")
+    def __init__(self, data, requires_grad: bool = False, copy: bool = True):
+        # without `copy`, a float64 C-ordered array is adopted as it is
+        arr = (np.array if copy else np.asarray)(data, dtype=np.float64, order="C")
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -243,8 +253,11 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Parts joined along `axis`; a single part is returned as it is."""
     if not parts:
         raise ContractError("concat: empty part list")
+    if len(parts) == 1:
+        return parts[0]
     sizes = [p.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
@@ -257,19 +270,32 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     return _make(np.concatenate([p.data for p in parts], axis=axis), parts, bw)
 
 
-def col(a: Tensor, lo: int, hi: int | None = None) -> Tensor:
-    """Columns lo..hi-1 of a 2-D tensor; column lo alone when `hi` is None."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"col: needs a 2-D tensor, got {a.shape}")
-    if hi is None:
-        hi = lo + 1
+def gather(a: Tensor, index: Sequence[int] | np.ndarray) -> Tensor:
+    """Columns a[:, index] of a 2-D tensor, in `index` order and with repeats.
+
+    The backward adds each output column's gradient into the column it came
+    from: the columns of one source are summed in output order, as the
+    per-part gradients of `concat([a[:, i]] * k)` would be. An index that
+    names every column once, in order, returns `a` itself.
+    """
+    index = np.asarray(index, dtype=np.intp).reshape(-1)
+    if a.data.ndim != 2 or not index.size or index.min() < 0 or index.max() >= a.shape[1]:
+        raise ShapeError(f"gather: columns {index.tolist()} do not index {a.shape}")
+    if index.size == a.shape[1] and np.array_equal(index, np.arange(index.size)):
+        return a
 
     def bw(out: Tensor) -> None:
-        g = np.zeros_like(a.data)
-        g[:, lo:hi] = out.grad
-        _acc(a, g)
+        order = np.argsort(index, kind="stable")
+        ranked = index[order]
+        starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+        g = out.grad[:, order]
+        if starts.size < index.size:
+            g = np.add.reduceat(g, starts, axis=1)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[:, ranked[starts]] += g
 
-    return _make(a.data[:, lo:hi].copy(), (a,), bw)
+    return _make(a.data[:, index], (a,), bw)
 
 
 def add_col(mat: Tensor, column: Tensor) -> Tensor:
@@ -298,17 +324,6 @@ def block_mean(a: Tensor, sizes: Sequence[int]) -> Tensor:
         _acc(a, np.repeat(out.grad / n, sizes, axis=1))
 
     return _make(np.add.reduceat(a.data, _starts(sizes), axis=1) / n, (a,), bw)
-
-
-def block_expand(a: Tensor, sizes: Sequence[int]) -> Tensor:
-    """Repeat column i of a 2-D tensor sizes[i] times: (d, n) -> (d, sum(sizes))."""
-    if a.data.ndim != 2 or len(sizes) != a.shape[1] or min(sizes) < 1:
-        raise ShapeError(f"block_expand: blocks {tuple(sizes)} do not fit {a.shape}")
-
-    def bw(out: Tensor) -> None:
-        _acc(a, np.add.reduceat(out.grad, _starts(sizes), axis=1))
-
-    return _make(np.repeat(a.data, sizes, axis=1), (a,), bw)
 
 
 def _reduce(a: Tensor, axis: int | None, mean: bool) -> Tensor:
@@ -567,8 +582,8 @@ class Parameter(Tensor):
 
     __slots__ = ("factors",)
 
-    def __init__(self, data) -> None:
-        super().__init__(data, requires_grad=True)
+    def __init__(self, data, copy: bool = True) -> None:
+        super().__init__(data, requires_grad=True, copy=copy)
         self.factors: list[tuple[np.ndarray, np.ndarray]] = []
 
     def form_grad(self, out: np.ndarray) -> np.ndarray:
@@ -594,19 +609,29 @@ class ParamStore:
         self._params: dict[str, Parameter] = {}
 
     def add(self, name: str, value: np.ndarray) -> Parameter:
+        """A parameter holding a copy of `value`: the store never aliases a
+        caller's array."""
+        return self._insert(name, Parameter(value))
+
+    def _insert(self, name: str, t: Parameter) -> Parameter:
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = Parameter(value)
         self._params[name] = t
         return t
 
     def add_linear(self, name: str, out_dim: int, in_dim: int, rng: np.random.Generator,
                    bias: bool = True) -> None:
-        """Affine weights drawn uniformly from +-1/sqrt(fan_in)."""
+        """Affine weights drawn uniformly from +-1/sqrt(fan_in).
+
+        The draws are fresh arrays that nothing else holds, so the parameters
+        adopt them without a copy.
+        """
         bound = 1.0 / math.sqrt(in_dim)
-        self.add(f"{name}.w", rng.uniform(-bound, bound, size=(out_dim, in_dim)))
+        self._insert(f"{name}.w", Parameter(rng.uniform(-bound, bound, size=(out_dim, in_dim)),
+                                            copy=False))
         if bias:
-            self.add(f"{name}.b", rng.uniform(-bound, bound, size=(out_dim, 1)))
+            self._insert(f"{name}.b", Parameter(rng.uniform(-bound, bound, size=(out_dim, 1)),
+                                                copy=False))
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -630,9 +655,11 @@ class ParamStore:
 def backward(loss: Tensor, params: ParamStore | None = None) -> dict[str, np.ndarray]:
     """Reverse-mode sweep from a scalar loss.
 
-    Gradients accumulate into `.grad`, except a parameter's matmul weight
-    gradients, which accumulate as factors (see the module docstring); call
-    `params.zero_grad()` to reset both between accumulation windows. With
+    Gradients accumulate into the `.grad` of the leaves, except a
+    parameter's matmul weight gradients, which accumulate as factors (see
+    the module docstring); an op result's gradient is dropped once its op
+    has passed it on. Call `params.zero_grad()` to reset both between
+    accumulation windows. With
     `params`, every parameter's gradient is formed into `.grad` and its
     factors are dropped, parameters not reachable from the loss get a zero
     gradient, and a name -> gradient view map is returned.
@@ -654,6 +681,7 @@ def backward(loss: Tensor, params: ParamStore | None = None) -> dict[str, np.nda
     for t in sorted(nodes, key=lambda t: t.tape_id, reverse=True):
         if t._backward is not None and t.grad is not None:
             t._backward(t)
+            t.grad = None       # passed on to the inputs; see the module docstring
     if params is None:
         return {}
     out: dict[str, np.ndarray] = {}

@@ -1,12 +1,20 @@
 """Loss assembly, optimization loop, evaluation, and checkpoints.
 
-Clips are processed one at a time (segment counts, node counts, and query
-counts are all ragged). Each clip's backward leaves its weight gradients as
-(output gradient, input) factors on the parameters (see `tensor`); the Adam
-step at the end of a window forms each parameter's summed gradient once, in
-one product over all the window's factors, and applies their mean, which
-matches one step on the mean loss of the window. Parameters live in float64
-and are stored in checkpoints as little-endian float32 behind a JSON header.
+Clips run in sub-windows: consecutive clips of one optimizer window go
+through one forward as blocks of one block-diagonal graph (`forward_batch`),
+each clip's own `total_loss` reads its share of that graph, and one
+backward runs on the sum of the sub-window's losses. A sub-window never
+crosses a window or epoch boundary, so the parameters and the
+negative-buffer snapshot are the same for all its clips, and it closes
+before its clips' frame and token nodes pass `SUB_WINDOW_NODES`. The
+evaluation passes batch the same way under `no_grad`.
+
+Each backward leaves its weight gradients as (output gradient, input)
+factors on the parameters (see `tensor`); the Adam step at the end of a
+window forms each parameter's summed gradient once, in one product over all
+the window's factors, and applies their mean, which matches one step on the
+mean loss of the window. Parameters live in float64 and are stored in
+checkpoints as little-endian float32 behind a JSON header.
 
 `TrainConfig` is the one config: the model, the transport solver and the
 training loop read their settings from it, and it checks each setting once.
@@ -18,6 +26,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,12 +34,26 @@ from . import tensor as tn
 from .errors import ContractError, EmptyInputError, FormatError, NumericalError
 from .graph import Clip
 from .mi import ContrastiveResult, NegativeBuffer, contrastive_loss
-from .model import Trace, forward, init_params, param_shapes
+from .model import BatchTrace, Trace, forward, forward_batch, init_params, param_shapes
 from .tensor import ParamStore, Tensor, backward, no_grad
 from .transport import transport_loss
 
 CKPT_MAGIC = b"AHGN1\n"
 CKPT_DTYPE = np.dtype("<f4")   # the one payload type of a checkpoint
+
+# A sub-window closes before its clips' frame and token nodes pass this
+# count; a clip with more runs alone. A sub-window's tape holds all its
+# clips at once: at dim=512 it grows with the node count, and at small dim,
+# where the dense (nodes x nodes) block masks weigh most, with its square.
+# Measured on the benchmark's shapes (one BLAS thread): on train-paper
+# (dim=512, about 24 nodes a clip) the traced tape peak of a sub-window,
+# forward to end of backward, was 5.0 MiB for one clip, and 18, 30 and 46
+# MiB (means) at 96, 128 and 256 nodes; CPU-time throughput against one
+# clip at a time was 1.36x, 1.44x and 1.41x at 96, 128 and 160, and peak
+# RSS stayed within 2% of it up to 160. On train-longseg (dim=32, 36-144
+# nodes a clip) 129 of 144 clips ran alone at 128, with a tape peak of 5.5
+# MiB against 4.1 for one clip at a time.
+SUB_WINDOW_NODES = 128
 
 # the JSON values each `TrainConfig` annotation accepts (bool is not an int here)
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "int | None": (int, type(None))}
@@ -253,6 +276,53 @@ def run_clip(clip: Clip, params: ParamStore, cfg: TrainConfig,
     return bundle, trace
 
 
+def run_clips(clips: Sequence[Clip], params: ParamStore, cfg: TrainConfig,
+              buffer: NegativeBuffer | None = None) -> tuple[list[LossBundle], BatchTrace]:
+    """One forward over `clips` as a batch, then each clip's own loss."""
+    batch = forward_batch(clips, params, cfg)
+    bundles = [total_loss(trace, clip.label, params, cfg, buffer)
+               for clip, trace in zip(clips, batch.traces)]
+    return bundles, batch
+
+
+def _nodes(clip: Clip) -> int:
+    return len(clip.frames) + sum(line.tokens.shape[0] for line in clip.subs)
+
+
+def sub_windows(clips: Sequence[Clip]) -> Iterator[list[Clip]]:
+    """Runs of consecutive clips whose frame and token nodes together stay
+    within `SUB_WINDOW_NODES`; a clip with more runs alone.
+    """
+    run: list[Clip] = []
+    nodes = 0
+    for clip in clips:
+        n = _nodes(clip)
+        if run and nodes + n > SUB_WINDOW_NODES:
+            yield run
+            run, nodes = [], 0
+        run.append(clip)
+        nodes += n
+    if run:
+        yield run
+
+
+def _learn(clips: list[Clip], params: ParamStore, cfg: TrainConfig, buffer: NegativeBuffer,
+           epoch: int) -> list[tuple[dict[str, float], int, np.ndarray]]:
+    """One sub-window: its forward, each clip's loss, checked to be finite,
+    and one backward on their sum. Returns each clip's loss floats, query
+    count and temporal node values; the tape is freed on return, before the
+    next sub-window builds its own."""
+    bundles, batch = run_clips(clips, params, cfg, buffer)
+    for clip, bundle in zip(clips, bundles):
+        try:
+            bundle.check_finite()
+        except NumericalError as e:
+            raise NumericalError(f"clip {clip.clip_id!r}, epoch {epoch}: {e}") from e
+    backward(tn.concat([bundle.total for bundle in bundles], axis=0).sum())
+    return [(bundle.as_floats(), bundle.n_queries, trace.temporal.nodes.data)
+            for bundle, trace in zip(bundles, batch.traces)]
+
+
 def train(
     train_clips: list[Clip],
     val_clips: list[Clip],
@@ -279,27 +349,18 @@ def train(
         sums = {"l_ent": 0.0, "l_qe_surrogate": 0.0, "l_qe_literal": 0.0,
                 "l_cm": 0.0, "l_cl": 0.0, "total": 0.0}
         n_sum = 0
-        window = 0
-        pending: list[np.ndarray] = []
-        for pos, idx in enumerate(order):
-            clip = train_clips[idx]
-            bundle, trace = run_clip(clip, params, cfg, buffer)
-            try:
-                bundle.check_finite()
-            except NumericalError as e:
-                raise NumericalError(f"clip {clip.clip_id!r}, epoch {epoch}: {e}") from e
-            backward(bundle.total)
-            pending.extend(trace.temporal.nodes.data.T)
-            for key, val in bundle.as_floats().items():
-                sums[key] += val
-            n_sum += bundle.n_queries
-            window += 1
-            if window == cfg.effective_batch or pos == len(order) - 1:
-                opt.step(grad_scale=1.0 / window)
-                params.zero_grad()
-                buffer.push(pending)
-                pending = []
-                window = 0
+        for start in range(0, len(order), cfg.effective_batch):
+            window = [train_clips[i] for i in order[start : start + cfg.effective_batch]]
+            pending: list[np.ndarray] = []
+            for clips in sub_windows(window):
+                for losses, n_queries, nodes in _learn(clips, params, cfg, buffer, epoch):
+                    pending.extend(nodes.T)
+                    for key, val in losses.items():
+                        sums[key] += val
+                    n_sum += n_queries
+            opt.step(grad_scale=1.0 / len(window))
+            params.zero_grad()
+            buffer.push(pending)
         acc = evaluate_accuracy(eval_on, params, cfg)
         n = len(train_clips)
         metrics.append({
@@ -321,9 +382,9 @@ def evaluate_accuracy(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -
         raise EmptyInputError("evaluation set is empty")
     correct = 0
     with no_grad():
-        for clip in clips:
-            pred = 1 if forward(clip, params, cfg).prob.item() > 0.5 else 0
-            correct += int(pred == clip.label)
+        for run in sub_windows(clips):
+            probs = forward_batch(run, params, cfg).prob.data[0]
+            correct += sum(int((1 if p > 0.5 else 0) == clip.label) for clip, p in zip(run, probs))
     return correct / len(clips)
 
 
@@ -341,12 +402,13 @@ def evaluate(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -> EvalRes
     correct = 0
     sums: dict[str, float] = {}
     with no_grad():
-        for clip in clips:
-            bundle, trace = run_clip(clip, params, cfg)
-            pred = 1 if trace.prob.item() > 0.5 else 0
-            correct += int(pred == clip.label)
-            for key, val in bundle.as_floats().items():
-                sums[key] = sums.get(key, 0.0) + val
+        for run in sub_windows(clips):
+            bundles, batch = run_clips(run, params, cfg)
+            for clip, trace, bundle in zip(run, batch.traces, bundles):
+                pred = 1 if trace.prob.item() > 0.5 else 0
+                correct += int(pred == clip.label)
+                for key, val in bundle.as_floats().items():
+                    sums[key] = sums.get(key, 0.0) + val
     return EvalResult(
         accuracy=correct / len(clips),
         mean_losses={k: v / len(clips) for k, v in sums.items()},

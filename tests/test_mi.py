@@ -46,7 +46,7 @@ def nce_estimate(batch: NCEBatch, params: ParamStore) -> Tensor:
     for pair in batch.pairs:
         cands = tn.concat([pair.positive] + pair.negatives, axis=1)
         scores = tn.matmul(cands.T, tn.matmul(params[DISC_WEIGHT], pair.context))
-        terms.append(tn.sub(tn.col(scores.T, 0), tn.logsumexp(scores)))
+        terms.append(tn.sub(tn.gather(scores.T, [0]), tn.logsumexp(scores)))
     return terms[0] if len(terms) == 1 else tn.concat(terms, axis=0).mean()
 
 
@@ -70,7 +70,7 @@ def trace_of(nodes, global_nodes):
     unread = np.empty((0, 0))                    # contrastive_loss reads nodes and layout only
     return TemporalTrace(
         nodes=tn.concat(nodes, axis=1), global_nodes=tn.concat(global_nodes, axis=1),
-        n_segments=len(nodes) // len(global_nodes),
+        sizes=(len(nodes) // len(global_nodes),) * len(global_nodes),
         pool_weights=unread, attn_v=unread, attn_s=unread, fuse_gates=unread,
     )
 
@@ -232,8 +232,8 @@ def test_correlated_pairs_beat_shuffled_after_training():
         def mean_estimate(order):
             terms = []
             for k in range(n):
-                scores = tn.matmul(cands.T, tn.matmul(ps["disc.w"], tn.col(Tensor(o_vals), order[k])))
-                terms.append(tn.sub(tn.col(scores.T, k), tn.logsumexp(scores)))
+                scores = tn.matmul(cands.T, tn.matmul(ps["disc.w"], tn.gather(Tensor(o_vals), [order[k]])))
+                terms.append(tn.sub(tn.gather(scores.T, [k]), tn.logsumexp(scores)))
             return tn.concat(terms, axis=0).mean()
 
         opt = Adam(ps, lr=0.01)

@@ -9,6 +9,7 @@ from vlgraph.graph import Clip, FrameNode, SubtitleLine
 from vlgraph.mi import NegativeBuffer, contrastive_loss
 from vlgraph.model import (
     FrozenDecisions,
+    forward_batch,
     extract_queries,
     forward,
     init_params,
@@ -588,3 +589,111 @@ def test_tape_size_does_not_grow_with_the_query_count():
         contrastive_loss(temporal, ps, beta=0.1, buffer=buffer)
         counts.append(Tensor(0.0).tape_id - start)
     assert counts[0] == counts[1], counts
+
+
+# ------------------------------------------------- clips in lockstep
+
+BATCH_CASES = {
+    "default": {},
+    "no_inter_modal": {"inter_modal": False},
+    "no_intra_modal": {"intra_modal": False},
+    "no_temporal": {"temporal": False},
+    "fixed_queries_1": {"fixed_queries": 1},
+    "fixed_queries_3": {"fixed_queries": 3},
+}
+
+
+def lockstep_setup(seed=10, d=6):
+    """Four clips of mixed layout: one segment, single-frame segments, and
+    (under the stop rule) 3, 4, 2 and 3 queries."""
+    rng = np.random.default_rng(seed)
+    ps = params_of(rng, d=d)
+    ps["query.halt.w"].data *= 8.0            # halt probabilities that differ by statement
+    layouts = [(1, 3), (3, 1), (2, 2), (2, 3)]  # (segments, frames per segment)
+    clips = [make_clip(rng, n_segments=n, frames_per=f, tokens_per=1 + i % 2,
+                       clauses=2 + i % 3, clip_id=f"c{i}")
+             for i, (n, f) in enumerate(layouts)]
+    buffer = NegativeBuffer(8)
+    buffer.push(list(rng.standard_normal((8, d))))
+    return ps, clips, buffer
+
+
+def rel_close(got, want, tol=1e-12):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.max(np.abs(got - want), initial=0.0) <= tol * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_lockstep_batch_matches_clips_run_one_at_a_time(case):
+    from vlgraph.tensor import backward
+    from vlgraph.train import run_clip, run_clips
+    ps, clips, buffer = lockstep_setup()
+    cfg = cfg_of(d=6, **BATCH_CASES[case])
+    want_grads = {name: np.zeros_like(p.data) for name, p in ps.items()}
+    alone = []
+    for clip in clips:
+        ps.zero_grad()
+        bundle, trace = run_clip(clip, ps, cfg, buffer)
+        for name, g in backward(bundle.total, ps).items():
+            want_grads[name] += g
+        alone.append((trace.prob.item(), bundle.as_floats(), trace.n_queries))
+    if case == "default":
+        assert len({n for _, _, n in alone}) == 3      # the clips halt at different steps
+    ps.zero_grad()
+    bundles, batch = run_clips(clips, ps, cfg, buffer)
+    got_grads = backward(tn.concat([b.total for b in bundles], axis=0).sum(), ps)
+    for (prob, floats, n), trace, bundle in zip(alone, batch.traces, bundles):
+        assert rel_close(trace.prob.item(), prob), (trace.clip_id, trace.prob.item(), prob)
+        assert trace.n_queries == n
+        for key, value in bundle.as_floats().items():
+            assert rel_close(value, floats[key]), (trace.clip_id, key, value, floats[key])
+    for name, want in want_grads.items():
+        got = got_grads[name]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+def test_lockstep_batch_has_no_cross_clip_weight():
+    ps, clips, _ = lockstep_setup()
+    cfg = cfg_of(d=6)
+    batch = forward_batch(clips, ps, cfg)
+    graphs = [t.graph for t in batch.traces]
+    counts = batch.query.counts
+    frame_clip = np.repeat(np.arange(4), [g.frame_nodes.shape[1] for g in graphs])
+    token_clip = np.repeat(np.arange(4), [g.token_nodes.shape[1] for g in graphs])
+    query_clip = np.repeat(np.arange(4), counts)
+    pair_clip = np.repeat(np.arange(4), [n * g.n_segments for n, g in zip(counts, graphs)])
+    statement_clip = np.repeat(np.arange(4), [c.statement.shape[1] for c in clips])
+
+    def cross(rows, cols):
+        return rows[:, None] != cols[None, :]
+
+    nodes = {"v": frame_clip, "s": token_clip}
+    for name, p in batch.segments.passes.items():
+        receivers, senders = nodes[name[-1]], nodes[name[-1]]
+        if name.startswith("inter"):
+            senders = nodes["s" if name.endswith(".v") else "v"]
+        assert np.all(p.adj[cross(receivers, senders)] == 0.0), name
+    t = batch.temporal
+    assert np.all(t.pool_weights[cross(pair_clip, query_clip)] == 0.0)
+    assert np.all(t.attn_v[cross(frame_clip, pair_clip)] == 0.0)
+    assert np.all(t.attn_s[cross(token_clip, pair_clip)] == 0.0)
+    assert np.all(t.refine.adj[cross(pair_clip, pair_clip)] == 0.0)
+    for attn, active in zip(batch.query.attn, batch.query.active):
+        assert np.all(attn.data[cross(statement_clip, active)] == 0.0)
+
+
+def test_perturbing_one_clip_leaves_its_batch_mates_unchanged():
+    ps, clips, _ = lockstep_setup()
+    cfg = cfg_of(d=6)
+    rng = np.random.default_rng(40)
+    base = forward_batch(clips, ps, cfg)
+    frames = [FrameNode(t=f.t, feature=f.feature + rng.standard_normal(3)) for f in clips[2].frames]
+    subs = [SubtitleLine(t0=s.t0, t1=s.t1, tokens=s.tokens + 1.0) for s in clips[2].subs]
+    moved = list(clips)
+    moved[2] = Clip(clips[2].clip_id, frames, subs, clips[2].statement + 0.5, clips[2].label)
+    after = forward_batch(moved, ps, cfg)
+    for i, (a, b) in enumerate(zip(base.traces, after.traces)):
+        if i == 2:
+            assert a.prob.item() != b.prob.item()
+        else:
+            assert rel_close(b.prob.item(), a.prob.item()), (i, a.prob.item(), b.prob.item())

@@ -276,6 +276,41 @@ def test_weight_input_gradient_matches_the_plain_product(shape, cols):
         assert np.linalg.norm(x.grad - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def test_param_store_copies_what_it_is_given_and_adopts_its_own_draws():
+    given = np.ones((2, 3))
+    ps = ParamStore()
+    ps.add("given", given)
+    given[0, 0] = 5.0
+    assert ps["given"].data[0, 0] == 1.0 and not np.shares_memory(ps["given"].data, given)
+
+    class Draws:
+        """A generator that keeps what it hands out."""
+
+        def __init__(self):
+            self.rng, self.made = np.random.default_rng(3), []
+
+        def uniform(self, low, high, size):
+            self.made.append(self.rng.uniform(low, high, size=size))
+            return self.made[-1]
+
+    draws = Draws()
+    ps.add_linear("lin", 4, 2, draws)
+    assert ps["lin.w"].data is draws.made[0] and ps["lin.b"].data is draws.made[1]
+    # the same values as drawing straight from the generator
+    rng = np.random.default_rng(3)
+    bound = 1.0 / math.sqrt(2)
+    assert np.array_equal(ps["lin.w"].data, rng.uniform(-bound, bound, size=(4, 2)))
+    assert np.array_equal(ps["lin.b"].data, rng.uniform(-bound, bound, size=(4, 1)))
+
+
+def test_backward_keeps_leaf_gradients_and_drops_op_results():
+    ps = make_params(np.random.default_rng(8), a=(3, 2))
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    y = tn.matmul(ps["a"], x)
+    backward(tn.tanh(y).sum(), ps)
+    assert x.grad is not None and ps["a"].grad is not None and y.grad is None
+
+
 def test_backward_accumulates_until_zero_grad():
     ps = make_params(np.random.default_rng(6), p=(2, 2))
     backward(ps["p"].sum(), ps)
@@ -302,13 +337,16 @@ OPS = {
     "transpose": (lambda ps: tn.matmul(ps["a"].T, ps["a"]).sum(), {"a": (3, 2)}),
     "concat0": (lambda ps: tn.concat([ps["a"], ps["b"]], axis=0).mean(), {"a": (2, 2), "b": (3, 2)}),
     "concat1": (lambda ps: tn.concat([ps["a"], ps["b"]], axis=1).mean(), {"a": (2, 2), "b": (2, 3)}),
-    "col": (lambda ps: tn.col(ps["a"], 1).sum(), {"a": (3, 3)}),
+    "col": (lambda ps: tn.gather(ps["a"], [1]).sum(), {"a": (3, 3)}),
     "add_col": (lambda ps: tn.add_col(ps["a"], ps["b"]).sum(), {"a": (3, 4), "b": (3, 1)}),
-    "col_range": (lambda ps: tn.mul(tn.col(ps["a"], 1, 3), ps["w"]).sum(), {"a": (3, 4), "w": (3, 2)}),
+    "col_range": (lambda ps: tn.mul(tn.gather(ps["a"], [1, 2]), ps["w"]).sum(),
+                  {"a": (3, 4), "w": (3, 2)}),
     "block_mean": (lambda ps: tn.mul(tn.block_mean(ps["a"], (2, 1, 3)), ps["w"]).sum(),
                    {"a": (3, 6), "w": (3, 3)}),
-    "block_expand": (lambda ps: tn.mul(tn.block_expand(ps["a"], (2, 1, 3)), ps["w"]).sum(),
+    "block_expand": (lambda ps: tn.mul(tn.gather(ps["a"], [0, 0, 1, 2, 2, 2]), ps["w"]).sum(),
                      {"a": (3, 3), "w": (3, 6)}),
+    "gather": (lambda ps: tn.mul(tn.gather(ps["a"], [2, 0, 2, 1, 0, 2]), ps["w"]).sum(),
+               {"a": (3, 4), "w": (3, 6)}),
     "sum_ax0": (lambda ps: tn.mul(ps["a"].sum(axis=0), ps["w"]).sum(), {"a": (3, 2), "w": (1, 2)}),
     "mean_ax1": (lambda ps: tn.mul(ps["a"].mean(axis=1), ps["w"]).sum(), {"a": (3, 2), "w": (3, 1)}),
     "softmax": (lambda ps: tn.mul(tn.softmax(ps["a"], axis=1), ps["w"]).sum(), {"a": (3, 4), "w": (3, 4)}),
@@ -451,12 +489,13 @@ def test_block_mean_and_expand_hand_values():
     a = Tensor([[1.0, 3.0, 5.0, 2.0, 4.0, 6.0]])
     assert np.array_equal(tn.block_mean(a, (2, 1, 3)).data, [[2.0, 5.0, 4.0]])
     g = Tensor([[1.0, 2.0, 3.0]])
-    assert np.array_equal(tn.block_expand(g, (2, 1, 3)).data, [[1.0, 1.0, 2.0, 3.0, 3.0, 3.0]])
-    assert np.array_equal(tn.col(a, 1, 4).data, [[3.0, 5.0, 2.0]])
+    assert np.array_equal(tn.gather(g, [0, 0, 1, 2, 2, 2]).data, [[1.0, 1.0, 2.0, 3.0, 3.0, 3.0]])
+    assert np.array_equal(tn.gather(a, [1, 2, 3]).data, [[3.0, 5.0, 2.0]])
+    assert tn.gather(g, [0, 1, 2]) is g
     with pytest.raises(ShapeError):
         tn.block_mean(a, (2, 2))
     with pytest.raises(ShapeError):
-        tn.block_expand(g, (2, 1))
+        tn.gather(g, [0, 3])
 
 
 # ---------------------------------------------------------------- misc
@@ -466,7 +505,7 @@ def test_tape_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        loss = tn.softmax(tn.block_expand(tn.matmul(ps["a"], ps["b"]), (2, 3)), axis=0).sum()
+        loss = tn.softmax(tn.gather(tn.matmul(ps["a"], ps["b"]), [0, 0, 1, 1, 1]), axis=0).sum()
         backward(loss, ps)
         del loss
         assert gc.collect() == 0

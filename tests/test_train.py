@@ -10,7 +10,7 @@ from vlgraph import synth
 from vlgraph.errors import EmptyInputError, FormatError, NumericalError
 from vlgraph.graph import Clip, FrameNode, SubtitleLine, parse_clip, read_dataset, validate_dataset
 from vlgraph.mi import NegativeBuffer
-from vlgraph.model import forward, init_params
+from vlgraph.model import forward, forward_batch, init_params
 from vlgraph.tensor import ParamStore, Tensor, backward
 from vlgraph.train import (
     CKPT_MAGIC,
@@ -21,6 +21,7 @@ from vlgraph.train import (
     load_checkpoint,
     run_clip,
     save_checkpoint,
+    sub_windows,
     total_loss,
     train,
 )
@@ -130,15 +131,34 @@ def test_nonfinite_loss_in_training_names_the_clip_and_epoch(monkeypatch):
     clips = clips_of(3)
     bad = clips[1].clip_id
 
-    def forward_with_nan_logit(clip, params, cfg, frozen=None):
-        trace = forward(clip, params, cfg, frozen)
-        if clip.clip_id == bad:
-            trace.logit = Tensor(math.nan)
-        return trace
+    def forward_with_nan_logit(clips, params, cfg, frozen=None):
+        batch = forward_batch(clips, params, cfg, frozen)
+        for trace in batch.traces:
+            if trace.clip_id == bad:
+                trace.logit = Tensor(math.nan)
+        return batch
 
-    monkeypatch.setattr("vlgraph.train.forward", forward_with_nan_logit)
+    monkeypatch.setattr("vlgraph.train.forward_batch", forward_with_nan_logit)
     with pytest.raises(NumericalError, match=rf"clip '{re.escape(bad)}', epoch 1: loss component l_ent"):
         train(clips, [], HEADER, small_cfg())
+
+
+def test_nonfinite_loss_names_the_clip_not_the_first_of_its_sub_window(monkeypatch):
+    seen = []
+
+    def forward_with_nan_logits(clips, params, cfg, frozen=None):
+        batch = forward_batch(clips, params, cfg, frozen)
+        seen.append([trace.clip_id for trace in batch.traces])
+        for trace in batch.traces[1:]:
+            trace.logit = Tensor(math.nan)
+        return batch
+
+    monkeypatch.setattr("vlgraph.train.SUB_WINDOW_NODES", 10 ** 6)
+    monkeypatch.setattr("vlgraph.train.forward_batch", forward_with_nan_logits)
+    with pytest.raises(NumericalError) as err:
+        train(clips_of(3), [], HEADER, small_cfg())
+    assert len(seen) == 1 and len(seen[0]) == 3
+    assert str(err.value).startswith(f"clip {seen[0][1]!r}, epoch 1: loss component l_ent")
 
 
 # ---------------------------------------------------------------- optimizer
@@ -304,6 +324,23 @@ def test_zero_grad_between_clips_keeps_only_the_second_clip():
         assert np.array_equal(got[name], g), name
 
 
+def test_training_in_sub_windows_matches_one_clip_at_a_time(monkeypatch):
+    cfg = small_cfg(alpha=0.1, beta=0.1, epochs=2, effective_batch=8)
+    clips, val = clips_of(12), clips_of(6, seed=1)
+    assert max(len(run) for run in sub_windows(clips[:8])) > 1
+    batched = train(clips, val, HEADER, cfg)
+    monkeypatch.setattr("vlgraph.train.SUB_WINDOW_NODES", 1)
+    assert all(len(run) == 1 for run in sub_windows(clips))
+    alone = train(clips, val, HEADER, cfg)
+    for got, want in zip(batched.metrics, alone.metrics):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12 * abs(value), (got["epoch"], key, got[key], value)
+    for name, p in alone.params.items():
+        got = batched.params[name].data
+        assert np.max(np.abs(got - p.data)) <= 1e-12 * np.max(np.abs(p.data)), name
+
+
 # --------------------------------------------------------------- evaluation
 
 def test_evaluate_accuracy_tie_breaks_to_zero():
@@ -330,6 +367,20 @@ def test_evaluate_empty_set_rejected():
     params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(7))
     with pytest.raises(EmptyInputError):
         evaluate([], params, cfg)
+
+
+def test_batched_evaluate_uses_in_clip_negatives_only():
+    cfg = small_cfg(alpha=0.1, beta=0.1)
+    params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(9))
+    clips = clips_of(8)
+    assert max(len(run) for run in sub_windows(clips)) > 1
+    res = evaluate(clips, params, cfg)
+    per_clip = [run_clip(clip, params, cfg)[0].as_floats() for clip in clips]
+    for key, value in res.mean_losses.items():
+        want = sum(floats[key] for floats in per_clip) / len(clips)
+        assert abs(value - want) <= 1e-12 * abs(want), (key, value, want)
+    probs = [run_clip(clip, params, cfg)[1].prob.item() for clip in clips]
+    assert res.accuracy == sum((p > 0.5) == bool(c.label) for p, c in zip(probs, clips)) / len(clips)
 
 
 def test_evaluate_reports_mean_losses():
