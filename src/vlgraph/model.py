@@ -121,19 +121,20 @@ def _block_ids(sizes: tuple[int, ...]) -> np.ndarray:
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
+def _spans(part: slice, n: int) -> bool:
+    return part.indices(n) == (0, n, 1)
+
+
 def _part(a: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
     """Block [rows, cols] of a batch array as a view; the array itself when
     the block spans it."""
-    if rows.indices(a.shape[0]) == (0, a.shape[0], 1) and \
-            cols.indices(a.shape[1]) == (0, a.shape[1], 1):
-        return a
-    return a[rows, cols]
+    return a if _spans(rows, a.shape[0]) and _spans(cols, a.shape[1]) else a[rows, cols]
 
 
 def _cols(t: Tensor, cols: slice) -> Tensor:
     """Columns `cols` of a batch tensor, on the tape (the tensor itself when
     they are all of its columns)."""
-    return tn.gather(t, np.arange(cols.start, cols.stop))
+    return t if _spans(cols, t.shape[1]) else tn.gather(t, np.arange(cols.start, cols.stop))
 
 
 def attend(X: Tensor, keys: Tensor, x_ids: np.ndarray,
@@ -146,7 +147,7 @@ def attend(X: Tensor, keys: Tensor, x_ids: np.ndarray,
     weights are exactly zero; every key's block must hold a node. Returns the
     (d, n_keys) pooled nodes and the (n_x, n_keys) weights.
     """
-    mask = Tensor(np.where(x_ids[:, None] == key_ids[None, :], 0.0, -np.inf))
+    mask = Tensor(np.where(x_ids[:, None] == key_ids[None, :], 0.0, -np.inf), copy=False)
     weights = tn.softmax(tn.add(tn.matmul(X.T, keys), mask), axis=0)
     return tn.matmul(X, weights), weights
 
@@ -230,7 +231,10 @@ class SegmentTrace:
 
     def part(self, v: slice, s: slice, v_sizes: tuple[int, ...],
              s_sizes: tuple[int, ...]) -> SegmentTrace:
-        """The segments that own frame columns `v` and token columns `s`."""
+        """The segments that own frame columns `v` and token columns `s`;
+        this record itself when they are all of its segments."""
+        if _spans(v, self.visual.shape[1]) and _spans(s, self.text.shape[1]):
+            return self
         nodes = {"v": v, "s": s}
         return SegmentTrace(
             visual=_cols(self.visual, v), text=_cols(self.text, s), v_sizes=v_sizes,
@@ -395,8 +399,9 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: TrainConfig,
                 go_on.append(j)
         if not go_on:
             break
-        active = active[go_on]
-        g, q, cum = tn.gather(g, go_on), tn.gather(q, go_on), tn.gather(cum, go_on)
+        if len(go_on) < active.size:           # the halted statements drop out
+            active = active[go_on]
+            g, q, cum = tn.gather(g, go_on), tn.gather(q, go_on), tn.gather(cum, go_on)
 
     # query t of statement b is its column of step t
     offsets = np.cumsum([0] + [step.shape[1] for step in steps])
@@ -448,7 +453,10 @@ class TemporalTrace:
 
     def part(self, v: slice, s: slice, p: slice, q: slice, n_segments: int) -> TemporalTrace:
         """The queries `q`, whose node columns are `p`, of the clip that owns
-        frame columns `v` and token columns `s`."""
+        frame columns `v` and token columns `s`; this record itself when they
+        are all of its queries."""
+        if _spans(p, self.nodes.shape[1]) and _spans(q, self.global_nodes.shape[1]):
+            return self
         every = slice(None)
         return TemporalTrace(
             nodes=_cols(self.nodes, p), global_nodes=_cols(self.global_nodes, q),

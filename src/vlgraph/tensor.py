@@ -278,11 +278,15 @@ def gather(a: Tensor, index: Sequence[int] | np.ndarray) -> Tensor:
     per-part gradients of `concat([a[:, i]] * k)` would be. An index that
     names every column once, in order, returns `a` itself.
     """
-    index = np.asarray(index, dtype=np.intp).reshape(-1)
-    if a.data.ndim != 2 or not index.size or index.min() < 0 or index.max() >= a.shape[1]:
+    index = np.asarray(index, dtype=np.intp)
+    if a.data.ndim != 2 or index.ndim != 1 or not index.size or index.min() < 0:
         raise ShapeError(f"gather: columns {index.tolist()} do not index {a.shape}")
     if index.size == a.shape[1] and np.array_equal(index, np.arange(index.size)):
         return a
+    try:
+        data = a.data[:, index]
+    except IndexError as e:
+        raise ShapeError(f"gather: columns {index.tolist()} do not index {a.shape}") from e
 
     def bw(out: Tensor) -> None:
         order = np.argsort(index, kind="stable")
@@ -295,7 +299,7 @@ def gather(a: Tensor, index: Sequence[int] | np.ndarray) -> Tensor:
             a.grad = np.zeros_like(a.data)
         a.grad[:, ranked[starts]] += g
 
-    return _make(a.data[:, index], (a,), bw)
+    return _make(data, (a,), bw)
 
 
 def add_col(mat: Tensor, column: Tensor) -> Tensor:
