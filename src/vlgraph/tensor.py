@@ -284,7 +284,7 @@ def gather(a: Tensor, index: Sequence[int] | np.ndarray) -> Tensor:
     if index.size == a.shape[1] and np.array_equal(index, np.arange(index.size)):
         return a
     try:
-        data = a.data[:, index]
+        data = a.data.take(index, axis=1)      # row-major, like every other op's result
     except IndexError as e:
         raise ShapeError(f"gather: columns {index.tolist()} do not index {a.shape}") from e
 
