@@ -7,10 +7,13 @@ come from the other temporal nodes of the same clip plus a cross-clip ring
 buffer of recent (detached) temporal nodes, refreshed between optimizer
 steps.
 
-All pairs of a clip are scored at once from its one `TemporalTrace`: the
-candidates are its node columns (query-major) followed by the buffer, and
-score column q is every candidate against query q's global node. The
-positive of node column j sits in row j of column `query_ids[j]`.
+All pairs of a batch of clips are scored at once from its one
+`TemporalTrace`: the candidates are the node columns of every clip
+(query-major) followed by the buffer, and score column q is every candidate
+against query q's global node. A score of one clip's node under another
+clip's query is masked to -inf, so each query's log-sum-exp sees exactly
+its own clip's nodes and the buffer. The positive of node column j sits in
+row j of column `query_ids[j]`.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class NegativeBuffer:
 
 @dataclass
 class ContrastiveResult:
-    loss: Tensor
+    loss: Tensor                         # (1, n_clips)
     estimates: list[float] = field(default_factory=list)  # per-pair values
     n_pairs: int = 0
     n_skipped: int = 0
@@ -70,37 +73,44 @@ def contrastive_loss(
     params: ParamStore,
     beta: float,
     buffer: NegativeBuffer | None = None,
+    sizes: tuple[int, ...] = (),
 ) -> ContrastiveResult:
-    """-beta times the mean pair estimate over all (segment, query) pairs.
+    """-beta times the mean pair estimate over all (segment, query) pairs of
+    each clip, as a (1, n_clips) row.
 
-    The candidate set of every pair is the union of all in-clip temporal
-    nodes and the buffer snapshot, which realizes "all other nodes plus
-    buffered negatives" while sharing one score column per query. Pairs with
-    no available negative (single node, empty buffer) are skipped and
-    logged.
+    Clip b owns the next `sizes[b]` queries (one clip of all of them by
+    default). The candidate set of every pair is the union of its clip's
+    temporal nodes and the buffer snapshot, which realizes "all other nodes
+    plus buffered negatives" while sharing one score column per query. The
+    pairs of a clip with no available negative (single node, empty buffer)
+    are skipped and logged; their estimate is exactly zero.
     """
+    sizes = tuple(sizes) or (temporal.global_nodes.shape[1],)
     if beta == 0.0:
-        return ContrastiveResult(loss=Tensor(0.0))
-    n_nodes = temporal.nodes.shape[1]
-    buf = buffer.rows if buffer is not None else None
-    n_cands = n_nodes + (0 if buf is None else buf.shape[0])
-    if n_cands < 2:
+        return ContrastiveResult(loss=Tensor(np.zeros((1, len(sizes)))))
+    query_ids = temporal.query_ids
+    query_clip = np.repeat(np.arange(len(sizes)), sizes)
+    node_clip = query_clip[query_ids]
+    pairs = np.bincount(node_clip, minlength=len(sizes))
+    n_buf = 0 if buffer is None or buffer.rows is None else buffer.rows.shape[0]
+    n_skipped = int(pairs[pairs + n_buf < 2].sum())
+    if n_skipped:
         log.info("contrastive pairs skipped: no negatives available")
-        return ContrastiveResult(loss=Tensor(0.0), n_skipped=n_nodes)
     key = tn.matmul(params[DISC_WEIGHT], temporal.global_nodes)     # (d, n_q)
     scores = tn.matmul(temporal.nodes.T, key)
-    if buf is not None:
-        # the buffer rows are constants: their block's backward feeds `key` only
-        scores = tn.concat([scores, tn.matmul(buf, key)], axis=0)
-    lse = tn.logsumexp(scores)                   # (1, n_q)
-    rows, cols = np.arange(n_nodes), temporal.query_ids
     positive = np.zeros(scores.shape)
-    positive[rows, cols] = 1.0
-    # every query owns n_segments pairs, so its log-sum-exp enters that often
-    total = tn.sub(tn.mul(scores, Tensor(positive)).sum(),
-                   tn.scale(lse.sum(), float(temporal.n_segments)))
+    positive[np.arange(len(query_ids)), query_ids] = 1.0
+    # taken before the mask, where -inf * 0 would be NaN
+    pos = tn.mul(scores, Tensor(positive, copy=False)).sum(axis=1).T    # (1, n_nodes)
+    mask = np.where(node_clip[:, None] == query_clip[None, :], 0.0, -np.inf)
+    cands = tn.add(scores, Tensor(mask, copy=False))
+    if n_buf:
+        # the buffer rows are constants: their block's backward feeds `key` only
+        cands = tn.concat([cands, tn.matmul(buffer.rows, key)], axis=0)
+    estimates = tn.sub(pos, tn.gather(tn.logsumexp(cands), query_ids))     # (1, n_nodes)
     return ContrastiveResult(
-        loss=tn.scale(total, -beta / n_nodes),
-        estimates=(scores.data[rows, cols] - lse.data[0, cols]).tolist(),
-        n_pairs=n_nodes,
+        loss=tn.scale(tn.block_mean(estimates, tuple(pairs)), -beta),
+        estimates=estimates.data[0].tolist(),
+        n_pairs=len(query_ids) - n_skipped,
+        n_skipped=n_skipped,
     )

@@ -40,12 +40,12 @@ Global level: the mean of each clip's global nodes feeds a small
 prediction head, one column per clip.
 
 The trace records (`Pass`, `SegmentTrace`, `TemporalTrace`) hold the batched
-arrays themselves, never copies. A clip's `Trace` holds its own block of
-each: numpy views of the record arrays and tape-connected column slices
-(`tensor.gather`) of the tensors, which are the batch's own objects when
-the batch is that one clip. A `TemporalTrace` is query-major: node column j
-pools segment j of its query's block, `query_ids` names the query of each
-node column, and column q of its global nodes is query q's global node.
+arrays themselves, never copies, and a `BatchTrace` holds one of each for
+the whole batch: the losses read every clip's blocks from it at once (see
+`train.total_loss`), so no clip gets a record of its own. A
+`TemporalTrace` is query-major: node column j pools segment j of its
+query's block, `query_ids` names the query of each node column, and column
+q of its global nodes is query q's global node.
 
 All forward paths are pure given (params, inputs); the discrete halting
 decision can be pinned via `FrozenDecisions` so that finite-difference
@@ -121,22 +121,6 @@ def _block_ids(sizes: tuple[int, ...]) -> np.ndarray:
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
-def _spans(part: slice, n: int) -> bool:
-    return part.indices(n) == (0, n, 1)
-
-
-def _part(a: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """Block [rows, cols] of a batch array as a view; the array itself when
-    the block spans it."""
-    return a if _spans(rows, a.shape[0]) and _spans(cols, a.shape[1]) else a[rows, cols]
-
-
-def _cols(t: Tensor, cols: slice) -> Tensor:
-    """Columns `cols` of a batch tensor, on the tape (the tensor itself when
-    they are all of its columns)."""
-    return t if _spans(cols, t.shape[1]) else tn.gather(t, np.arange(cols.start, cols.stop))
-
-
 def attend(X: Tensor, keys: Tensor, x_ids: np.ndarray,
            key_ids: np.ndarray) -> tuple[Tensor, Tensor]:
     """Pool the nodes X under every key column: X @ softmax(X^T keys + mask).
@@ -170,12 +154,6 @@ class Pass:
     msg: np.ndarray                      # (d, n_x), aggregated messages
     out: np.ndarray                      # (d, n_x), updated nodes
 
-    def part(self, rows: slice, cols: slice) -> Pass:
-        """The pass of receivers `rows` from senders `cols`, as views."""
-        every = slice(None)
-        return Pass(adj=_part(self.adj, rows, cols), gate=_part(self.gate, every, rows),
-                    msg=_part(self.msg, every, rows), out=_part(self.out, every, rows))
-
 
 def message_pass(X: Tensor, Y: Tensor, g_x: Tensor, g_y: Tensor, params: ParamStore,
                  name: str, x_sizes: tuple[int, ...] = (),
@@ -200,10 +178,6 @@ def message_pass(X: Tensor, Y: Tensor, g_x: Tensor, g_y: Tensor, params: ParamSt
     return out, Pass(adj=weights.data.T, gate=gate.data, msg=msg.data, out=out.data)
 
 
-# the receiving and the sending modality of each segment-level pass
-_PASS_NODES = {"inter.v": "vs", "inter.s": "sv", "intra.v": "vv", "intra.s": "ss"}
-
-
 @dataclass
 class SegmentTrace:
     """Refined nodes of every segment, as column blocks."""
@@ -226,21 +200,8 @@ class SegmentTrace:
 
     def split(self) -> list[tuple[Tensor, Tensor]]:
         """Each segment's (visual, text) nodes, sliced on the tape."""
-        return [(_cols(self.visual, slice(*v)), _cols(self.text, slice(*s)))
+        return [(tn.gather(self.visual, np.arange(*v)), tn.gather(self.text, np.arange(*s)))
                 for v, s in zip(block_bounds(self.v_sizes), block_bounds(self.s_sizes))]
-
-    def part(self, v: slice, s: slice, v_sizes: tuple[int, ...],
-             s_sizes: tuple[int, ...]) -> SegmentTrace:
-        """The segments that own frame columns `v` and token columns `s`;
-        this record itself when they are all of its segments."""
-        if _spans(v, self.visual.shape[1]) and _spans(s, self.text.shape[1]):
-            return self
-        nodes = {"v": v, "s": s}
-        return SegmentTrace(
-            visual=_cols(self.visual, v), text=_cols(self.text, s), v_sizes=v_sizes,
-            s_sizes=s_sizes, passes={name: p.part(nodes[_PASS_NODES[name][0]],
-                                                  nodes[_PASS_NODES[name][1]])
-                                     for name, p in self.passes.items()})
 
 
 def refine_segment(V: Tensor, S: Tensor, params: ParamStore, cfg: TrainConfig,
@@ -300,9 +261,9 @@ def should_stop(cum_halt: float, step: int, halt_eps: float, max_queries: int) -
 
 @dataclass
 class QueryCost:
-    """One statement's share of a query extraction."""
+    """One statement's share of a query extraction; its query count is in
+    `QueryState.counts`."""
 
-    n_queries: int
     surrogate: Tensor                    # differentiable query-efficiency cost, (1, 1)
     literal: float                       # query_cost * n, logged as a metric
     stopped_early: bool                  # the halting fired before the cap
@@ -414,8 +375,7 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: TrainConfig,
             remainder = Tensor(1.0)
         else:
             remainder = tn.sub(1.0, tn.gather(cums[n - 2], [np.searchsorted(actives[n - 2], b)]))
-        costs.append(QueryCost(n_queries=n,
-                               surrogate=tn.scale(tn.add(remainder, float(n)), cfg.query_cost),
+        costs.append(QueryCost(surrogate=tn.scale(tn.add(remainder, float(n)), cfg.query_cost),
                                literal=cfg.query_cost * n, stopped_early=early[b]))
     return QueryState(queries=queries, counts=tuple(counts), attn=attn, halts=halts, cum=cums,
                       active=actives, costs=costs)
@@ -427,8 +387,7 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: TrainConfig,
 class TemporalTrace:
     """The temporal level for all queries at once, laid out query-major:
     query q owns the next `sizes[q]` node columns, one per segment of its
-    clip, so in a clip's own record node column q * n_segments + s is
-    segment s pooled under query q."""
+    clip in segment order."""
 
     nodes: Tensor                        # pooled nodes (d, sum(sizes))
     global_nodes: Tensor                 # (d, n_q), column q pools query q's block
@@ -443,27 +402,6 @@ class TemporalTrace:
     def query_ids(self) -> np.ndarray:
         """The query of each node column."""
         return _block_ids(self.sizes)
-
-    @property
-    def n_segments(self) -> int:
-        """Node columns per query: the clip's segment count, in a clip's record."""
-        if len(set(self.sizes)) != 1:
-            raise ContractError(f"queries pool different segment counts: {self.sizes}")
-        return self.sizes[0]
-
-    def part(self, v: slice, s: slice, p: slice, q: slice, n_segments: int) -> TemporalTrace:
-        """The queries `q`, whose node columns are `p`, of the clip that owns
-        frame columns `v` and token columns `s`; this record itself when they
-        are all of its queries."""
-        if _spans(p, self.nodes.shape[1]) and _spans(q, self.global_nodes.shape[1]):
-            return self
-        every = slice(None)
-        return TemporalTrace(
-            nodes=_cols(self.nodes, p), global_nodes=_cols(self.global_nodes, q),
-            sizes=(n_segments,) * (q.stop - q.start), pool_weights=_part(self.pool_weights, p, q),
-            attn_v=_part(self.attn_v, v, p), attn_s=_part(self.attn_s, s, p),
-            fuse_gates=_part(self.fuse_gates, every, p),
-            refine=None if self.refine is None else self.refine.part(p, p))
 
 
 def temporal_pool(T: Tensor, Q: Tensor, params: ParamStore,
@@ -535,31 +473,21 @@ class FrozenDecisions:
 
 
 @dataclass
-class Trace:
-    """One clip's share of a batch: its own blocks of every level."""
+class BatchTrace:
+    """A batch of clips run as one block-diagonal graph: every level's
+    records, with the clips' blocks in batch order."""
 
-    clip_id: str
-    prob: Tensor
-    logit: Tensor
-    graph: ClipGraph
-    segments: SegmentTrace               # the clip's segments, as column blocks
-    query: QueryCost
-    temporal: TemporalTrace              # the clip's queries, as column blocks
+    graphs: list[ClipGraph]              # one per clip
+    segments: SegmentTrace               # every clip's segments, clip by clip
+    query: QueryState                    # `counts` holds each clip's query count
+    temporal: TemporalTrace              # every clip's queries, clip by clip
+    prob: Tensor                         # (1, n_clips)
+    logit: Tensor                        # (1, n_clips)
 
     @property
     def n_queries(self) -> int:
+        """Queries of all clips; a batch of one clip's own count."""
         return self.query.n_queries
-
-
-@dataclass
-class BatchTrace:
-    """A batch of clips run as one block-diagonal graph, and each clip's share."""
-
-    traces: list[Trace]                  # one per clip, in batch order
-    segments: SegmentTrace               # every clip's segments, clip by clip
-    query: QueryState
-    temporal: TemporalTrace              # every clip's queries, clip by clip
-    prob: Tensor                         # (1, n_clips)
 
 
 def forward_batch(clips: Sequence[Clip], params: ParamStore, cfg: TrainConfig,
@@ -567,6 +495,8 @@ def forward_batch(clips: Sequence[Clip], params: ParamStore, cfg: TrainConfig,
     """Run `clips` as blocks of one graph; `frozen` pins each clip's query count."""
     if not clips:
         raise ContractError("a batch needs at least one clip")
+    if frozen is not None and len(frozen) != len(clips):
+        raise ContractError(f"{len(frozen)} frozen decisions for {len(clips)} clips")
     graphs = [build_clip_graph(clip.frames, clip.subs, params) for clip in clips]
     H = project_nodes(np.concatenate([clip.statement for clip in clips], axis=1), params, "proj.h")
     qs = extract_queries(H, params, cfg, None if frozen is None else [f.n_queries for f in frozen],
@@ -578,23 +508,11 @@ def forward_batch(clips: Sequence[Clip], params: ParamStore, cfg: TrainConfig,
     temporal = reason_over_segments(segs, [qs.queries], params, cfg,
                                     tuple((g.n_segments, n) for g, n in zip(graphs, qs.counts)))
     prob, logit = predict_global(temporal.global_nodes, params, qs.counts)
-    traces = []
-    v0 = s0 = p0 = q0 = 0
-    for b, (clip, graph, cost) in enumerate(zip(clips, graphs, qs.costs)):
-        v = slice(v0, v0 + graph.frame_nodes.shape[1])
-        s = slice(s0, s0 + graph.token_nodes.shape[1])
-        p = slice(p0, p0 + cost.n_queries * graph.n_segments)
-        q = slice(q0, q0 + cost.n_queries)
-        traces.append(Trace(
-            clip_id=clip.clip_id, prob=_cols(prob, slice(b, b + 1)),
-            logit=_cols(logit, slice(b, b + 1)), graph=graph,
-            segments=segs.part(v, s, graph.frame_sizes, graph.token_sizes), query=cost,
-            temporal=temporal.part(v, s, p, q, graph.n_segments)))
-        v0, s0, p0, q0 = v.stop, s.stop, p.stop, q.stop
-    return BatchTrace(traces=traces, segments=segs, query=qs, temporal=temporal, prob=prob)
+    return BatchTrace(graphs=graphs, segments=segs, query=qs, temporal=temporal, prob=prob,
+                      logit=logit)
 
 
 def forward(clip: Clip, params: ParamStore, cfg: TrainConfig,
-            frozen: FrozenDecisions | None = None) -> Trace:
+            frozen: FrozenDecisions | None = None) -> BatchTrace:
     """One clip, as a batch of one."""
-    return forward_batch([clip], params, cfg, None if frozen is None else [frozen]).traces[0]
+    return forward_batch([clip], params, cfg, None if frozen is None else [frozen])

@@ -2,8 +2,9 @@
 
 Clips run in sub-windows: consecutive clips of one optimizer window go
 through one forward as blocks of one block-diagonal graph (`forward_batch`),
-each clip's own `total_loss` reads its share of that graph, and one
-backward runs on the sum of the sub-window's losses. A sub-window never
+one `total_loss` takes every term of every clip from that graph's records
+as (1, n_clips) rows, and one backward runs on the sum of the sub-window's
+losses. A sub-window never
 crosses a window or epoch boundary, so the parameters and the
 negative-buffer snapshot are the same for all its clips, and it closes
 before its clips' frame and token nodes pass `SUB_WINDOW_NODES`. The
@@ -33,8 +34,8 @@ import numpy as np
 from . import tensor as tn
 from .errors import ContractError, EmptyInputError, FormatError, NumericalError
 from .graph import Clip
-from .mi import ContrastiveResult, NegativeBuffer, contrastive_loss
-from .model import BatchTrace, Trace, forward, forward_batch, init_params, param_shapes
+from .mi import NegativeBuffer, contrastive_loss
+from .model import BatchTrace, forward, forward_batch, init_params, param_shapes
 from .tensor import ParamStore, Tensor, backward, no_grad
 from .transport import transport_loss
 
@@ -94,7 +95,14 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+            if f.type != "float":
+                continue
+            try:
+                finite = math.isfinite(getattr(self, f.name))
+            except OverflowError:          # an int beyond float range
+                raise ContractError(f"{f.name} must be finite, got an integer beyond "
+                                    f"float range") from None
+            if not finite:
                 raise ContractError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("dim", "max_queries", "effective_batch", "neg_buffer",
                      "ot_sinkhorn_iters", "ot_gw_outer_iters"):
@@ -144,57 +152,59 @@ class TrainConfig:
 
 @dataclass
 class LossBundle:
-    """The four loss terms; `total` is exactly their sum on the tape."""
+    """The four loss terms of a batch, each a (1, n_clips) row; `total` is
+    exactly their sum on the tape, clip by clip."""
 
     ent: Tensor
     qe: Tensor
-    qe_literal: float
+    qe_literal: list[float]
     cm: Tensor
     cl: Tensor
     total: Tensor
-    n_queries: int = 1
-    cl_pairs: int = 0
-    cl_skipped: int = 0
 
-    def as_floats(self) -> dict[str, float]:
-        return {
-            "l_ent": self.ent.item(),
-            "l_qe_surrogate": self.qe.item(),
-            "l_qe_literal": self.qe_literal,
-            "l_cm": self.cm.item(),
-            "l_cl": self.cl.item(),
-            "total": self.total.item(),
-        }
+    def as_floats(self) -> list[dict[str, float]]:
+        """Each clip's loss terms, in batch order."""
+        return [{"l_ent": float(ent), "l_qe_surrogate": float(qe), "l_qe_literal": literal,
+                 "l_cm": float(cm), "l_cl": float(cl), "total": float(total)}
+                for ent, qe, literal, cm, cl, total in zip(
+                    self.ent.data[0], self.qe.data[0], self.qe_literal, self.cm.data[0],
+                    self.cl.data[0], self.total.data[0])]
 
-    def check_finite(self) -> None:
-        for name, value in self.as_floats().items():
-            if not math.isfinite(value):
-                raise NumericalError(f"loss component {name} is non-finite ({value})")
+    def check_finite(self, clips: Sequence[str]) -> None:
+        """NumericalError naming the first non-finite term; `clips` describes
+        each clip for the message."""
+        for clip, floats in zip(clips, self.as_floats()):
+            for name, value in floats.items():
+                if not math.isfinite(value):
+                    raise NumericalError(f"{clip}: loss component {name} is non-finite ({value})")
 
 
 def total_loss(
-    trace: Trace,
-    label: int,
+    trace: BatchTrace,
+    labels: int | Sequence[int],
     params: ParamStore,
     cfg: TrainConfig,
     buffer: NegativeBuffer | None = None,
     frozen_plans: list[np.ndarray] | None = None,
 ) -> LossBundle:
-    """Cross-entropy + query-efficiency + transport + contrastive terms.
+    """Cross-entropy + query-efficiency + transport + contrastive terms of
+    every clip of the batch, each term taken once for all clips.
 
-    The cross-entropy is softplus(-logit) for label 1 and softplus(logit)
-    for label 0, exact for any logit.
+    `labels` holds one label per clip (an int for a batch of one), and
+    `frozen_plans` one plan per segment of the batch. The cross-entropy is
+    softplus(-logit) for label 1 and softplus(logit) for label 0, exact for
+    any logit.
     """
-    ent = tn.softplus(tn.scale(trace.logit, 1.0 - 2.0 * label))
-    qe = trace.query.surrogate
-    cm, _ = transport_loss(trace.segments, cfg, frozen_plans=frozen_plans)
-    cl_res: ContrastiveResult = contrastive_loss(trace.temporal, params, cfg.beta, buffer)
-    total = tn.add(tn.add(tn.add(ent, qe), cm), cl_res.loss)
-    return LossBundle(
-        ent=ent, qe=qe, qe_literal=trace.query.literal, cm=cm, cl=cl_res.loss,
-        total=total, n_queries=trace.n_queries,
-        cl_pairs=cl_res.n_pairs, cl_skipped=cl_res.n_skipped,
-    )
+    signs = 1.0 - 2.0 * np.asarray(labels, dtype=np.float64).reshape(1, -1)
+    ent = tn.softplus(tn.mul(trace.logit, Tensor(signs, copy=False)))
+    costs = trace.query.costs
+    qe = tn.concat([cost.surrogate for cost in costs], axis=1)
+    cm, _ = transport_loss(trace.segments, cfg, frozen_plans,
+                           tuple(graph.n_segments for graph in trace.graphs))
+    cl = contrastive_loss(trace.temporal, params, cfg.beta, buffer, trace.query.counts).loss
+    total = tn.add(tn.add(tn.add(ent, qe), cm), cl)
+    return LossBundle(ent=ent, qe=qe, qe_literal=[cost.literal for cost in costs], cm=cm,
+                      cl=cl, total=total)
 
 
 class Adam:
@@ -270,19 +280,16 @@ class TrainResult:
 
 
 def run_clip(clip: Clip, params: ParamStore, cfg: TrainConfig,
-             buffer: NegativeBuffer | None = None) -> tuple[LossBundle, Trace]:
+             buffer: NegativeBuffer | None = None) -> tuple[LossBundle, BatchTrace]:
     trace = forward(clip, params, cfg)
-    bundle = total_loss(trace, clip.label, params, cfg, buffer)
-    return bundle, trace
+    return total_loss(trace, clip.label, params, cfg, buffer), trace
 
 
 def run_clips(clips: Sequence[Clip], params: ParamStore, cfg: TrainConfig,
-              buffer: NegativeBuffer | None = None) -> tuple[list[LossBundle], BatchTrace]:
-    """One forward over `clips` as a batch, then each clip's own loss."""
-    batch = forward_batch(clips, params, cfg)
-    bundles = [total_loss(trace, clip.label, params, cfg, buffer)
-               for clip, trace in zip(clips, batch.traces)]
-    return bundles, batch
+              buffer: NegativeBuffer | None = None) -> tuple[LossBundle, BatchTrace]:
+    """One forward over `clips` as a batch, then the batch's losses."""
+    trace = forward_batch(clips, params, cfg)
+    return total_loss(trace, [clip.label for clip in clips], params, cfg, buffer), trace
 
 
 def _nodes(clip: Clip) -> int:
@@ -307,20 +314,15 @@ def sub_windows(clips: Sequence[Clip]) -> Iterator[list[Clip]]:
 
 
 def _learn(clips: list[Clip], params: ParamStore, cfg: TrainConfig, buffer: NegativeBuffer,
-           epoch: int) -> list[tuple[dict[str, float], int, np.ndarray]]:
-    """One sub-window: its forward, each clip's loss, checked to be finite,
-    and one backward on their sum. Returns each clip's loss floats, query
-    count and temporal node values; the tape is freed on return, before the
-    next sub-window builds its own."""
-    bundles, batch = run_clips(clips, params, cfg, buffer)
-    for clip, bundle in zip(clips, bundles):
-        try:
-            bundle.check_finite()
-        except NumericalError as e:
-            raise NumericalError(f"clip {clip.clip_id!r}, epoch {epoch}: {e}") from e
-    backward(tn.concat([bundle.total for bundle in bundles], axis=0).sum())
-    return [(bundle.as_floats(), bundle.n_queries, trace.temporal.nodes.data)
-            for bundle, trace in zip(bundles, batch.traces)]
+           epoch: int) -> tuple[list[dict[str, float]], int, np.ndarray]:
+    """One sub-window: its forward and losses, checked to be finite, and one
+    backward on their sum. Returns each clip's loss floats, the query count
+    of all clips and the temporal node values, clip by clip; the tape is
+    freed on return, before the next sub-window builds its own."""
+    bundle, trace = run_clips(clips, params, cfg, buffer)
+    bundle.check_finite([f"clip {clip.clip_id!r}, epoch {epoch}" for clip in clips])
+    backward(bundle.total.sum())
+    return bundle.as_floats(), trace.n_queries, trace.temporal.nodes.data
 
 
 def train(
@@ -353,11 +355,12 @@ def train(
             window = [train_clips[i] for i in order[start : start + cfg.effective_batch]]
             pending: list[np.ndarray] = []
             for clips in sub_windows(window):
-                for losses, n_queries, nodes in _learn(clips, params, cfg, buffer, epoch):
-                    pending.extend(nodes.T)
-                    for key, val in losses.items():
+                losses, n_queries, nodes = _learn(clips, params, cfg, buffer, epoch)
+                pending.extend(nodes.T)
+                for floats in losses:
+                    for key, val in floats.items():
                         sums[key] += val
-                    n_sum += n_queries
+                n_sum += n_queries
             opt.step(grad_scale=1.0 / len(window))
             params.zero_grad()
             buffer.push(pending)
@@ -403,11 +406,10 @@ def evaluate(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -> EvalRes
     sums: dict[str, float] = {}
     with no_grad():
         for run in sub_windows(clips):
-            bundles, batch = run_clips(run, params, cfg)
-            for clip, trace, bundle in zip(run, batch.traces, bundles):
-                pred = 1 if trace.prob.item() > 0.5 else 0
-                correct += int(pred == clip.label)
-                for key, val in bundle.as_floats().items():
+            bundle, trace = run_clips(run, params, cfg)
+            for clip, p, floats in zip(run, trace.prob.data[0], bundle.as_floats()):
+                correct += int((1 if p > 0.5 else 0) == clip.label)
+                for key, val in floats.items():
                     sums[key] = sums.get(key, 0.0) + val
     return EvalResult(
         accuracy=correct / len(clips),
@@ -497,7 +499,7 @@ def load_checkpoint(path: str) -> CheckpointData:
     head_start = len(CKPT_MAGIC) + 8
     try:
         header = json.loads(blob[head_start : head_start + head_len])
-    except json.JSONDecodeError as e:
+    except ValueError as e:            # a JSONDecodeError, or an integer too long to read
         raise FormatError(f"{path}: corrupt checkpoint header: {e}") from e
     if not isinstance(header, dict):
         raise FormatError(f"{path}: checkpoint header is not a JSON object")

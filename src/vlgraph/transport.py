@@ -144,15 +144,19 @@ def transport_loss(
     segments: SegmentTrace,
     cfg: TrainConfig,
     frozen_plans: list[np.ndarray] | None = None,
+    sizes: tuple[int, ...] = (),
 ) -> tuple[Tensor, list[np.ndarray]]:
-    """Mean per-segment fused distance, scaled by alpha, on the tape.
+    """Each clip's mean per-segment fused distance, scaled by alpha, as a
+    (1, n_clips) row on the tape.
 
-    Plans come from `solve_plan` on the current values (or `frozen_plans`,
-    one per segment) and are treated as constants; gradients reach the node
-    matrices through the cosine cost matrices only.
+    Clip b owns the next `sizes[b]` segments (one clip of all of them by
+    default). Plans come from `solve_plan` on the current values (or
+    `frozen_plans`, one per segment) and are treated as constants; gradients
+    reach the node matrices through the cosine cost matrices only.
     """
+    sizes = tuple(sizes) or (segments.n_segments,)
     if cfg.alpha == 0.0:
-        return Tensor(0.0), []
+        return Tensor(np.zeros((1, len(sizes)))), []
     if frozen_plans is not None and len(frozen_plans) != segments.n_segments:
         raise ContractError(f"transport_loss: {len(frozen_plans)} frozen plans "
                             f"for {segments.n_segments} segments")
@@ -170,5 +174,4 @@ def transport_loss(
         plans.append(plan)
         node_term = tn.mul(node_cost, Tensor(cfg.lam * plan)).sum()
         terms.append(tn.add(node_term, tn.gw_pair_cost(intra_s, intra_v, plan, structure)))
-    total = tn.concat(terms, axis=0).sum()
-    return tn.scale(total, cfg.alpha / len(terms)), plans
+    return tn.scale(tn.block_mean(tn.concat(terms, axis=1), sizes), cfg.alpha), plans

@@ -433,7 +433,7 @@ def test_forward_convex_combination_bounds():
     ps = params_of(rng)
     clip = make_clip(rng, n_segments=3, frames_per=3, tokens_per=2)
     trace = forward(clip, ps, cfg_of())
-    seg, V0 = trace.segments, trace.graph.frame_nodes
+    seg, V0 = trace.segments, trace.graphs[0].frame_nodes
     assert seg.n_segments == 3
     inter_v, intra_v = seg.passes["inter.v"], seg.passes["intra.v"]
     lo = np.minimum(V0.data, inter_v.msg) - 1e-12
@@ -459,7 +459,7 @@ def test_forward_attention_vectors_are_probabilities():
     for attn, sizes in ((t.attn_v, trace.segments.v_sizes), (t.attn_s, trace.segments.s_sizes)):
         bounds = np.cumsum((0,) + sizes)
         for j in range(attn.shape[1]):
-            s = j % t.n_segments
+            s = j % trace.segments.n_segments
             assert abs(attn[bounds[s]:bounds[s + 1], j].sum() - 1.0) <= 1e-12
 
 
@@ -558,8 +558,9 @@ def test_trace_arrays_are_views_of_the_batched_arrays():
     rng = np.random.default_rng(26)
     ps = params_of(rng)
     trace = forward(make_clip(rng, n_segments=3), ps, cfg_of(fixed_queries=2))
-    assert trace.graph.n_segments == 3
-    assert all(np.shares_memory(v, trace.graph.frame_nodes.data) for v in trace.graph.visual)
+    graph = trace.graphs[0]
+    assert graph.n_segments == 3
+    assert all(np.shares_memory(v, graph.frame_nodes.data) for v in graph.visual)
     t = trace.temporal
     assert t.nodes.shape == (4, 6) and t.global_nodes.shape == (4, 2)
     # G = T @ weights, and P = (1 - gate) * (V @ attn_v) + gate * (S @ attn_s):
@@ -600,6 +601,8 @@ BATCH_CASES = {
     "no_temporal": {"temporal": False},
     "fixed_queries_1": {"fixed_queries": 1},
     "fixed_queries_3": {"fixed_queries": 3},
+    "no_transport": {"alpha": 0.0},
+    "no_contrastive": {"beta": 0.0},
 }
 
 
@@ -636,17 +639,21 @@ def test_lockstep_batch_matches_clips_run_one_at_a_time(case):
         bundle, trace = run_clip(clip, ps, cfg, buffer)
         for name, g in backward(bundle.total, ps).items():
             want_grads[name] += g
-        alone.append((trace.prob.item(), bundle.as_floats(), trace.n_queries))
+        alone.append((trace.prob.item(), bundle.as_floats()[0], trace.n_queries))
     if case == "default":
         assert len({n for _, _, n in alone}) == 3      # the clips halt at different steps
     ps.zero_grad()
-    bundles, batch = run_clips(clips, ps, cfg, buffer)
-    got_grads = backward(tn.concat([b.total for b in bundles], axis=0).sum(), ps)
-    for (prob, floats, n), trace, bundle in zip(alone, batch.traces, bundles):
-        assert rel_close(trace.prob.item(), prob), (trace.clip_id, trace.prob.item(), prob)
-        assert trace.n_queries == n
-        for key, value in bundle.as_floats().items():
-            assert rel_close(value, floats[key]), (trace.clip_id, key, value, floats[key])
+    bundle, batch = run_clips(clips, ps, cfg, buffer)
+    got_grads = backward(bundle.total.sum(), ps)
+    for clip, (prob, floats, n), got_prob, got_n, got_floats in zip(
+            clips, alone, batch.prob.data[0], batch.query.counts, bundle.as_floats()):
+        assert rel_close(got_prob, prob), (clip.clip_id, got_prob, prob)
+        assert got_n == n
+        for key, value in got_floats.items():
+            assert rel_close(value, floats[key]), (clip.clip_id, key, value, floats[key])
+    for term, weight in ((bundle.cm, "alpha"), (bundle.cl, "beta")):
+        if cfg.to_dict()[weight] == 0.0:           # the shortcut gives one zero per clip
+            assert term.shape == (1, len(clips)) and np.all(term.data == 0.0)
     for name, want in want_grads.items():
         got = got_grads[name]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
@@ -656,7 +663,7 @@ def test_lockstep_batch_has_no_cross_clip_weight():
     ps, clips, _ = lockstep_setup()
     cfg = cfg_of(d=6)
     batch = forward_batch(clips, ps, cfg)
-    graphs = [t.graph for t in batch.traces]
+    graphs = batch.graphs
     counts = batch.query.counts
     frame_clip = np.repeat(np.arange(4), [g.frame_nodes.shape[1] for g in graphs])
     token_clip = np.repeat(np.arange(4), [g.token_nodes.shape[1] for g in graphs])
@@ -692,8 +699,46 @@ def test_perturbing_one_clip_leaves_its_batch_mates_unchanged():
     moved = list(clips)
     moved[2] = Clip(clips[2].clip_id, frames, subs, clips[2].statement + 0.5, clips[2].label)
     after = forward_batch(moved, ps, cfg)
-    for i, (a, b) in enumerate(zip(base.traces, after.traces)):
+    for i, (a, b) in enumerate(zip(base.prob.data[0], after.prob.data[0])):
         if i == 2:
-            assert a.prob.item() != b.prob.item()
+            assert a != b
         else:
-            assert rel_close(b.prob.item(), a.prob.item()), (i, a.prob.item(), b.prob.item())
+            assert rel_close(b, a), (i, a, b)
+
+
+def test_one_node_clip_without_negatives_is_skipped_beside_its_batch_mates():
+    from vlgraph.tensor import backward
+    from vlgraph.train import run_clip, run_clips
+    ps, clips, _ = lockstep_setup()
+    cfg = cfg_of(d=6, fixed_queries=1)
+    clips = clips[1:3] + [clips[0]] + clips[3:]       # the one-segment clip, inside the batch
+    empty = NegativeBuffer(8)
+    want_grads = {name: np.zeros_like(p.data) for name, p in ps.items()}
+    alone = []
+    for clip in clips:
+        ps.zero_grad()
+        bundle, _ = run_clip(clip, ps, cfg, empty)
+        for name, g in backward(bundle.total, ps).items():
+            want_grads[name] += g
+        alone.append(bundle.as_floats()[0])
+    ps.zero_grad()
+    bundle, batch = run_clips(clips, ps, cfg, empty)
+    got_grads = backward(bundle.total.sum(), ps)
+    assert batch.temporal.sizes == (3, 2, 1, 2)         # the third clip has one temporal node
+    assert bundle.as_floats()[2]["l_cl"] == 0.0
+    res = contrastive_loss(batch.temporal, ps, cfg.beta, empty, batch.query.counts)
+    assert res.n_skipped == 1 and res.n_pairs == 7
+    for i, (got, want) in enumerate(zip(bundle.as_floats(), alone)):
+        for key, value in want.items():
+            assert rel_close(got[key], value), (i, key, got[key], value)
+    for name, want in want_grads.items():
+        got = got_grads[name]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+@pytest.mark.parametrize("n_frozen", [1, 3])
+def test_frozen_decisions_must_match_the_clips(n_frozen):
+    ps, clips, _ = lockstep_setup()
+    from vlgraph.errors import ContractError
+    with pytest.raises(ContractError, match=f"{n_frozen} frozen decisions for 2 clips"):
+        forward_batch(clips[:2], ps, cfg_of(d=6), [FrozenDecisions(n_queries=1)] * n_frozen)

@@ -87,7 +87,7 @@ def test_entropy_loss_of_confident_wrong_logit_is_the_logit(logit):
     clip = [c for c in clips_of(4) if c.label == 0][0]
     bundle, trace = run_clip(clip, params, cfg)
     assert trace.logit.item() == logit
-    assert abs(bundle.as_floats()["l_ent"] - logit) <= 1e-9
+    assert abs(bundle.as_floats()[0]["l_ent"] - logit) <= 1e-9
 
 
 def test_total_reduces_to_entropy_when_weights_zero():
@@ -113,7 +113,7 @@ def test_loss_components_finite_and_signed_as_specified():
     params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(3))
     for clip in clips_of(6, seed=5):
         bundle, _ = run_clip(clip, params, cfg, NegativeBuffer(16))
-        vals = bundle.as_floats()
+        vals = bundle.as_floats()[0]
         assert all(math.isfinite(v) for v in vals.values())
         assert vals["l_ent"] >= 0.0 and vals["l_qe_surrogate"] >= 0.0 and vals["l_cm"] >= 0.0
 
@@ -124,7 +124,7 @@ def test_nonfinite_loss_aborts_with_component_name():
     params["head.out.w"].data[:] = np.nan
     bundle, _ = run_clip(clips_of(1)[0], params, cfg)
     with pytest.raises(NumericalError, match="l_ent"):
-        bundle.check_finite()
+        bundle.check_finite(["clip"])
 
 
 def test_nonfinite_loss_in_training_names_the_clip_and_epoch(monkeypatch):
@@ -133,9 +133,8 @@ def test_nonfinite_loss_in_training_names_the_clip_and_epoch(monkeypatch):
 
     def forward_with_nan_logit(clips, params, cfg, frozen=None):
         batch = forward_batch(clips, params, cfg, frozen)
-        for trace in batch.traces:
-            if trace.clip_id == bad:
-                trace.logit = Tensor(math.nan)
+        ids = np.array([clip.clip_id for clip in clips])
+        batch.logit = Tensor(np.where(ids == bad, math.nan, batch.logit.data))
         return batch
 
     monkeypatch.setattr("vlgraph.train.forward_batch", forward_with_nan_logit)
@@ -148,9 +147,9 @@ def test_nonfinite_loss_names_the_clip_not_the_first_of_its_sub_window(monkeypat
 
     def forward_with_nan_logits(clips, params, cfg, frozen=None):
         batch = forward_batch(clips, params, cfg, frozen)
-        seen.append([trace.clip_id for trace in batch.traces])
-        for trace in batch.traces[1:]:
-            trace.logit = Tensor(math.nan)
+        seen.append([clip.clip_id for clip in clips])
+        batch.logit = Tensor(batch.logit.data)
+        batch.logit.data[0, 1:] = math.nan
         return batch
 
     monkeypatch.setattr("vlgraph.train.SUB_WINDOW_NODES", 10 ** 6)
@@ -375,7 +374,7 @@ def test_batched_evaluate_uses_in_clip_negatives_only():
     clips = clips_of(8)
     assert max(len(run) for run in sub_windows(clips)) > 1
     res = evaluate(clips, params, cfg)
-    per_clip = [run_clip(clip, params, cfg)[0].as_floats() for clip in clips]
+    per_clip = [run_clip(clip, params, cfg)[0].as_floats()[0] for clip in clips]
     for key, value in res.mean_losses.items():
         want = sum(floats[key] for floats in per_clip) / len(clips)
         assert abs(value - want) <= 1e-12 * abs(want), (key, value, want)
@@ -461,6 +460,7 @@ def test_checkpoint_header_of_the_wrong_type_rejected(tmp_path):
         (lambda h: h["config"].update(dim=0), r"'config'.*dim must be positive"),
         (lambda h: h["config"].update(temporal=1), r"'config'.*'temporal': 1 is not bool"),
         (lambda h: h["config"].update(lr=math.nan), r"'config'.*lr must be finite"),
+        (lambda h: h["config"].update(lr=10 ** 400), r"'config'.*lr must be finite"),
     ]
     for edit, message in edits:
         path = _small_checkpoint(tmp_path)
@@ -469,6 +469,11 @@ def test_checkpoint_header_of_the_wrong_type_rejected(tmp_path):
             load_checkpoint(str(path))
     path.write_bytes(CKPT_MAGIC + (1).to_bytes(8, "little") + b"7")
     with pytest.raises(FormatError, match=r"model\.ckpt: checkpoint header is not a JSON object"):
+        load_checkpoint(str(path))
+    # an integer too long for Python to read (over 4,300 digits)
+    head = b'{"params": {}, "config": {"lr": ' + b"1" * 5000 + b"}}"
+    path.write_bytes(CKPT_MAGIC + len(head).to_bytes(8, "little") + head)
+    with pytest.raises(FormatError, match=r"model\.ckpt: corrupt checkpoint header"):
         load_checkpoint(str(path))
 
 
@@ -548,6 +553,7 @@ def test_checkpoint_parameters_must_match_the_model_layout(tmp_path):
     ("ot_tol", math.nan), ("query_cost", math.inf), ("ot_eps_reg", math.inf),
     ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0), ("adam_beta2", math.nan),
     ("adam_eps", 0.0), ("adam_eps", math.inf), ("seed", -1),
+    ("lr", 10 ** 400), ("alpha", -10 ** 400),
 ])
 def test_config_rejects_bad_derived_settings(field, value):
     from vlgraph.errors import ContractError
