@@ -148,8 +148,7 @@ def test_nonfinite_loss_names_the_clip_not_the_first_of_its_sub_window(monkeypat
     def forward_with_nan_logits(clips, params, cfg, frozen=None):
         batch = forward_batch(clips, params, cfg, frozen)
         seen.append([clip.clip_id for clip in clips])
-        batch.logit = Tensor(batch.logit.data)
-        batch.logit.data[0, 1:] = math.nan
+        batch.logit = Tensor(np.where(np.arange(len(clips)) > 0, math.nan, batch.logit.data))
         return batch
 
     monkeypatch.setattr("vlgraph.train.SUB_WINDOW_NODES", 10 ** 6)
@@ -553,7 +552,8 @@ def test_checkpoint_parameters_must_match_the_model_layout(tmp_path):
     ("ot_tol", math.nan), ("query_cost", math.inf), ("ot_eps_reg", math.inf),
     ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0), ("adam_beta2", math.nan),
     ("adam_eps", 0.0), ("adam_eps", math.inf), ("seed", -1),
-    ("lr", 10 ** 400), ("alpha", -10 ** 400),
+    pytest.param("lr", 10 ** 400, id="lr-int-beyond-float"),
+    pytest.param("alpha", -10 ** 400, id="alpha-int-beyond-float"),
 ])
 def test_config_rejects_bad_derived_settings(field, value):
     from vlgraph.errors import ContractError
