@@ -272,7 +272,7 @@ def _read_lines(path: str) -> tuple[dict, list[str]]:
         raise EmptyInputError(f"{path} is empty")
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
+    except ValueError as e:         # JSONDecodeError, or an integer over the digit limit
         raise ValidationError(f"{path}:1: header is not valid JSON: {e}") from e
     if not isinstance(header, dict):
         raise ValidationError(f"{path}:1: header is not a JSON object")
@@ -298,7 +298,7 @@ def read_dataset(path: str) -> tuple[dict, list[Clip]]:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             raise ValidationError(f"{path}:{ln}: not valid JSON: {e}") from e
         clip, problems = _load_record(rec, header)
         if problems:
@@ -417,7 +417,7 @@ def validate_dataset(path: str) -> ValidationReport:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             checks.append(RecordCheck(ln, "?", False, [f"not valid JSON: {e}"]))
             continue
         _, problems = _load_record(rec, header)

@@ -61,7 +61,7 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import ContractError
-from .graph import Clip, ClipGraph, block_bounds, build_clip_graph, project_nodes
+from .graph import Clip, ClipGraph, build_clip_graph, project_nodes
 from .tensor import ParamStore, Tensor
 
 if TYPE_CHECKING:
@@ -197,11 +197,6 @@ class SegmentTrace:
     @property
     def n_segments(self) -> int:
         return len(self.v_sizes)
-
-    def split(self) -> list[tuple[Tensor, Tensor]]:
-        """Each segment's (visual, text) nodes, sliced on the tape."""
-        return [(tn.gather(self.visual, np.arange(*v)), tn.gather(self.text, np.arange(*s)))
-                for v, s in zip(block_bounds(self.v_sizes), block_bounds(self.s_sizes))]
 
 
 def refine_segment(V: Tensor, S: Tensor, params: ParamStore, cfg: TrainConfig,

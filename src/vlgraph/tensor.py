@@ -448,12 +448,21 @@ def cosine_cost(a: Tensor, b: Tensor) -> Tensor:
 
 
 class SortedStructure:
-    """The structure term sum_{ijkl} T_ij T_kl |A_ik - B_jl| from sorted rows.
+    """The structure term sum_{ijkl} T_ij T_kl |A_ik - B_jl| of every segment
+    of a batch, from sorted rows.
 
-    Built once for intra-graph costs A (n, n) and B (m, m): each row of B is
-    sorted, and every A_ik is ranked in every sorted row B_j twice, strictly
-    (how many B_jl < A_ik) and not (how many B_jl <= A_ik), so entries tied
-    with A_ik count on neither side and sign(0) = 0 holds exactly.
+    A (L, L) and B (K, K) hold the intra-graph costs of all segments: segment
+    s owns the diagonal blocks of `a_sizes[s]` rows of A and `b_sizes[s]` rows
+    of B (by default the whole of each is one segment), and its coupling T is
+    the block of an (L, K) plan on the same rows and columns. Entries outside
+    these blocks are never read, and linearisations and gradients are zero
+    there.
+
+    Built once per batch: each row of each B block is sorted, and every A_ik
+    of a segment is ranked in every sorted row B_j of that segment twice,
+    strictly (how many B_jl < A_ik) and not (how many B_jl <= A_ik), so
+    entries tied with A_ik count on neither side and sign(0) = 0 holds
+    exactly.
 
     For a coupling T, signed prefix sums along the sorted rows, P[r] = (sum
     of the first r entries) - (sum of the rest), taken of T_kl and of
@@ -461,120 +470,208 @@ class SortedStructure:
     sum_l T_kl |A_ik - B_jl| = A_ik P_T - P_TB, hence the linearisation
     L_ij = sum_kl |A_ik - B_jl| T_kl. Read at both ranks, P_T gives the
     gradient in A; T_ij scattered at both ranks and summed the same way gives
-    the gradient in B. Memory is O(n^2 m + n m^2): no array of n^2 m^2
-    entries is built. The last linearisation is kept, so a second
-    `linearize` at the same coupling costs a comparison.
+    the gradient in B. Memory is O(n^2 m + n m^2) per segment: no array of
+    n^2 m^2 entries is built.
+
+    Segments of the same shape (n, m) are stacked along a leading axis
+    (`_Stack`), with no padding, and each stack's linearisation and
+    gradients are a fixed number of numpy calls for all of its segments.
+    Only the setup searches segment by segment, each among its own values,
+    so no value is ever offset to keep segments apart. A batch of
+    same-shaped segments is one stack; segments of distinct shapes (long
+    ones, say) are stacks of one, each as cheap as a lone segment. The last
+    full linearisation is kept, so a second `linearize` at the same coupling
+    costs a comparison.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        n, m = a.shape[0], b.shape[0]
-        if a.shape != (n, n) or b.shape != (m, m):
+    def __init__(self, a: np.ndarray, b: np.ndarray, a_sizes: Sequence[int] = (),
+                 b_sizes: Sequence[int] = ()):
+        L, K = a.shape[0], b.shape[0]
+        if a.shape != (L, L) or b.shape != (K, K):
             raise ShapeError(f"SortedStructure: costs must be square, got {a.shape} and {b.shape}")
         self.a = a
         self.b = b
-        order = np.argsort(b, axis=1)
-        b_rows = np.sort(b, axis=1)
-        self._order = np.ascontiguousarray(order.T)              # (s, j)
-        self._b_sorted = b_rows.T[:, :, None]
+        self.a_sizes = tuple(a_sizes) or (L,)
+        self.b_sizes = tuple(b_sizes) or (K,)
+        n = np.asarray(self.a_sizes, dtype=np.intp)
+        m = np.asarray(self.b_sizes, dtype=np.intp)
+        if n.size != m.size or n.sum() != L or m.sum() != K or min(n.min(), m.min()) < 1:
+            raise ShapeError(f"SortedStructure: blocks {self.a_sizes} and {self.b_sizes} "
+                             f"do not tile {a.shape} and {b.shape}")
+        a0, b0 = _starts(n), _starts(m)
+        shape = n * (m.max() + 1) + m
+        kinds, self._stack_of = np.unique(shape, return_inverse=True)   # stack of each segment
+        self._stacks = [
+            _Stack(a, b, a0[ids], b0[ids], n[ids[0]], m[ids[0]])
+            for ids in (np.flatnonzero(self._stack_of == k) for k in range(kinds.size))
+        ]
+        self._memo: tuple[np.ndarray, np.ndarray] | None = None
+
+    def linearize(self, plan: np.ndarray, segments: np.ndarray | None = None) -> np.ndarray:
+        """L_ij = sum_kl |A_ik - B_jl| T_kl within each segment, an (L, K) array.
+
+        With `segments` (indices), only the stacks that hold one of them are
+        linearised, and the blocks of the other stacks read 0.
+        """
+        if segments is None and self._memo is not None and np.array_equal(self._memo[0], plan):
+            return self._memo[1]
+        flat = plan.ravel()
+        lin = np.zeros(flat.size)
+        wanted = range(len(self._stacks)) if segments is None else set(self._stack_of[segments])
+        for k in wanted:
+            self._stacks[k].linearize(flat, lin)
+        # each L_ij sums nonnegative terms; the signed sums can round a 0 below it
+        lin = np.maximum(lin, 0.0, out=lin).reshape(plan.shape)
+        if segments is None:
+            self._memo = (plan.copy(), lin)
+        return lin
+
+    def gradients(self, plan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d/dA and d/dB of each segment's sum_{ijkl} T_ij T_kl |A_ik - B_jl|
+        at fixed T, as (L, L) and (K, K) arrays.
+
+        Both come out doubled from the signed sums and are halved exactly.
+        """
+        L, K = plan.shape
+        flat = plan.ravel()
+        grad_a, grad_b = np.zeros(L * L), np.zeros(K * K)
+        for stack in self._stacks:
+            stack.gradients(flat, grad_a, grad_b)
+        return 0.5 * grad_a.reshape(L, L), 0.5 * grad_b.reshape(K, K)
+
+
+class _Stack:
+    """The G segments of one shape (n, m) of a `SortedStructure`, stacked
+    along a leading axis. Segment g owns rows first_a[g] .. + n of A and of
+    the plan, and rows first_b[g] .. + m of B, which are also its columns of
+    the plan."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, first_a: np.ndarray, first_b: np.ndarray,
+                 n: int, m: int):
+        G, L, K = first_a.size, a.shape[0], b.shape[0]
+        stack = np.arange(G)[:, None, None]
+        rows = first_a[:, None] + np.arange(n)
+        cols = first_b[:, None] + np.arange(m)
+        self._ij = rows[:, :, None] * K + cols[:, None, :]            # T_ij
+        self._ik = rows[:, :, None] * L + rows[:, None, :]            # A_ik
+        a_blocks = a.take(self._ik)
+        b_blocks = b.take(cols[:, :, None] * K + cols[:, None, :])
+        order = np.argsort(b_blocks, axis=2)                          # [g, j, s]: l
+        b_rows = np.sort(b_blocks, axis=2)
+        # [g, s, j]: the row of (T_:l)^T for the l at position s of sorted row B_j
+        self._order = (order + stack * m).transpose(0, 2, 1)
+        self._b_sorted = b_rows.transpose(0, 2, 1)[..., None]
+        self._lk = rows[:, None, :] * K + cols[:, :, None]            # [g, l, k]: T_kl
+        self._jl = (cols[:, None, :] * K + first_b[:, None, None]
+                    + order.transpose(0, 2, 1))                       # [g, s, j]: B_jl
         # Rank every A_ik in every row B_j. With v the entries of A sorted and
         # A_ik = v[u], B_jl < v[u] exactly when at most u entries of v are
         # <= B_jl, and B_jl <= v[u] when at most u are < B_jl, whatever the
         # ties. So one search of each B_jl in v and a running count over u
         # give every row's [below, at or below] counts at every entry of A.
-        flat = a.ravel()
-        by_value = np.argsort(flat)
-        at = np.empty(n * n, dtype=np.intp)
-        at[by_value] = np.arange(n * n)
-        vals = flat[by_value]
-        pos = np.stack([np.searchsorted(vals, b_rows, side="right"),
-                        np.searchsorted(vals, b_rows, side="left")])
+        flat = a_blocks.reshape(G, n * n)
+        at = np.argsort(np.argsort(flat, axis=1), axis=1)             # u of each A_ik
+        v = np.sort(flat, axis=1)
+        found = b_rows.reshape(G, m * m)
+        pos = np.empty((2, G, m * m), dtype=np.intp)
+        for g in range(G):      # a segment's values are searched among its own only
+            pos[0, g] = np.searchsorted(v[g], found[g], side="right")
+            pos[1, g] = np.searchsorted(v[g], found[g], side="left")
         width = n * n + 1
-        bins = (np.arange(2)[:, None, None] * width + pos) * m + np.arange(m)[:, None]
-        counts = np.bincount(bins.ravel(), minlength=2 * width * m).reshape(2, width, m)
-        np.cumsum(counts, axis=1, out=counts)
-        # as flat positions into prefix sums laid out as (rank, j, k): (2, i, j, k)
-        self._at = counts[:, at.reshape(n, n)[:, None, :], np.arange(m)[:, None]]
+        bins = (np.arange(2)[:, None, None] * G + stack[:, :, 0]) * width + pos
+        bins = bins.reshape(2, G, m, m) * m + np.arange(m)[:, None]
+        counts = np.bincount(bins.ravel(), minlength=2 * G * width * m).reshape(2, G, width, m)
+        np.cumsum(counts, axis=2, out=counts)
+        # the counts at u(i, k) of every row j, as flat positions into prefix
+        # sums laid out as (g, rank, j, k): (2, g, i, j, k)
+        self._at = counts.reshape(2, -1).take(
+            (stack[..., None] * width + at.reshape(G, n, n)[:, :, None, :]) * m
+            + np.arange(m)[:, None], axis=1)
         self._at *= m * n
-        self._at += np.arange(m)[:, None] * n + np.arange(n)
-        # the strict ranks into both halves of (2, rank, j, k) as (i, j, 2, k), so
-        # one product with [A_i, -1] sums A_ik P_T - P_TB over k
-        plane = (m + 1) * m * n
-        self._below = np.stack([self._at[0], self._at[0] + plane], axis=2)
-        self._weights = np.concatenate([a, -np.ones((n, n))], axis=1)[:, :, None]
+        self._at += (stack[..., None] * (m + 1) * m + np.arange(m)[:, None]) * n + np.arange(n)
+        # the strict ranks into both halves of (2, g, rank, j, k) as (g, i, j, 2, k),
+        # so one product with [A_i, -1] sums A_ik P_T - P_TB over k
+        plane = G * (m + 1) * m * n
+        self._below = np.stack([self._at[0], self._at[0] + plane], axis=3)
+        self._weights = np.concatenate([a_blocks, -np.ones((G, n, n))], axis=2)[..., None]
         # signed prefix sums as one product: [r, s] = +1 for s < r, else -1
         self._signs = 2.0 * np.tri(m + 1, k=-1) - 1.0
-        self._sorted = np.empty((2, m, m, n))       # [T, T * B] along sorted rows
-        self._prefix = np.empty((2, m + 1, m, n))
-        self._memo: tuple[np.ndarray, np.ndarray] | None = None
+        self._sorted = np.empty((2, G, m, m, n))                      # [T, T * B] along sorted rows
+        self._prefix = np.empty((2, G, m + 1, m, n))
 
     def _sort_plan(self, plan: np.ndarray) -> np.ndarray:
-        """[s, j, k] = T_kl for the l at position s of sorted row B_j."""
-        return np.take(plan.T, self._order, axis=0, out=self._sorted[0])
+        """[g, s, j, k] = T_kl for the l at position s of sorted row B_j, in
+        the first half of the sorted buffer."""
+        n = self._sorted.shape[-1]
+        return np.take(plan.take(self._lk).reshape(-1, n), self._order, axis=0,
+                       out=self._sorted[0])
 
-    def linearize(self, plan: np.ndarray) -> np.ndarray:
-        """L_ij = sum_kl |A_ik - B_jl| T_kl, an (n, m) array."""
-        if self._memo is not None and np.array_equal(self._memo[0], plan):
-            return self._memo[1]
-        n, m = plan.shape
-        np.multiply(self._sort_plan(plan), self._b_sorted, out=self._sorted[1])
-        np.matmul(self._signs[:, :m], self._sorted.reshape(2, m, -1),
-                  out=self._prefix.reshape(2, m + 1, -1))
-        lin = np.matmul(self._prefix.take(self._below).reshape(n, m, 2 * n), self._weights)
-        # each L_ij sums nonnegative terms; the signed sums can round a 0 below it
-        self._memo = (plan.copy(), np.maximum(lin[:, :, 0], 0.0))
-        return self._memo[1]
+    def linearize(self, plan: np.ndarray, out: np.ndarray) -> None:
+        """Write L_ij = sum_kl |A_ik - B_jl| T_kl of every segment into `out`;
+        `plan` and `out` are flat (L, K) arrays."""
+        _, G, m, _, n = self._sorted.shape
+        self._sort_plan(plan)
+        np.multiply(self._sorted[0], self._b_sorted, out=self._sorted[1])
+        np.matmul(self._signs[:, :m], self._sorted.reshape(2, G, m, -1),
+                  out=self._prefix.reshape(2, G, m + 1, -1))
+        lin = np.matmul(self._prefix.take(self._below).reshape(G, n, m, 2 * n), self._weights)
+        out[self._ij] = lin[..., 0]
 
-    def gradients(self, plan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d/dA and d/dB of sum_{ijkl} T_ij T_kl |A_ik - B_jl| at fixed T.
-
-        Both come out doubled from the signed sums and are halved exactly.
-        """
-        n, m = plan.shape
+    def gradients(self, plan: np.ndarray, grad_a: np.ndarray, grad_b: np.ndarray) -> None:
+        """Write the doubled d/dA and d/dB of every segment into the flat
+        (L, L) `grad_a` and (K, K) `grad_b`."""
+        _, G, m, _, n = self._sorted.shape
         sorted_t = self._sort_plan(plan)
-        mass = np.matmul(self._signs[:, :m], sorted_t.reshape(m, -1))
+        mass = np.matmul(self._signs[:, :m], sorted_t.reshape(G, m, -1))
         # at both ranks of A_ik: 2 sum_l T_kl sign(A_ik - B_jl)
         below, upto = mass.take(self._at)
         below += upto
-        grad_a = 0.5 * np.matmul(plan[:, None, :], below)[:, 0, :]
+        t = plan[self._ij]
+        grad_a[self._ik] = np.matmul(t[:, :, None, :], below)[:, :, 0, :]
         # at position s of sorted row B_j, the T_ij with A_ik below B_jl (upto
         # <= s) less those above (below > s), counted at both ranks:
         # 2 sum_i T_ij sign(B_jl - A_ik)
-        weights = np.broadcast_to(plan[:, :, None], self._at.shape).ravel()
-        hits = np.bincount(self._at.ravel(), weights, (m + 1) * m * n).reshape(m + 1, -1)
-        sorted_t *= np.matmul(self._signs[1:], hits).reshape(m, m, n)
-        grad_b = np.empty((m, m))
-        grad_b[np.arange(m), self._order] = 0.5 * np.matmul(sorted_t, np.ones(n))
-        return grad_a, grad_b
+        weights = np.broadcast_to(t[:, :, :, None], self._at.shape).ravel()
+        hits = np.bincount(self._at.ravel(), weights, mass.size).reshape(G, m + 1, -1)
+        sorted_t *= np.matmul(self._signs[1:], hits).reshape(G, m, m, n)
+        grad_b[self._jl] = np.matmul(sorted_t, np.ones(n))
 
 
 def gw_pair_cost(intra_a: Tensor, intra_b: Tensor, plan: np.ndarray,
-                 structure: SortedStructure | None = None) -> Tensor:
-    """Structure-mismatch term sum_{iji'j'} T_ij T_i'j' |A_ii' - B_jj'|.
+                 structure: SortedStructure | None = None, a_sizes: Sequence[int] = (),
+                 b_sizes: Sequence[int] = ()) -> Tensor:
+    """Structure-mismatch term sum_{iji'j'} T_ij T_i'j' |A_ii' - B_jj'| of
+    each segment, as a (1, n_segments) row.
 
-    `plan` is a fixed coupling (envelope convention): gradient flows into the
-    two intra-graph cost matrices only. The value is sum(T * L) with L the
+    Segments are the diagonal blocks of `a_sizes` and `b_sizes` (one segment
+    by default), laid out as in `SortedStructure`. `plan` is a fixed coupling
+    (envelope convention): gradient flows into the two intra-graph cost
+    matrices only. A segment's value is sum(T * L) over its block, with L the
     linearisation from `SortedStructure`, and the backward is its gradients,
     in O(n^2 m + n m^2) memory. `structure` is used only when it was built
-    from these exact arrays; otherwise one is built here.
+    from these exact arrays and blocks; otherwise one is built here.
     """
     plan = np.asarray(plan, dtype=np.float64)
-    n, m = plan.shape
-    if intra_a.shape != (n, n) or intra_b.shape != (m, m):
+    L, K = plan.shape
+    if intra_a.shape != (L, L) or intra_b.shape != (K, K):
         raise ShapeError(
-            f"gw_pair_cost: plan {plan.shape} needs ({n},{n}) and ({m},{m}) costs, "
+            f"gw_pair_cost: plan {plan.shape} needs ({L},{L}) and ({K},{K}) costs, "
             f"got {intra_a.shape} and {intra_b.shape}"
         )
-    if structure is None or structure.a is not intra_a.data or structure.b is not intra_b.data:
-        structure = SortedStructure(intra_a.data, intra_b.data)
-    val = float((plan * structure.linearize(plan)).sum())
+    blocks = (tuple(a_sizes) or (L,), tuple(b_sizes) or (K,))
+    if (structure is None or structure.a is not intra_a.data or structure.b is not intra_b.data
+            or (structure.a_sizes, structure.b_sizes) != blocks):
+        structure = SortedStructure(intra_a.data, intra_b.data, *blocks)
+    rows = (plan * structure.linearize(plan)).sum(axis=1)
+    val = np.add.reduceat(rows, _starts(blocks[0]))[None, :]
 
     def bw(out: Tensor) -> None:
-        g = float(out.grad.reshape(-1)[0])
+        g = out.grad[0]
         grad_a, grad_b = structure.gradients(plan)
-        _acc(intra_a, g * grad_a)
-        _acc(intra_b, g * grad_b)
+        _acc(intra_a, grad_a * np.repeat(g, blocks[0])[:, None])
+        _acc(intra_b, grad_b * np.repeat(g, blocks[1])[:, None])
 
-    return _make(np.array([[val]]), (intra_a, intra_b), bw)
+    return _make(val, (intra_a, intra_b), bw)
 
 
 class Parameter(Tensor):

@@ -1,19 +1,34 @@
-"""Entropic optimal transport between the two node sets of a segment.
+"""Entropic fused transport between the two node sets of every segment of a batch.
 
-The per-segment coherence distance fuses a node-matching cost (pairwise
-cosine distances between subtitle and visual nodes) with a structure
+Each segment's coherence distance fuses a node-matching cost (pairwise
+cosine distances between its subtitle and visual nodes) with a structure
 mismatch cost comparing intra-graph cosine distances. The fused problem is
 solved by alternating rounds of linearizing the structure term at the
 current plan and re-solving the linear problem with log-domain Sinkhorn
 scaling under uniform marginals.
 
+A batch comes as whole matrices over all of its nodes: the node cost (L, K)
+between its L subtitle and K visual nodes, and the intra costs (L, L) and
+(K, K). Segment s owns the diagonal blocks of `a_sizes[s]` rows and
+`b_sizes[s]` columns; entries between segments are never read, and a plan
+is zero outside its segment's block. A lone segment is a batch of one.
+
+`solve_plan` runs the rounds of all segments together. `sinkhorn` scales
+the blocks padded to the batch's largest one: a padded row or column has
+zero marginal mass and a -inf potential, so it gets no plan mass and adds
+nothing to a log-sum-exp over real entries. Every segment keeps its own warm
+potentials and stopping rules (its Sinkhorn iterations stop at marginal
+residual `ot_tol`, its rounds once its plan moves by at most `ot_tol`), and
+a finished segment leaves the batch. So each segment runs the iterations and
+rounds it would run alone.
+
 The structure term sum T_ij T_kl |A_ik - B_jl| is never expanded into an
-(n, m, n, m) array. Once per segment, `tensor.SortedStructure` sorts each
-row of B and ranks every entry of A in it; the linearization and both
-gradients then come from prefix sums of the plan along the sorted rows, in
-O(n^2 m + n m^2) memory. `solve_plan` returns that structure on the
-`Coupling`, and `transport_loss` hands it on to `tensor.gw_pair_cost` for
-the loss and its gradients.
+(n, m, n, m) array. Once per batch, `tensor.SortedStructure` sorts the rows
+of every segment's B block and ranks its A entries in them; linearizations
+and both gradients then come from prefix sums of the plan along the sorted
+rows. `solve_plan` returns that structure on the `Coupling`, and
+`transport_loss` hands it on to `tensor.gw_pair_cost` for the loss and its
+gradients. The loss takes a fixed number of tape ops per batch.
 
 Training gradients use the envelope convention: the converged plan is a
 constant and gradients flow through the cost matrices only.
@@ -23,12 +38,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import tensor as tn
 from .errors import ContractError, NumericalError, ShapeError
+from .graph import block_bounds
 from .model import SegmentTrace
 from .tensor import Tensor
 
@@ -40,18 +56,19 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class Coupling:
-    plan: np.ndarray              # (n, m), rows index the first node set
-    p: np.ndarray
-    q: np.ndarray
-    distance: float
-    marginal_err: float
-    converged: bool
+    plan: np.ndarray              # (L, K): each segment's plan in its block, zero elsewhere
+    p: np.ndarray                 # (L,) row marginals, uniform within each segment
+    q: np.ndarray                 # (K,)
+    distance: np.ndarray          # (n_segments,) fused distance of each segment
+    marginal_err: np.ndarray      # (n_segments,) of each segment's last Sinkhorn call
+    rounds: np.ndarray            # (n_segments,) Sinkhorn calls of each segment
+    converged: int                # segments whose last call reached ot_tol
     structure: tn.SortedStructure   # of the two intra costs, reused by the loss
 
 
-def _logsumexp_rows(x: np.ndarray, axis: int) -> np.ndarray:
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     m = x.max(axis=axis, keepdims=True)
-    return m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
+    return (m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def sinkhorn(
@@ -62,50 +79,81 @@ def sinkhorn(
     iters: int,
     tol: float = 1e-6,
     warm: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]:
-    """Alternating marginal scaling in the log domain.
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Alternating marginal scaling in the log domain, for a batch of problems.
 
-    Returns (plan, marginal_err, potentials). Stops at `iters` or once both
-    marginal residuals drop to `tol`. `warm` reuses scaled potentials from a
-    previous call on a nearby cost.
+    `cost` is (S, n, m) and the marginals are (S, n) and (S, m); a zero
+    marginal entry pads a problem smaller than the batch, and its row or
+    column gets no mass. Returns (plans, marginal_errs, potentials), one of
+    each per problem. A problem stops at `iters` or once both of its marginal
+    residuals drop to `tol`, and leaves the batch with the results of its own
+    last iteration. `warm` reuses scaled potentials from a previous call on
+    nearby costs.
     """
     cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 3:
+        raise ShapeError(f"sinkhorn: cost must be (problems, n, m), got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ContractError("sinkhorn: cost matrix must be finite")
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    n, m = cost.shape
-    if p.shape != (n,) or q.shape != (m,):
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    S, n, m = cost.shape
+    if p.shape != (S, n) or q.shape != (S, m):
         raise ShapeError(f"sinkhorn: marginals {p.shape}/{q.shape} do not fit cost {cost.shape}")
-    if np.any(p <= 0) or np.any(q <= 0) or abs(p.sum() - 1) > 1e-8 or abs(q.sum() - 1) > 1e-8:
-        raise ContractError("sinkhorn: marginals must be positive and sum to 1")
+    if (np.any(p < 0) or np.any(q < 0) or np.any(np.abs(p.sum(axis=1) - 1) > 1e-8)
+            or np.any(np.abs(q.sum(axis=1) - 1) > 1e-8)):
+        raise ContractError("sinkhorn: marginals must be nonnegative and sum to 1")
 
     scaled = cost / eps_reg
-    logp = np.log(p)
-    logq = np.log(q)
+    logp = np.log(p, out=np.full_like(p, -np.inf), where=p > 0)
+    logq = np.log(q, out=np.full_like(q, -np.inf), where=q > 0)
     if warm is not None:
         phi, psi = warm[0].copy(), warm[1].copy()
     else:
-        phi = np.zeros(n)
-        psi = np.zeros(m)
-    plan = np.empty_like(scaled)
-    err = np.inf
-    for _ in range(iters):
-        phi = logp - _logsumexp_rows(psi[None, :] - scaled, axis=1).reshape(-1)
-        psi = logq - _logsumexp_rows(phi[:, None] - scaled, axis=0).reshape(-1)
-        plan = np.exp(phi[:, None] + psi[None, :] - scaled)
-        err = max(
-            float(np.abs(plan.sum(axis=1) - p).max()),
-            float(np.abs(plan.sum(axis=0) - q).max()),
-        )
-        if err <= tol:
-            break
-    if not (np.all(np.isfinite(plan)) and np.isfinite(err)):
+        phi = np.zeros((S, n))
+        psi = np.where(q > 0, 0.0, -np.inf)
+    plans = np.zeros_like(scaled)
+    errs = np.full(S, np.inf)
+    potentials = (phi.copy(), psi.copy())
+    live = np.arange(S)
+    for it in range(iters):
+        phi = logp - _logsumexp(psi[:, None, :] - scaled, axis=2)
+        psi = logq - _logsumexp(phi[:, :, None] - scaled, axis=1)
+        plan = np.exp(phi[:, :, None] + psi[:, None, :] - scaled)
+        err = np.maximum(np.abs(plan.sum(axis=2) - p).max(axis=1),
+                         np.abs(plan.sum(axis=1) - q).max(axis=1))
+        done = (err <= tol) | (it == iters - 1)
+        if done.any():
+            ids = live[done]
+            plans[ids], errs[ids] = plan[done], err[done]
+            potentials[0][ids], potentials[1][ids] = phi[done], psi[done]
+            keep = ~done
+            live = live[keep]
+            if not live.size:
+                break
+            scaled, logp, logq, p, q, phi, psi = (
+                x[keep] for x in (scaled, logp, logq, p, q, phi, psi))
+    bad = np.flatnonzero(~(np.isfinite(plans).all(axis=(1, 2)) & np.isfinite(errs)))
+    if bad.size:
         raise NumericalError(
-            "sinkhorn scaling produced non-finite values; increase eps_reg "
-            f"(eps_reg={eps_reg}, cost range {cost.min():.3g}..{cost.max():.3g})"
+            f"sinkhorn scaling produced non-finite values in problem {bad[0]}; increase "
+            f"eps_reg (eps_reg={eps_reg}, cost range {cost.min():.3g}..{cost.max():.3g})"
         )
-    return plan, err, (phi, psi)
+    return plans, errs, potentials
+
+
+def _padded_blocks(n: np.ndarray, m: np.ndarray, K: int) -> tuple[np.ndarray, ...]:
+    """Each segment's block of an (L, K) plan, padded to the largest block:
+    flat positions (S, n_max, m_max), L * K in the padding, and the uniform
+    marginals (S, n_max) and (S, m_max), zero in the padding."""
+    i, j = np.arange(n.max()), np.arange(m.max())
+    row_ok, col_ok = i < n[:, None], j < m[:, None]
+    first_row, first_col = np.cumsum(n) - n, np.cumsum(m) - m
+    index = np.where(row_ok[:, :, None] & col_ok[:, None, :],
+                     (first_row[:, None, None] + i[:, None]) * K + first_col[:, None, None] + j,
+                     n.sum() * K)
+    return (index, np.where(row_ok, 1.0 / n[:, None], 0.0),
+            np.where(col_ok, 1.0 / m[:, None], 0.0))
 
 
 def solve_plan(
@@ -113,31 +161,63 @@ def solve_plan(
     intra_a: np.ndarray,
     intra_b: np.ndarray,
     cfg: TrainConfig,
+    a_sizes: Sequence[int] = (),
+    b_sizes: Sequence[int] = (),
 ) -> Coupling:
-    """Fused node/structure transport with uniform marginals."""
+    """Fused node/structure transport with uniform marginals for every
+    segment of a batch (module docstring); one segment by default."""
     node_cost = np.asarray(node_cost, dtype=np.float64)
-    n, m = node_cost.shape
-    if n < 1 or m < 1:
+    L, K = node_cost.shape
+    if L < 1 or K < 1:
         raise ContractError("solve_plan: both node sets must be nonempty")
-    p = np.full(n, 1.0 / n)
-    q = np.full(m, 1.0 / m)
-    structure = tn.SortedStructure(np.asarray(intra_a, float), np.asarray(intra_b, float))
-    plan = np.outer(p, q)
+    structure = tn.SortedStructure(np.asarray(intra_a, float), np.asarray(intra_b, float),
+                                   a_sizes, b_sizes)
+    n, m = np.asarray(structure.a_sizes), np.asarray(structure.b_sizes)
+    index, p, q = _padded_blocks(n, m, K)
+    node = cfg.lam * node_cost.take(index, mode="clip")    # any finite cost in the padding
+    flat = np.zeros(L * K + 1)                              # the padding writes the last slot
+    flat[index] = p[:, :, None] * q[:, None, :]
+    plan = flat[:-1].reshape(L, K)
+    err = np.full(n.size, np.inf)
+    rounds = np.zeros(n.size, dtype=np.intp)
+    live = np.arange(n.size)                                # the segments still moving
     warm = None
-    err = np.inf
     for _ in range(cfg.ot_gw_outer_iters):
-        linear = cfg.lam * node_cost + structure.linearize(plan)
-        new_plan, err, warm = sinkhorn(
-            linear, p, q, cfg.ot_eps_reg, cfg.ot_sinkhorn_iters, cfg.ot_tol, warm
-        )
-        delta = float(np.abs(new_plan - plan).max())
-        plan = new_plan
-        if delta <= cfg.ot_tol:
-            break
+        linear = node + structure.linearize(plan, live).take(index, mode="clip")
+        new, err[live], warm = sinkhorn(linear, p, q, cfg.ot_eps_reg, cfg.ot_sinkhorn_iters,
+                                        cfg.ot_tol, warm)
+        moving = np.abs(new - flat[index]).max(axis=(1, 2)) > cfg.ot_tol
+        flat[index] = new
+        rounds[live] += 1
+        if not moving.all():
+            live = live[moving]
+            if not live.size:
+                break
+            index, node, p, q = index[moving], node[moving], p[moving], q[moving]
+            warm = (warm[0][moving], warm[1][moving])
     fused = cfg.lam * node_cost + structure.linearize(plan)
-    distance = float((plan * fused).sum())
-    return Coupling(plan=plan, p=p, q=q, distance=distance, marginal_err=err,
-                    converged=err <= cfg.ot_tol, structure=structure)
+    distance = np.add.reduceat((plan * fused).sum(axis=1), np.cumsum(n) - n)
+    return Coupling(plan=plan, p=np.repeat(1.0 / n, n), q=np.repeat(1.0 / m, m),
+                    distance=distance, marginal_err=err, rounds=rounds,
+                    converged=int(np.count_nonzero(err <= cfg.ot_tol)), structure=structure)
+
+
+def _block_plan(frozen_plans: list[np.ndarray], segments: SegmentTrace) -> np.ndarray:
+    """One plan per segment, checked, placed in an (L, K) array."""
+    if len(frozen_plans) != segments.n_segments:
+        raise ContractError(f"transport_loss: {len(frozen_plans)} frozen plans "
+                            f"for {segments.n_segments} segments")
+    plan = np.zeros((segments.text.shape[1], segments.visual.shape[1]))
+    for si, (given, (a0, a1), (b0, b1)) in enumerate(zip(
+            frozen_plans, block_bounds(segments.s_sizes), block_bounds(segments.v_sizes))):
+        given = np.asarray(given, dtype=np.float64)
+        if given.shape != (a1 - a0, b1 - b0):
+            raise ContractError(f"transport_loss: frozen plan {si} has shape {given.shape}, "
+                                f"segment {si} needs {(a1 - a0, b1 - b0)}")
+        if not np.all(np.isfinite(given) & (given >= 0)):
+            raise ContractError(f"transport_loss: frozen plan {si} must be finite and nonnegative")
+        plan[a0:a1, b0:b1] = given
+    return plan
 
 
 def transport_loss(
@@ -147,31 +227,31 @@ def transport_loss(
     sizes: tuple[int, ...] = (),
 ) -> tuple[Tensor, list[np.ndarray]]:
     """Each clip's mean per-segment fused distance, scaled by alpha, as a
-    (1, n_clips) row on the tape.
+    (1, n_clips) row on the tape, and each segment's plan.
 
     Clip b owns the next `sizes[b]` segments (one clip of all of them by
-    default). Plans come from `solve_plan` on the current values (or
-    `frozen_plans`, one per segment) and are treated as constants; gradients
-    reach the node matrices through the cosine cost matrices only.
+    default). The three cosine cost matrices are taken over the whole batch,
+    and every segment reads its blocks of them. Plans come from one
+    `solve_plan` of all segments on the current values (or `frozen_plans`,
+    one per segment) and are treated as constants; gradients reach the node
+    matrices through the cosine cost matrices only.
     """
     sizes = tuple(sizes) or (segments.n_segments,)
     if cfg.alpha == 0.0:
         return Tensor(np.zeros((1, len(sizes)))), []
-    if frozen_plans is not None and len(frozen_plans) != segments.n_segments:
-        raise ContractError(f"transport_loss: {len(frozen_plans)} frozen plans "
-                            f"for {segments.n_segments} segments")
-    plans: list[np.ndarray] = []
-    terms: list[Tensor] = []
-    for si, (visual, text) in enumerate(segments.split()):
-        node_cost = tn.cosine_cost(text, visual)
-        intra_s = tn.cosine_cost(text, text)
-        intra_v = tn.cosine_cost(visual, visual)
-        if frozen_plans is not None:
-            plan, structure = frozen_plans[si], None
-        else:
-            coupling = solve_plan(node_cost.data, intra_s.data, intra_v.data, cfg)
-            plan, structure = coupling.plan, coupling.structure
-        plans.append(plan)
-        node_term = tn.mul(node_cost, Tensor(cfg.lam * plan)).sum()
-        terms.append(tn.add(node_term, tn.gw_pair_cost(intra_s, intra_v, plan, structure)))
-    return tn.scale(tn.block_mean(tn.concat(terms, axis=1), sizes), cfg.alpha), plans
+    blocks = (segments.s_sizes, segments.v_sizes)
+    node_cost = tn.cosine_cost(segments.text, segments.visual)
+    intra_s = tn.cosine_cost(segments.text, segments.text)
+    intra_v = tn.cosine_cost(segments.visual, segments.visual)
+    if frozen_plans is not None:
+        plan, structure = _block_plan(frozen_plans, segments), None
+    else:
+        coupling = solve_plan(node_cost.data, intra_s.data, intra_v.data, cfg, *blocks)
+        plan, structure = coupling.plan, coupling.structure
+    # each segment's sum of lam T * C: column sums, then summed over its columns
+    columns = Tensor(np.repeat(np.eye(segments.n_segments), segments.v_sizes, axis=0))
+    node_term = tn.matmul(tn.mul(node_cost, Tensor(cfg.lam * plan)).sum(axis=0), columns)
+    terms = tn.add(node_term, tn.gw_pair_cost(intra_s, intra_v, plan, structure, *blocks))
+    plans = [plan[a0:a1, b0:b1] for (a0, a1), (b0, b1) in
+             zip(block_bounds(segments.s_sizes), block_bounds(segments.v_sizes))]
+    return tn.scale(tn.block_mean(terms, sizes), cfg.alpha), plans

@@ -11,12 +11,12 @@ PYTHONPATH at another checkout's `src` to dump that version) and records:
 - 40 benchmark-generator clips of each benchmark shape (`paper` at dim 512,
   `longseg` at dim 32, seed 0), with both coherence terms and a filled
   negative buffer: each clip's probability, loss floats and query count, the
-  full gradient of the clips' summed loss, and the Sinkhorn calls, solves and
-  converged solves. A version that runs clips in lockstep (it has
-  `vlgraph.train.run_clips`) runs them in its own sub-windows; an older one
-  runs them one at a time. A version whose `total_loss` takes a whole
-  sub-window gives one loss bundle with a row per term; an older one gives
-  a bundle per clip. A dump of any of them compares with the others;
+  full gradient of the clips' summed loss, and the Sinkhorn calls, solves
+  and converged solves, all counted per segment (`_SolveCounter`). A version
+  that runs clips in lockstep (it has `vlgraph.train.run_clips`) runs them in
+  its own sub-windows; an older one runs them one at a time. A version
+  whose `total_loss` takes a whole sub-window gives one loss bundle with a
+  row per term; an older one gives a bundle per clip. A dump of any of them compares with the others;
 - `train()` on both benchmark training configurations: the per-epoch
   metrics and the final parameters.
 
@@ -74,7 +74,11 @@ def _golden(out: dict) -> None:
 
 
 class _SolveCounter:
-    """Counts Sinkhorn calls and (converged) solves while installed."""
+    """Counts Sinkhorn calls, solves and converged solves per segment while
+    installed. A version that solves one segment per call counts one of
+    each per call; a batched one counts the segments along the leading axis
+    of each Sinkhorn cost, the segments of each solve (its `distance` entries)
+    and its count of converged segments."""
 
     def __init__(self) -> None:
         self.calls = self.solves = self.converged = 0
@@ -84,13 +88,13 @@ class _SolveCounter:
 
         self._sinkhorn, self._solve = vot.sinkhorn, vot.solve_plan
 
-        def sinkhorn(*args, **kwargs):
-            self.calls += 1
-            return self._sinkhorn(*args, **kwargs)
+        def sinkhorn(cost, *args, **kwargs):
+            self.calls += np.shape(cost)[0] if np.ndim(cost) == 3 else 1
+            return self._sinkhorn(cost, *args, **kwargs)
 
         def solve_plan(*args, **kwargs):
             coupling = self._solve(*args, **kwargs)
-            self.solves += 1
+            self.solves += np.size(coupling.distance)
             self.converged += int(coupling.converged)
             return coupling
 

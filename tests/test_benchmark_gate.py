@@ -1,9 +1,11 @@
-"""The benchmark's own correctness gate, run on two small generator clips.
+"""The benchmark's own correctness gate and traced run, on small generator clips.
 
 `perfbench/workloads.py` calls the package through a few one-clip entry
-points (`model.forward`, `train.total_loss`, `transport.transport_loss`);
-this runs the gate functions that use them, so an API change that breaks
-the benchmark fails here too.
+points (`model.forward`, `train.total_loss`, `transport.transport_loss`),
+and `perfbench/layers.py` hooks public functions by name and reads their
+results (`Coupling.converged`, the `_backward` of a `gw_pair_cost` output).
+This runs the gate functions and a short traced `train()`, so an API change
+that breaks the benchmark fails here too.
 """
 
 import sys
@@ -15,7 +17,9 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "perfbench"), str(HERE)]
 
 import gen  # noqa: E402
+import layers  # noqa: E402
 import workloads  # noqa: E402
+from spans import Tracer, hooked  # noqa: E402
 
 import vlgraph.graph as vg  # noqa: E402
 import vlgraph.model as vm  # noqa: E402
@@ -40,3 +44,22 @@ def test_benchmark_gate_passes_on_small_clips():
     assert workloads._infer_pass(clips, params, cfg, out, lat_ms, probs) == 2
     assert out.attempted == 2 and out.failed == 0 and len(lat_ms) == 2
     assert workloads._probabilities_ok(probs)
+
+
+def test_traced_training_run_finds_every_hook():
+    cfg = vt.TrainConfig(dim=8, seed=0, epochs=1, effective_batch=4)
+    width = workloads.WIDTH
+    clips = [vg.parse_clip(rec) for rec in
+             gen.make_records(0, workloads.TRAIN, 4, workloads.PAPER, width)]
+    tracer = Tracer()
+    with hooked(tracer, layers.hooks()) as missing:
+        res = vt.train(clips, clips[:2], {"d_v": width, "d_s": width, "d_h": width}, cfg)
+    assert missing == []
+    assert len(res.metrics) == 1
+    metrics = layers.per_layer(tracer, 4, 1.0, 1.0, len(missing))
+    assert metrics["trace.hooks_missing"] == 0
+    for span in ("transport.solve_plan", "transport.sinkhorn", "tensor.gw_pair_cost",
+                 "tensor.gw_pair_cost.backward", "tensor.cosine_cost"):
+        assert tracer.stats(span).calls > 0, span
+    assert metrics["transport.sinkhorn.calls_per_solve"] >= 1
+    assert 0 < metrics["transport.converged_ratio"]

@@ -282,6 +282,25 @@ def test_read_dataset_rejects_line_that_is_not_json(tmp_path):
         gr.read_dataset(path)
 
 
+def test_integer_over_the_digit_limit_is_a_validation_error(tmp_path):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for an
+    # integer over Python's 4,300-digit conversion limit
+    path = write(tmp_path, [record()])
+    with open(path, "a") as fh:
+        fh.write('{"clip_id": "big", "label": ' + "9" * 5000 + "}\n")
+        fh.write(json.dumps(record("c2", 0)) + "\n")
+    with pytest.raises(ValidationError, match=r"data\.jsonl:3: not valid JSON"):
+        gr.read_dataset(path)
+    rep = gr.validate_dataset(path)
+    assert [(r.line_no, r.ok) for r in rep.records] == [(2, True), (3, False), (4, True)]
+    assert rep.n_failures == 1
+    header_path = tmp_path / "big_header.jsonl"
+    header_path.write_text('{"d_v": ' + "9" * 5000 + "}\n" + json.dumps(record()) + "\n")
+    for read in (gr.read_dataset, gr.validate_dataset):
+        with pytest.raises(ValidationError, match=r"big_header\.jsonl:1: header is not valid JSON"):
+            read(str(header_path))
+
+
 def test_read_dataset_roundtrip(tmp_path):
     path = write(tmp_path, [record(), record("c1", 0)])
     header, clips = gr.read_dataset(path)

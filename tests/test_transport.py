@@ -5,6 +5,7 @@ import pytest
 
 from vlgraph import tensor as tn
 from vlgraph.errors import ContractError, ShapeError
+from vlgraph.graph import block_bounds
 from vlgraph.model import SegmentTrace
 from vlgraph.tensor import ParamStore, Tensor, backward, grad_check
 from vlgraph.train import TrainConfig
@@ -48,27 +49,35 @@ def brute_force_wd(cost: np.ndarray) -> float:
 
 
 def dense_solve_plan(node_cost, intra_a, intra_b, cfg):
-    """Fused transport with the structure term linearized through the dense
-    (n, m, n, m) gap |A_ik - B_jl|: the reference for `solve_plan`."""
+    """Fused transport of one segment with the structure term linearized
+    through the dense (n, m, n, m) gap |A_ik - B_jl|: the reference for
+    `solve_plan`. Returns the plan, the distance and the Sinkhorn calls."""
     n, m = node_cost.shape
     p, q = uniform(n), uniform(m)
     gap = np.abs(intra_a[:, None, :, None] - intra_b[None, :, None, :])
     plan = np.outer(p, q)
     warm = None
-    for _ in range(cfg.ot_gw_outer_iters):
+    for rounds in range(1, cfg.ot_gw_outer_iters + 1):
         linear = cfg.lam * node_cost + np.einsum("ijkl,kl->ij", gap, plan)
-        new_plan, _, warm = sinkhorn(linear, p, q, cfg.ot_eps_reg, cfg.ot_sinkhorn_iters,
-                                     cfg.ot_tol, warm)
+        new_plan, _, warm = sinkhorn_one(linear, p, q, cfg.ot_eps_reg, cfg.ot_sinkhorn_iters,
+                                         cfg.ot_tol, warm)
         delta = float(np.abs(new_plan - plan).max())
         plan = new_plan
         if delta <= cfg.ot_tol:
             break
     fused = cfg.lam * node_cost + np.einsum("ijkl,kl->ij", gap, plan)
-    return plan, float((plan * fused).sum())
+    return plan, float((plan * fused).sum()), rounds
 
 
 def uniform(n):
     return np.full(n, 1.0 / n)
+
+
+def sinkhorn_one(cost, p, q, *args, **kwargs):
+    """`sinkhorn` on one problem, run as a batch of one."""
+    plans, errs, warm = sinkhorn(np.asarray(cost)[None], np.asarray(p)[None],
+                                 np.asarray(q)[None], *args, **kwargs)
+    return plans[0], errs[0], warm
 
 
 def tight_cfg(eps=1e-3, lam=1.0, alpha=0.1, tol=1e-5):
@@ -82,14 +91,14 @@ def tight_cfg(eps=1e-3, lam=1.0, alpha=0.1, tol=1e-5):
 
 def test_zero_cost_gives_outer_product():
     p, q = uniform(3), uniform(4)
-    plan, err, _ = sinkhorn(np.zeros((3, 4)), p, q, eps_reg=0.1, iters=10)
+    plan, err, _ = sinkhorn_one(np.zeros((3, 4)), p, q, eps_reg=0.1, iters=10)
     assert np.allclose(plan, np.outer(p, q), atol=1e-15)
     assert err <= 1e-15
 
 
 def test_permutation_cost_concentrates_on_diagonal():
     cost = np.array([[0.0, 1.0], [1.0, 0.0]])
-    plan, _, _ = sinkhorn(cost, uniform(2), uniform(2), eps_reg=1e-3, iters=5000, tol=1e-12)
+    plan, _, _ = sinkhorn_one(cost, uniform(2), uniform(2), eps_reg=1e-3, iters=5000, tol=1e-12)
     assert np.allclose(plan, np.diag([0.5, 0.5]), atol=1e-6)
     assert float((plan * cost).sum()) <= 1e-3
 
@@ -98,7 +107,7 @@ def test_marginal_contract_random_5x7():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         cost = rng.uniform(0.0, 1.0, size=(5, 7))
-        plan, err, _ = sinkhorn(cost, uniform(5), uniform(7), eps_reg=0.05,
+        plan, err, _ = sinkhorn_one(cost, uniform(5), uniform(7), eps_reg=0.05,
                                 iters=500, tol=1e-6)
         assert err <= 1e-6
         assert np.abs(plan.sum(axis=1) - uniform(5)).max() <= 1e-6
@@ -108,11 +117,11 @@ def test_marginal_contract_random_5x7():
 
 def test_sinkhorn_input_contracts():
     with pytest.raises(ContractError):
-        sinkhorn(np.zeros((2, 2)), np.array([0.7, 0.7]), uniform(2), 0.1, 10)
+        sinkhorn_one(np.zeros((2, 2)), np.array([0.7, 0.7]), uniform(2), 0.1, 10)
     with pytest.raises(ShapeError):
-        sinkhorn(np.zeros((2, 2)), uniform(3), uniform(2), 0.1, 10)
+        sinkhorn_one(np.zeros((2, 2)), uniform(3), uniform(2), 0.1, 10)
     with pytest.raises(ContractError):
-        sinkhorn(np.array([[np.inf, 0.0], [0.0, 0.0]]), uniform(2), uniform(2), 0.1, 10)
+        sinkhorn_one(np.array([[np.inf, 0.0], [0.0, 0.0]]), uniform(2), uniform(2), 0.1, 10)
 
 
 # -------------------------------------------------------------- brute force
@@ -132,7 +141,7 @@ def test_entropic_gap_bound_random_4x4():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         cost = rng.uniform(0.0, 2.0, size=(4, 4))
-        plan, _, _ = sinkhorn(cost, uniform(4), uniform(4), eps, iters=20000, tol=1e-10)
+        plan, _, _ = sinkhorn_one(cost, uniform(4), uniform(4), eps, iters=20000, tol=1e-10)
         sink_val = float((plan * cost).sum())
         exact = brute_force_wd(cost)
         assert exact <= sink_val + 1e-9
@@ -208,7 +217,7 @@ def test_solve_plan_matches_dense_structure_oracle():
         a = rng.standard_normal((5, t))
         b = rng.standard_normal((5, k))
         costs = (np_cosine_cost(a, b), np_cosine_cost(a, a), np_cosine_cost(b, b))
-        plan, distance = dense_solve_plan(*costs, cfg)
+        plan, distance, _ = dense_solve_plan(*costs, cfg)
         coupling = solve_plan(*costs, cfg)
         assert np.abs(coupling.plan - plan).max() <= 1e-12 * plan.max()
         assert abs(coupling.distance - distance) <= 1e-12 * distance
@@ -303,19 +312,174 @@ def test_frozen_plan_count_must_match_segments():
             transport_loss(both, TrainConfig(), frozen_plans=wrong)
 
 
-def test_structure_is_built_once_per_segment(monkeypatch):
+def test_structure_is_built_once_per_call(monkeypatch):
     built = []
 
     class Counted(tn.SortedStructure):
-        def __init__(self, a, b):
-            built.append((a.shape, b.shape))
-            super().__init__(a, b)
+        def __init__(self, a, b, a_sizes=(), b_sizes=()):
+            built.append((a.shape, b.shape, tuple(a_sizes), tuple(b_sizes)))
+            super().__init__(a, b, a_sizes, b_sizes)
 
     monkeypatch.setattr(tn, "SortedStructure", Counted)
     both = two_segments(np.random.default_rng(14))
     _, plans = transport_loss(both, TrainConfig())
-    # the solve's structure is handed on to the loss term
-    assert built == [((2, 2), (3, 3)), ((3, 3), (2, 2))]
+    # one structure serves both segments, and the solve's is handed on to the loss term
+    assert built == [((5, 5), (5, 5), (2, 3), (3, 2))]
     # frozen plans come without one, so the loss term builds its own
     transport_loss(both, TrainConfig(), frozen_plans=plans)
-    assert len(built) == 4
+    assert len(built) == 2
+
+
+# ------------------------------------------------------ batched segments
+
+def mixed_segments(rng):
+    """(node cost, intra A, intra B) of segments that exercise the batch:
+    1x1, 1xm and nx1 blocks, intra costs on four shared levels (ties
+    everywhere), all-zero intra costs, all-zero costs (the first plan is the
+    answer, so round 1 ends it) and random ones that run to the round cap."""
+    def cosine(n, m):
+        a, b = rng.standard_normal((5, n)), rng.standard_normal((5, m))
+        return np_cosine_cost(a, b), np_cosine_cost(a, a), np_cosine_cost(b, b)
+
+    return [
+        cosine(1, 1),
+        cosine(1, 4),
+        cosine(3, 1),
+        (rng.uniform(0.0, 2.0, (4, 3)), rng.integers(0, 4, (4, 4)) / 2.0,
+         rng.integers(0, 4, (3, 3)) / 2.0),
+        (rng.uniform(0.0, 2.0, (3, 4)), np.zeros((3, 3)), np.zeros((4, 4))),
+        (np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((3, 3))),
+        cosine(4, 4),
+        cosine(3, 5),
+        cosine(4, 4),
+    ]
+
+
+def batch_of(segments, rng):
+    """Whole-batch cost matrices with each segment's costs in its diagonal
+    blocks and large random values between segments, which must never be
+    read; and the block sizes."""
+    n = tuple(c.shape[0] for c, _, _ in segments)
+    m = tuple(c.shape[1] for c, _, _ in segments)
+    node = rng.uniform(5.0, 9.0, (sum(n), sum(m)))
+    intra_a = rng.uniform(5.0, 9.0, (sum(n), sum(n)))
+    intra_b = rng.uniform(5.0, 9.0, (sum(m), sum(m)))
+    for (c, a, b), (a0, a1), (b0, b1) in zip(segments, block_bounds(n), block_bounds(m)):
+        node[a0:a1, b0:b1], intra_a[a0:a1, a0:a1], intra_b[b0:b1, b0:b1] = c, a, b
+    return node, intra_a, intra_b, n, m
+
+
+def test_batched_solve_matches_each_segment_solved_alone():
+    rng = np.random.default_rng(21)
+    cfg = TrainConfig(ot_sinkhorn_iters=500)
+    segments = mixed_segments(rng)
+    node, intra_a, intra_b, n, m = batch_of(segments, rng)
+    batch = solve_plan(node, intra_a, intra_b, cfg, n, m)
+    outside = np.ones(batch.plan.shape, dtype=bool)
+    converged = 0
+    for s, (costs, (a0, a1), (b0, b1)) in enumerate(zip(segments, block_bounds(n),
+                                                          block_bounds(m))):
+        plan, distance, rounds = dense_solve_plan(*costs, cfg)
+        alone = solve_plan(*costs, cfg)
+        got = batch.plan[a0:a1, b0:b1]
+        assert np.abs(got - plan).max() <= 1e-12 * plan.max(), s
+        assert abs(batch.distance[s] - distance) <= 1e-12 * distance, s
+        assert batch.rounds[s] == rounds == alone.rounds[0], s
+        assert batch.marginal_err[s] == pytest.approx(alone.marginal_err[0], rel=1e-6, abs=1e-15)
+        converged += alone.converged
+        outside[a0:a1, b0:b1] = False
+    assert np.all(batch.plan[outside] == 0.0)
+    assert batch.converged == converged
+    # the batch holds a segment that stops in round 1 beside ones at the cap
+    assert batch.rounds.min() == 1 and batch.rounds.max() == cfg.ot_gw_outer_iters
+
+
+def test_padding_and_other_segments_never_leak_into_a_segment():
+    rng = np.random.default_rng(22)
+    cfg = TrainConfig(ot_sinkhorn_iters=500)
+    segments = mixed_segments(rng)
+    node, intra_a, intra_b, n, m = batch_of(segments, rng)
+    base = solve_plan(node, intra_a, intra_b, cfg, n, m)
+    # zero the costs of segment 6, so that it leaves the batch after round 1
+    # instead of at the cap, and change every value between segments
+    node2, intra_a2, intra_b2, _, _ = batch_of(segments, rng)
+    (a0, a1), (b0, b1) = block_bounds(n)[6], block_bounds(m)[6]
+    node2[a0:a1, b0:b1] = intra_a2[a0:a1, a0:a1] = intra_b2[b0:b1, b0:b1] = 0.0
+    other = solve_plan(node2, intra_a2, intra_b2, cfg, n, m)
+    assert (base.rounds[6], other.rounds[6]) == (cfg.ot_gw_outer_iters, 1)
+    for s, ((r0, r1), (c0, c1)) in enumerate(zip(block_bounds(n), block_bounds(m))):
+        same = np.array_equal(base.plan[r0:r1, c0:c1], other.plan[r0:r1, c0:c1])
+        assert same == (s != 6), s
+    assert np.array_equal(np.delete(base.rounds, 6), np.delete(other.rounds, 6))
+
+
+def test_sinkhorn_padding_carries_no_mass():
+    rng = np.random.default_rng(24)
+    cost = rng.uniform(0.0, 1.0, (3, 4))
+    alone, err, _ = sinkhorn_one(cost, uniform(3), uniform(4), 0.05, 500, 1e-9)
+    costs = rng.uniform(0.0, 1.0, (2, 5, 6))
+    costs[0, :3, :4] = cost
+    p, q = np.zeros((2, 5)), np.zeros((2, 6))
+    p[0, :3], q[0, :4], p[1], q[1] = uniform(3), uniform(4), uniform(5), uniform(6)
+    plans, errs, _ = sinkhorn(costs, p, q, 0.05, 500, 1e-9)
+    assert np.array_equal(plans[0, :3, :4], alone) and errs[0] == err
+    assert np.all(plans[0, 3:] == 0.0) and np.all(plans[0, :, 4:] == 0.0)
+
+
+def per_segment_loss(segments, cfg, sizes):
+    """The transport row taken one segment at a time, each with the dense
+    oracle's plan and its own cosine costs: the reference for the batched
+    `transport_loss`."""
+    terms, plans = [], []
+    for (v0, v1), (s0, s1) in zip(block_bounds(segments.v_sizes), block_bounds(segments.s_sizes)):
+        visual = tn.gather(segments.visual, np.arange(v0, v1))
+        text = tn.gather(segments.text, np.arange(s0, s1))
+        node = tn.cosine_cost(text, visual)
+        intra_s, intra_v = tn.cosine_cost(text, text), tn.cosine_cost(visual, visual)
+        plan, _, _ = dense_solve_plan(node.data, intra_s.data, intra_v.data, cfg)
+        plans.append(plan)
+        terms.append(tn.add(tn.mul(node, Tensor(cfg.lam * plan)).sum(),
+                            tn.gw_pair_cost(intra_s, intra_v, plan)))
+    return tn.scale(tn.block_mean(tn.concat(terms, axis=1), sizes), cfg.alpha), plans
+
+
+def test_batched_loss_and_gradients_match_segments_taken_one_at_a_time():
+    rng = np.random.default_rng(23)
+    cfg = TrainConfig(alpha=0.3, ot_sinkhorn_iters=500)
+    tokens, frames = (1, 1, 3, 2, 4, 3), (1, 4, 1, 2, 3, 3)
+    ps = ParamStore()
+    ps.add("v", rng.standard_normal((5, sum(frames))))
+    ps.add("s", rng.standard_normal((5, sum(tokens))))
+    # a repeated frame and token: the last segment's intra costs tie
+    ps["v"].data[:, -1] = ps["v"].data[:, -2]
+    ps["s"].data[:, -1] = ps["s"].data[:, -3]
+
+    def segments():
+        return SegmentTrace(visual=ps["v"], text=ps["s"], v_sizes=frames, s_sizes=tokens)
+
+    sizes = (2, 1, 3)
+    row, plans = transport_loss(segments(), cfg, sizes=sizes)
+    want, want_plans = per_segment_loss(segments(), cfg, sizes)
+    assert row.shape == (1, 3)
+    assert np.abs(row.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+    for got, ref in zip(plans, want_plans):
+        assert got.shape == ref.shape and np.abs(got - ref).max() <= 1e-12 * ref.max()
+    got_grads = {k: g.copy() for k, g in backward(row.sum(), ps).items()}
+    ps.zero_grad()
+    for name, ref in backward(want.sum(), ps).items():
+        assert np.abs(got_grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+def test_frozen_plans_are_checked_segment_by_segment():
+    both = two_segments(np.random.default_rng(15))
+    _, plans = transport_loss(both, TrainConfig())
+    for frozen, message in (
+        ([plans[0], plans[1].T], r"frozen plan 1 has shape \(2, 3\), segment 1 needs \(3, 2\)"),
+        ([plans[0][:, :2], plans[1]], r"frozen plan 0 has shape \(2, 2\), segment 0 needs \(2, 3\)"),
+        ([plans[0] * np.nan, plans[1]], "frozen plan 0 must be finite and nonnegative"),
+        ([plans[0], -plans[1]], "frozen plan 1 must be finite and nonnegative"),
+        ([plans[0], np.where(plans[1] > plans[1].min(), plans[1], np.inf)],
+         "frozen plan 1 must be finite and nonnegative"),
+    ):
+        with pytest.raises(ContractError, match=message):
+            transport_loss(both, TrainConfig(), frozen_plans=frozen)
