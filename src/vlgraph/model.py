@@ -16,8 +16,13 @@ pools nodes under key columns, X @ softmax(X^T keys + mask), with a
 constant mask that keeps each key inside its own block of nodes; message
 passing (`message_pass`) is attention with the receivers as keys over the
 senders. `_gated` fuses what a node had with what it pooled through a
-learned per-coordinate convex-combination gate. A clip of one segment or
-one query takes the same path as any other. Each message pass returns a
+learned per-coordinate convex-combination gate. Its input is a stack of
+guidance and nodes, such as [block means; nodes; block means], that is
+never formed: each part meets its own column block of the (d, 3d) weight
+at one column per block or node and is expanded after the product
+(`tn.stacked_matmul`), so the tape and the weight's pending gradient
+factors hold no (3d, n) array. A clip of one segment or one query takes
+the same path as any other. Each message pass returns a
 `Pass` record that holds references to the adjacency, gate, message and
 output arrays it computed.
 
@@ -136,12 +141,19 @@ def attend(X: Tensor, keys: Tensor, x_ids: np.ndarray,
     return tn.matmul(X, weights), weights
 
 
-def _gated(keep: Tensor, take: Tensor, parts: list[Tensor], params: ParamStore,
-           name: str) -> tuple[Tensor, Tensor]:
+def _gated(keep: Tensor, take: Tensor, parts: list[tuple[Tensor, np.ndarray | None]],
+           params: ParamStore, name: str) -> tuple[Tensor, Tensor]:
     """(1 - gate) * keep + gate * take, with gate = sigmoid(W [parts] + b)
-    through the weights `name`; returns the result and the gate."""
-    stacked = tn.concat(parts, axis=0)
-    gate = tn.sigmoid(tn.add_col(tn.matmul(params[f"{name}.w"], stacked), params[f"{name}.b"]))
+    through the weights `name`; returns the result and the gate.
+
+    The parts are (tensor, columns) pairs, as `tn.stacked_matmul` takes
+    them: each part is multiplied by its own column block of W at one column
+    per column of its tensor and expanded to the gate's columns after the
+    product, so a guidance part costs one column per block and the stack
+    [parts] is never formed.
+    """
+    gate = tn.sigmoid(tn.add_col(tn.stacked_matmul(params[f"{name}.w"], parts),
+                                 params[f"{name}.b"]))
     return tn.add(tn.mul(tn.sub(1.0, gate), keep), tn.mul(gate, take)), gate
 
 
@@ -165,15 +177,16 @@ def message_pass(X: Tensor, Y: Tensor, g_x: Tensor, g_y: Tensor, params: ParamSt
     each receiving node of X attends over the senders Y of its block, so the
     adjacency is softmax(X^T Y) over each receiver's row. `g_x` and `g_y`
     hold one guidance column per block; the gate reads [g_x; X; g_y], each
-    guidance column repeated over its block's nodes, through the weights
-    `name`. With Y = X, a single-node block is a fixed point.
+    guidance column standing for all of its block's nodes, through the
+    weights `name` (see `_gated`). With Y = X, a single-node block is a
+    fixed point.
     """
     x_sizes, y_sizes = _sizes(x_sizes, X), _sizes(y_sizes, Y)
     if len(x_sizes) != len(y_sizes):
         raise ContractError(f"{name}: {len(x_sizes)} receiving blocks but {len(y_sizes)} sending")
     x_ids = _block_ids(x_sizes)
     msg, weights = attend(Y, X, _block_ids(y_sizes), x_ids)     # (d, n_x)
-    parts = [tn.gather(g_x, x_ids), X, tn.gather(g_y, x_ids)]
+    parts = [(g_x, x_ids), (X, None), (g_y, x_ids)]
     out, gate = _gated(X, msg, parts, params, name)
     return out, Pass(adj=weights.data.T, gate=gate.data, msg=msg.data, out=out.data)
 
@@ -242,7 +255,7 @@ def segment_pool(seg: SegmentTrace, Q: Tensor, params: ParamStore,
     s_q, attn_s = attend(S, tn.gather(tn.matmul(params["pool.attn_s.w"], Q), pair_query),
                          _block_ids(seg.s_sizes), pair_seg)
     g_v, g_s = tn.block_mean(V, seg.v_sizes), tn.block_mean(S, seg.s_sizes)
-    parts = [tn.gather(g_v, pair_seg), tn.gather(Q, pair_query), tn.gather(g_s, pair_seg)]
+    parts = [(g_v, pair_seg), (Q, pair_query), (g_s, pair_seg)]
     node, gate = _gated(v_q, s_q, parts, params, "pool.fuse")
     return node, dict(attn_v=attn_v.data, attn_s=attn_s.data, gate=gate.data)
 

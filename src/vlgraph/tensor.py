@@ -12,11 +12,31 @@ order for replay. Tape construction is single-threaded per forward/backward
 pass; tensors without tape attachments are immutable values and safe to
 share across threads.
 
+Forward products go through `_product`. The BLAS the benchmark's `# env`
+line names (scipy-openblas 0.3.31, run on one thread) multiplies a product
+of at most 1e6 multiply-adds M*N*K with an unpacked small-matrix kernel and
+packs the whole left operand above that: with a (512, 1536) weight against
+12 columns, 54 rows took 81 us and 55 rows 137 us. The model's weight
+products have a (512, 512)-(512, 1536) weight W and the 1-32 columns of a
+batch of one, so a product with at most 32 right-hand columns (and fewer
+than the left has rows) above the bound runs in row blocks of W of 1e6 //
+(N*K) rows, each under the bound: 1.1-2.5x faster than one call at 2-32
+columns, about even at 48 and slower at 64 (table in CHANGES.md). Every
+other product is one call. Row blocks change only the kernel that sums
+each entry, which moved entries by at most 2.6e-15 of the largest at these
+shapes; since the choice reads shapes only, a forward gives the same bits
+with and without a tape.
+
 Parameter gradients are kept as factors. A `Parameter` (the tensors a
 `ParamStore` holds) that is the left operand W of a matmul W X does not get
 that matmul's weight gradient G X^T, G the output gradient, at once: the
 backward appends the pair (G, X) to the parameter's `factors` and computes
-only the input gradient W^T G, which the rest of the tape needs.
+only the input gradient W^T G, which the rest of the tape needs. A factor
+entry holds one such pair per column block of W the product read, with the
+block's first column: a matmul reads the whole of W, and `stacked_matmul`,
+the gate input W [g_x; X; g_y] of the model, reads one block per part, so
+the guidance blocks keep (d, blocks) pairs and no stacked (3d, n) input is
+kept.
 Every matmul A B forms its right operand's gradient A^T G as (G^T A)^T:
 BLAS then reads A in its stored row-major layout instead of as a
 transposed operand, with the same bits. For the paper's (512, 512)-(512,
@@ -26,11 +46,12 @@ thread); under about 64k entries of A it costs a few microseconds more per
 product, too little to show in a training call, so one expression serves
 all.
 `Parameter.form_grad` later forms sum_k G_k X_k^T as one product of the
-concatenated factors, plus whatever reached `.grad` directly (biases, other
-ops). `backward(loss, params)` forms every parameter's gradient before it
-returns; a training loop instead calls `backward(loss)` per sub-window and
-leaves the forming to the optimizer step, so each weight gradient is formed
-once per optimizer window rather than once per sub-window.
+concatenated factors per column block, plus whatever reached `.grad`
+directly (biases, other ops). `backward(loss, params)` forms every
+parameter's gradient before it returns; a training loop instead calls
+`backward(loss)` per sub-window and leaves the forming to the optimizer
+step, so each weight gradient is formed once per optimizer window rather
+than once per sub-window.
 
 A backward sweep drops an op result's gradient as soon as the op has passed
 it to its inputs. Only the leaves (parameters and tensors no op produced)
@@ -223,6 +244,36 @@ def scale(a: Tensor, s: float) -> Tensor:
     return mul(a, float(s))
 
 
+# A product of at most this many multiply-adds, or with more than this many
+# right-hand columns, is one BLAS call; see `_product`.
+_SMALL_WORK = 1_000_000
+_SKINNY_COLS = 32
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, for a skinny b in row blocks of a that each stay under
+    `_SMALL_WORK` multiply-adds (module docstring).
+
+    The choice reads shapes only, so a product gives the same bits with and
+    without a tape. The result is a new C-ordered array.
+    """
+    m, k = a.shape
+    n = b.shape[1]
+    if n > _SKINNY_COLS or n >= m or m * n * k <= _SMALL_WORK:
+        return a @ b
+    rows = max(1, _SMALL_WORK // (n * k))
+    out = np.empty((m, n))
+    for lo in range(0, m, rows):
+        np.matmul(a[lo:lo + rows], b, out=out[lo:lo + rows])
+    return out
+
+
+def _kept(x: Tensor) -> np.ndarray:
+    """The value of a weight factor's right side: a parameter's data changes
+    at the optimizer step, so its value at this use is copied."""
+    return x.data.copy() if isinstance(x, Parameter) else x.data
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(f"matmul: operands must be 2-D, got {a.shape} and {b.shape}")
@@ -231,15 +282,85 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(out: Tensor) -> None:
         if isinstance(a, Parameter):
-            # a parameter's data changes at the optimizer step: keep the value used here
-            a.factors.append((out.grad, b.data.copy() if isinstance(b, Parameter) else b.data))
+            a.factors.append(((out.grad, _kept(b), 0),))
         elif a.requires_grad:
             _acc(a, out.grad @ b.data.T)
         if b.requires_grad:
             # A^T G as (G^T A)^T, A read in its stored layout (module docstring)
             _acc(b, (out.grad.T @ a.data).T)
 
-    return _make(a.data @ b.data, (a, b), bw)
+    return _make(_product(a.data, b.data), (a, b), bw)
+
+
+def stacked_matmul(w: Tensor, parts: Sequence[tuple[Tensor, np.ndarray | None]]) -> Tensor:
+    """W [x_0[:, i_0]; x_1[:, i_1]; ...] without building the stack.
+
+    Part k is the columns `i_k` of x_k, in `i_k` order and with repeats as
+    in `gather` (None takes x_k as it is), and it meets the next x_k.shape[0]
+    columns of W. Each part is multiplied at one column per column of x_k
+    and expanded after the product; parts with equal indices are summed
+    before one expansion. So a gate over [block means; nodes; block means]
+    multiplies its guidance blocks at one column per block, and no (3d, n)
+    array is made or kept.
+
+    The backward forms every part's gradient from one product G^T W, as
+    `matmul` does for its right operand, and sums the columns each source
+    column was expanded to. A `Parameter` W gets one factor entry that holds
+    a (column-summed G, x_k, first column) term per part (module docstring).
+    """
+    lows = np.cumsum([0] + [x.shape[0] for x, _ in parts])
+    if w.data.ndim != 2 or lows[-1] != w.shape[1] or any(x.data.ndim != 2 for x, _ in parts):
+        raise ShapeError(f"stacked_matmul: parts of {[x.shape for x, _ in parts]} rows "
+                         f"do not stack to the columns of {w.shape}")
+    index = [None if i is None else np.asarray(i, dtype=np.intp) for _, i in parts]
+    widths = {x.shape[1] if i is None else i.size for (x, _), i in zip(parts, index)}
+    if len(widths) != 1:
+        raise ShapeError(f"stacked_matmul: parts give {sorted(widths)} columns")
+    for (x, _), i in zip(parts, index):
+        if i is not None and (i.ndim != 1 or not i.size or i.min() < 0 or i.max() >= x.shape[1]):
+            raise ShapeError(f"stacked_matmul: columns {i.tolist()} do not index {x.shape}")
+    # parts of one width under one index, by first use: (the index, their positions)
+    shared: dict[tuple, tuple[np.ndarray | None, list[int]]] = {}
+    for k, ((x, _), i) in enumerate(zip(parts, index)):
+        key = (x.shape[1], None if i is None else i.tobytes())
+        shared.setdefault(key, (i, []))[1].append(k)
+    groups = list(shared.values())
+
+    data = None
+    for i, ks in groups:
+        y = _product(w.data[:, lows[ks[0]]:lows[ks[0] + 1]], parts[ks[0]][0].data)
+        for k in ks[1:]:
+            y += _product(w.data[:, lows[k]:lows[k + 1]], parts[k][0].data)
+        if i is not None:
+            y = y.take(i, axis=1)
+        if data is None:
+            data = y
+        else:
+            data += y
+
+    def bw(out: Tensor) -> None:
+        g = out.grad
+        # row j: the gradient of column j of the stack, for every part at once
+        full = g.T @ w.data if any(x.requires_grad for x, _ in parts) else None
+        terms = []
+        for i, ks in groups:
+            n_src = parts[ks[0]][0].shape[1]
+            if w.requires_grad:
+                g_src = g if i is None else _sum_by(g, i, n_src, axis=1)
+                terms += [(g_src, _kept(parts[k][0]), lows[k]) for k in ks]
+            if full is not None:
+                f_src = full if i is None else _sum_by(full, i, n_src, axis=0)
+                for k in ks:
+                    _acc(parts[k][0], f_src[:, lows[k]:lows[k + 1]].T)
+        if isinstance(w, Parameter):
+            w.factors.append(tuple(terms))
+        elif w.requires_grad:
+            gw = np.zeros_like(w.data)
+            for g_src, x, lo in terms:
+                gw[:, lo:lo + x.shape[0]] += g_src @ x.T
+            _acc(w, gw)
+
+    return _make(data, (w, *(x for x, _ in parts)), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -289,17 +410,34 @@ def gather(a: Tensor, index: Sequence[int] | np.ndarray) -> Tensor:
         raise ShapeError(f"gather: columns {index.tolist()} do not index {a.shape}") from e
 
     def bw(out: Tensor) -> None:
-        order = np.argsort(index, kind="stable")
-        ranked = index[order]
-        starts = np.flatnonzero(np.diff(ranked, prepend=-1))
-        g = out.grad[:, order]
-        if starts.size < index.size:
-            g = np.add.reduceat(g, starts, axis=1)
+        g = _sum_by(out.grad, index, a.shape[1], axis=1)
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[:, ranked[starts]] += g
+            a.grad = g
+        else:
+            a.grad += g
 
     return _make(data, (a,), bw)
+
+
+def _sum_by(g: np.ndarray, index: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """A new array with n slots along `axis`: slot c sums the slices j of g
+    with index[j] == c, in order of j; a slot nothing maps to is zero."""
+    order = np.argsort(index, kind="stable")
+    ranked = index[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=-1))
+    g = g.take(order, axis=axis)
+    if starts.size < index.size:
+        g = np.add.reduceat(g, starts, axis=axis)
+    if starts.size == n:                    # every slot is hit, in slot order
+        return g
+    shape = list(g.shape)
+    shape[axis] = n
+    out = np.zeros(shape)
+    if axis == 0:
+        out[ranked[starts]] = g
+    else:
+        out[:, ranked[starts]] = g
+    return out
 
 
 def add_col(mat: Tensor, column: Tensor) -> Tensor:
@@ -677,29 +815,43 @@ def gw_pair_cost(intra_a: Tensor, intra_b: Tensor, plan: np.ndarray,
 class Parameter(Tensor):
     """A trainable tensor whose matmul weight gradients wait as factors.
 
-    `factors` holds one (G, X) pair per matmul W X with this tensor as W; the
-    gradient of every other use accumulates into `.grad` as for any tensor.
+    `factors` holds one entry per product with this tensor as W (`matmul`,
+    `stacked_matmul`): a tuple of (G, X, first column) terms, each the
+    gradient G X^T of the column block of W that starts at that column and
+    spans X.shape[0] columns. The gradient of every other use accumulates
+    into `.grad` as for any tensor.
     """
 
     __slots__ = ("factors",)
 
     def __init__(self, data, copy: bool = True) -> None:
         super().__init__(data, requires_grad=True, copy=copy)
-        self.factors: list[tuple[np.ndarray, np.ndarray]] = []
+        self.factors: list[tuple[tuple[np.ndarray, np.ndarray, int], ...]] = []
 
     def form_grad(self, out: np.ndarray) -> np.ndarray:
         """Write the gradient so far into `out` and return it: sum_k G_k X_k^T
-        over the factors, as one product, plus `.grad`; zero when nothing
-        reached this parameter. The factors stay pending."""
-        if self.factors:
-            gs, xs = zip(*self.factors)
-            np.matmul(np.concatenate(gs, axis=1), np.concatenate(xs, axis=1).T, out=out)
+        over the factors, one product per column block, plus `.grad`; zero
+        when nothing reached this parameter. The factors stay pending."""
+        blocks: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+        for entry in self.factors:
+            for g, x, lo in entry:
+                blocks.setdefault((lo, lo + x.shape[0]), []).append((g, x))
+
+        def product(pairs, dest=None):
+            gs, xs = zip(*pairs)
+            return np.matmul(np.concatenate(gs, axis=1), np.concatenate(xs, axis=1).T, out=dest)
+
+        whole = blocks.pop((0, out.shape[1]), None)
+        if whole:
+            product(whole, out)
             if self.grad is not None:
                 out += self.grad
         elif self.grad is not None:
             np.copyto(out, self.grad)
         else:
             out.fill(0.0)
+        for (lo, hi), pairs in blocks.items():
+            out[:, lo:hi] += product(pairs)
         return out
 
 

@@ -53,7 +53,12 @@ CKPT_DTYPE = np.dtype("<f4")   # the one payload type of a checkpoint
 # clip at a time was 1.36x, 1.44x and 1.41x at 96, 128 and 160, and peak
 # RSS stayed within 2% of it up to 160. On train-longseg (dim=32, 36-144
 # nodes a clip) 129 of 144 clips ran alone at 128, with a tape peak of 5.5
-# MiB against 4.1 for one clip at a time.
+# MiB against 4.1 for one clip at a time. These figures predate the gates'
+# column-block products (`tensor.stacked_matmul`), which keep no stacked
+# (3d, n) gate input and took the tape of 16 train-paper clips from 4.44 to
+# 3.20 MiB a clip, and the row-blocked forward products (`tensor._product`),
+# which are faster the fewer columns a product has; 128 was not measured
+# again after them.
 SUB_WINDOW_NODES = 128
 
 # the JSON values each `TrainConfig` annotation accepts (bool is not an int here)

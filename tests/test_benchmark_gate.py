@@ -26,8 +26,8 @@ import vlgraph.model as vm  # noqa: E402
 import vlgraph.train as vt  # noqa: E402
 
 
-def gate_setup():
-    cfg = vt.TrainConfig(dim=8, seed=0)
+def gate_setup(dim=8):
+    cfg = vt.TrainConfig(dim=dim, seed=0)
     width = workloads.WIDTH
     clips = [vg.parse_clip(rec) for rec in
              gen.make_records(0, workloads.TRAIN, 2, workloads.PAPER, width)]
@@ -44,6 +44,15 @@ def test_benchmark_gate_passes_on_small_clips():
     assert workloads._infer_pass(clips, params, cfg, out, lat_ms, probs) == 2
     assert out.attempted == 2 and out.failed == 0 and len(lat_ms) == 2
     assert workloads._probabilities_ok(probs)
+
+
+def test_benchmark_gate_passes_at_paper_width():
+    # at dim=512 the gate and weight products are large enough to run in row
+    # blocks (`tensor._product`), which must give the same bits with and
+    # without a tape and the same gradients as finite differences
+    cfg, clips, params = gate_setup(dim=512)
+    assert workloads._no_grad_matches(clips, params, cfg)
+    assert workloads._grad_check_ok(cfg, clips[0], params, seed=0)
 
 
 def test_traced_training_run_finds_every_hook():

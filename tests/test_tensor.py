@@ -276,6 +276,113 @@ def test_weight_input_gradient_matches_the_plain_product(shape, cols):
         assert np.linalg.norm(x.grad - want) <= 1e-12 * np.linalg.norm(want)
 
 
+WEIGHT = np.random.default_rng(40).standard_normal((512, 1536))
+
+
+@pytest.mark.parametrize("left, cols", [
+    (WEIGHT, 1), (WEIGHT, 4), (WEIGHT, 12), (WEIGHT, 32), (WEIGHT, 33),
+    (WEIGHT[:, :512].copy(), 4),
+    (WEIGHT[:333], 12),                     # 333 rows: the last block is short
+    (WEIGHT[:, 512:1024], 12),              # a gate weight's column block, as a view
+])
+def test_product_matches_the_plain_product_on_both_sides_of_the_bound(left, cols):
+    right = np.random.default_rng(cols).standard_normal((left.shape[1], cols))
+    m, k = left.shape
+    want = left @ right
+    got = tn._product(left, right)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    if cols <= 32 and cols < m and m * cols * k > 1e6:
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    else:
+        assert np.array_equal(got, want)
+
+
+def stacked_reference(w, parts):
+    """W times the stack itself: the gate input the split replaces."""
+    stack = [x if i is None else tn.gather(x, i) for x, i in parts]
+    return tn.matmul(w, tn.concat(stack, axis=0))
+
+
+# message-pass layout [g_x; X; g_y] over blocks of 2, 1 and 3 nodes, and the
+# pool layout [g_v; Q; g_s] over (query, segment) pairs
+GATE_IDS = np.array([0, 0, 1, 2, 2, 2])
+PAIR_QUERY = np.array([0, 0, 0, 1, 1, 1])
+PAIR_SEG = np.array([0, 1, 2, 0, 1, 2])
+GATES = {
+    "pass": (lambda ps: [(ps["g"], GATE_IDS), (ps["x"], None), (ps["h"], GATE_IDS)],
+             {"w": (4, 9), "g": (3, 3), "x": (3, 6), "h": (3, 3)}),
+    "pool": (lambda ps: [(ps["g"], PAIR_SEG), (ps["x"], PAIR_QUERY), (ps["h"], PAIR_SEG)],
+             {"w": (4, 9), "g": (3, 3), "x": (3, 2), "h": (3, 3)}),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(GATES))
+def test_stacked_matmul_matches_the_product_of_the_stack(layout):
+    parts_of, shapes = GATES[layout]
+    ps = make_params(np.random.default_rng(41), **shapes)
+    c = Tensor(np.random.default_rng(42).standard_normal((4, 6)))
+    grads = {}
+    for name, op in (("split", tn.stacked_matmul), ("stack", stacked_reference)):
+        ps.zero_grad()
+        out = op(ps["w"], parts_of(ps))
+        grads[name] = {n: g.copy() for n, g in backward(tn.mul(out, c).sum(), ps).items()}
+        grads[name]["out"] = out.data
+    # a weight that is not a parameter gets its gradient directly
+    w = Tensor(ps["w"].data, requires_grad=True)
+    backward(tn.mul(tn.stacked_matmul(w, parts_of(ps)), c).sum())
+    grads["plain"] = {"w": w.grad}
+    assert len(grads["split"]) == len(shapes) + 1
+    for n, want in grads["stack"].items():
+        for name in ("split", "plain"):
+            if n in grads[name]:
+                assert np.abs(grads[name][n] - want).max() <= 1e-13 * np.abs(want).max(), n
+
+
+@pytest.mark.parametrize("layout", sorted(GATES))
+def test_stacked_matmul_gradcheck_across_column_blocks(layout):
+    # weight columns 2|3 and 5|6 sit on both sides of the block boundaries
+    parts_of, shapes = GATES[layout]
+    c = np.random.default_rng(43).standard_normal((4, 6))
+    for seed in range(20):
+        ps = make_params(np.random.default_rng(seed), **shapes)
+        coords = [("w", r * 9 + col) for r in range(4) for col in (2, 3, 5, 6)]
+        coords += [(n, i) for n in ("g", "x", "h") for i in range(ps[n].data.size)]
+        rep = grad_check(lambda: tn.mul(tn.stacked_matmul(ps["w"], parts_of(ps)),
+                                        Tensor(c)).sum(), ps, coords=coords)
+        assert rep.n_checked == len(coords) and rep.passed(1e-4), f"seed {seed}: {rep!r}"
+
+
+def test_stacked_matmul_rejects_parts_that_do_not_stack():
+    w = Tensor(np.ones((2, 5)))
+    x, g = Tensor(np.ones((3, 4))), Tensor(np.ones((2, 2)))
+    for parts in ([(x, None)],                           # 3 rows against 5 columns
+                  [(g, [0, 1, 1]), (x, None)],           # 3 columns against 4
+                  [(g, [0, 2, 1, 1]), (x, None)]):       # column 2 of a 2-column part
+        with pytest.raises(ShapeError):
+            tn.stacked_matmul(w, parts)
+
+
+def test_parameter_forms_whole_and_column_block_factors_with_its_direct_gradient():
+    # w meets a plain matmul (whole weight), a stacked product (three column
+    # blocks) and a Hadamard product (direct .grad)
+    rng = np.random.default_rng(44)
+    ps = make_params(rng, w=(4, 9))
+    x = rng.standard_normal((9, 5))
+    g, y, h = (rng.standard_normal(shape) for shape in ((3, 3), (3, 6), (3, 3)))
+    c1, c2 = rng.standard_normal((4, 5)), rng.standard_normal((4, 6))
+    w = ps["w"]
+    parts = [(Tensor(g), GATE_IDS), (Tensor(y), None), (Tensor(h), GATE_IDS)]
+    loss = tn.add(tn.add(tn.mul(tn.matmul(w, Tensor(x)), Tensor(c1)).sum(),
+                         tn.mul(tn.stacked_matmul(w, parts), Tensor(c2)).sum()),
+                  tn.mul(w, w).sum())
+    backward(loss)
+    assert sorted(len(entry) for entry in w.factors) == [1, 3]      # one entry per product
+    stack = np.concatenate([g[:, GATE_IDS], y, h[:, GATE_IDS]])
+    want = c1 @ x.T + c2 @ stack.T + 2.0 * w.data
+    got = w.form_grad(np.empty((4, 9)))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_param_store_copies_what_it_is_given_and_adopts_its_own_draws():
     given = np.ones((2, 3))
     ps = ParamStore()
@@ -347,6 +454,10 @@ OPS = {
                      {"a": (3, 3), "w": (3, 6)}),
     "gather": (lambda ps: tn.mul(tn.gather(ps["a"], [2, 0, 2, 1, 0, 2]), ps["w"]).sum(),
                {"a": (3, 4), "w": (3, 6)}),
+    **{f"stacked_matmul_{layout}": (
+        lambda ps, parts_of=parts_of: tn.mul(tn.stacked_matmul(ps["w"], parts_of(ps)),
+                                             ps["c"]).sum(),
+        {**shapes, "c": (4, 6)}) for layout, (parts_of, shapes) in GATES.items()},
     "sum_ax0": (lambda ps: tn.mul(ps["a"].sum(axis=0), ps["w"]).sum(), {"a": (3, 2), "w": (1, 2)}),
     "mean_ax1": (lambda ps: tn.mul(ps["a"].mean(axis=1), ps["w"]).sum(), {"a": (3, 2), "w": (3, 1)}),
     "softmax": (lambda ps: tn.mul(tn.softmax(ps["a"], axis=1), ps["w"]).sum(), {"a": (3, 4), "w": (3, 4)}),

@@ -20,6 +20,7 @@ from vlgraph.train import (
     evaluate_accuracy,
     load_checkpoint,
     run_clip,
+    run_clips,
     save_checkpoint,
     sub_windows,
     total_loss,
@@ -285,6 +286,28 @@ def test_window_gradient_is_the_sum_of_per_clip_gradients():
     for name, p in params.items():
         got = p.form_grad(np.empty_like(p.data))
         assert np.linalg.norm(got - want[name]) <= 1e-12 * np.linalg.norm(want[name]), name
+
+
+def test_no_gate_input_stack_is_kept_for_the_backward():
+    # every gate reads [guidance; nodes; guidance] through a (d, 3d) weight;
+    # neither the tape of a sub-window nor the weight factors left for the
+    # optimizer step hold that (3d, n) stack
+    cfg, params, buffer, clips = window_setup()
+    loss = run_clips(clips, params, cfg, buffer)[0].total.sum()
+    seen, stack, stacks = set(), [loss], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stacks += [t.shape] if t.shape[0] == 3 * cfg.dim else []
+            stack.extend(t._parents)
+    assert len(seen) > 100 and stacks == []
+    backward(loss)
+    gates = ("inter.v", "inter.s", "intra.v", "intra.s", "pool.fuse", "temporal.gate")
+    for name in gates:
+        factors = params[f"{name}.w"].factors
+        assert len(factors) == 1 and len(factors[0]) == 3, name
+        assert all(x.shape[0] == cfg.dim for _, x, _ in factors[0]), name
 
 
 def test_adam_step_forms_the_deferred_weight_gradients():
