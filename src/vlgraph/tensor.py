@@ -308,23 +308,26 @@ def stacked_matmul(w: Tensor, parts: Sequence[tuple[Tensor, np.ndarray | None]])
     column was expanded to. A `Parameter` W gets one factor entry that holds
     a (column-summed G, x_k, first column) term per part (module docstring).
     """
-    lows = np.cumsum([0] + [x.shape[0] for x, _ in parts])
+    lows = list(itertools.accumulate([x.shape[0] for x, _ in parts], initial=0))
     if w.data.ndim != 2 or lows[-1] != w.shape[1] or any(x.data.ndim != 2 for x, _ in parts):
         raise ShapeError(f"stacked_matmul: parts of {[x.shape for x, _ in parts]} rows "
                          f"do not stack to the columns of {w.shape}")
-    index = [None if i is None else np.asarray(i, dtype=np.intp) for _, i in parts]
-    widths = {x.shape[1] if i is None else i.size for (x, _), i in zip(parts, index)}
-    if len(widths) != 1:
-        raise ShapeError(f"stacked_matmul: parts give {sorted(widths)} columns")
-    for (x, _), i in zip(parts, index):
-        if i is not None and (i.ndim != 1 or not i.size or i.min() < 0 or i.max() >= x.shape[1]):
-            raise ShapeError(f"stacked_matmul: columns {i.tolist()} do not index {x.shape}")
     # parts of one width under one index, by first use: (the index, their positions)
     shared: dict[tuple, tuple[np.ndarray | None, list[int]]] = {}
-    for k, ((x, _), i) in enumerate(zip(parts, index)):
+    for k, (x, i) in enumerate(parts):
+        if i is not None:
+            i = np.asarray(i, dtype=np.intp)
         key = (x.shape[1], None if i is None else i.tobytes())
         shared.setdefault(key, (i, []))[1].append(k)
     groups = list(shared.values())
+    widths = set()
+    for i, ks in groups:
+        x = parts[ks[0]][0]
+        widths.add(x.shape[1] if i is None else i.size)
+        if i is not None and (i.ndim != 1 or not i.size or i.min() < 0 or i.max() >= x.shape[1]):
+            raise ShapeError(f"stacked_matmul: columns {i.tolist()} do not index {x.shape}")
+    if len(widths) != 1:
+        raise ShapeError(f"stacked_matmul: parts give {sorted(widths)} columns")
 
     data = None
     for i, ks in groups:
