@@ -834,27 +834,30 @@ class Parameter(Tensor):
     def form_grad(self, out: np.ndarray) -> np.ndarray:
         """Write the gradient so far into `out` and return it: sum_k G_k X_k^T
         over the factors, one product per column block, plus `.grad`; zero
-        when nothing reached this parameter. The factors stay pending."""
+        when nothing reached this parameter. The factors stay pending.
+
+        A block that overlaps no earlier one (in column order) is written
+        by its product in place, so the whole weight of a matmul and the
+        disjoint blocks of a gate cost no zero fill and no temporary.
+        """
         blocks: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
         for entry in self.factors:
             for g, x, lo in entry:
                 blocks.setdefault((lo, lo + x.shape[0]), []).append((g, x))
-
-        def product(pairs, dest=None):
+        done = 0                # columns before `done` hold a sum, the rest nothing yet
+        for (lo, hi), pairs in sorted(blocks.items()):
             gs, xs = zip(*pairs)
-            return np.matmul(np.concatenate(gs, axis=1), np.concatenate(xs, axis=1).T, out=dest)
-
-        whole = blocks.pop((0, out.shape[1]), None)
-        if whole:
-            product(whole, out)
-            if self.grad is not None:
-                out += self.grad
-        elif self.grad is not None:
-            np.copyto(out, self.grad)
-        else:
-            out.fill(0.0)
-        for (lo, hi), pairs in blocks.items():
-            out[:, lo:hi] += product(pairs)
+            g, x = np.concatenate(gs, axis=1), np.concatenate(xs, axis=1)
+            if lo < done:
+                out[:, done:hi] = 0.0
+                out[:, lo:hi] += g @ x.T
+            else:
+                out[:, done:lo] = 0.0
+                np.matmul(g, x.T, out=out[:, lo:hi])
+            done = max(done, hi)
+        out[:, done:] = 0.0
+        if self.grad is not None:
+            out += self.grad
         return out
 
 

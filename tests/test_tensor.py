@@ -369,7 +369,7 @@ def test_parameter_forms_whole_and_column_block_factors_with_its_direct_gradient
     assert sorted(len(entry) for entry in w.factors) == [1, 3]      # one entry per product
     stack = np.concatenate([g[:, GATE_IDS], y, h[:, GATE_IDS]])
     want = c1 @ x.T + c2 @ stack.T + 2.0 * w.data
-    got = w.form_grad(np.empty((4, 9)))
+    got = w.form_grad(np.full((4, 9), np.nan))       # every entry must be written
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
