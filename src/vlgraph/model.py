@@ -16,10 +16,10 @@ pools nodes under key columns, X @ softmax(X^T keys + mask), with a
 constant mask that keeps each key inside its own block of nodes; message
 passing (`message_pass`) is attention with the receivers as keys over the
 senders. `_gated` fuses what a node had with what it pooled through a
-learned per-coordinate convex-combination gate. Its input is a stack of
-guidance and nodes, such as [block means; nodes; block means], that is
-never formed: each part meets its own column block of the (d, 3d) weight
-at one column per block or node and is expanded after the product
+learned per-coordinate convex-combination gate. Its input is the stack
+[guidance; nodes; guidance], such as [block means; nodes; block means],
+which is never formed: each part meets its own column block of the (d, 3d)
+weight at one column per block or node and is expanded after the product
 (`tn.stacked_matmul`), so the tape and the weight's pending gradient
 factors hold no (3d, n) array. A clip of one segment or one query takes
 the same path as any other. Each message pass returns a
@@ -37,9 +37,10 @@ exchange messages (Y = X again) and are pooled into that query's global
 node, all queries of all clips in one pass. The number of queries is
 decided first, by a self-halting accumulator over per-query stop
 probabilities. That loop stays sequential in the step, because each query
-attends from the one before, but runs all statements in lockstep: step t
-attends once over the statement tokens of every clip still extracting, and
-a clip whose halting fires drops out of the next step.
+attends from the one before, but runs all statements in lockstep at a fixed
+width: step t attends once over the statement tokens of every clip, and the
+loop ends when the last statement stops. A statement that stopped earlier
+stays in the later steps; their columns for it are computed and never read.
 
 Global level: the mean of each clip's global nodes feeds a small
 prediction head, one column per clip.
@@ -141,18 +142,15 @@ def attend(X: Tensor, keys: Tensor, x_ids: np.ndarray,
     return tn.matmul(X, weights), weights
 
 
-def _gated(keep: Tensor, take: Tensor, parts: list[tuple[Tensor, np.ndarray | None]],
-           params: ParamStore, name: str) -> tuple[Tensor, Tensor]:
-    """(1 - gate) * keep + gate * take, with gate = sigmoid(W [parts] + b)
-    through the weights `name`; returns the result and the gate.
-
-    The parts are (tensor, columns) pairs, as `tn.stacked_matmul` takes
-    them: each part is multiplied by its own column block of W at one column
-    per column of its tensor and expanded to the gate's columns after the
-    product, so a guidance part costs one column per block and the stack
-    [parts] is never formed.
+def _gated(keep: Tensor, take: Tensor, params: ParamStore, name: str,
+           *parts) -> tuple[Tensor, Tensor]:
+    """(1 - gate) * keep + gate * take, with gate = sigmoid(W [guide_a;
+    nodes; guide_b] + b) through the weights `name`; returns the result and
+    the gate. `parts` are guide_a, nodes, guide_b, guide_ids and optionally
+    node_ids, as `tn.stacked_matmul` takes them: a guidance part costs one
+    column per block, and the stack is never formed.
     """
-    gate = tn.sigmoid(tn.add_col(tn.stacked_matmul(params[f"{name}.w"], parts),
+    gate = tn.sigmoid(tn.add_col(tn.stacked_matmul(params[f"{name}.w"], *parts),
                                  params[f"{name}.b"]))
     return tn.add(tn.mul(tn.sub(1.0, gate), keep), tn.mul(gate, take)), gate
 
@@ -186,8 +184,7 @@ def message_pass(X: Tensor, Y: Tensor, g_x: Tensor, g_y: Tensor, params: ParamSt
         raise ContractError(f"{name}: {len(x_sizes)} receiving blocks but {len(y_sizes)} sending")
     x_ids = _block_ids(x_sizes)
     msg, weights = attend(Y, X, _block_ids(y_sizes), x_ids)     # (d, n_x)
-    parts = [(g_x, x_ids), (X, None), (g_y, x_ids)]
-    out, gate = _gated(X, msg, parts, params, name)
+    out, gate = _gated(X, msg, params, name, g_x, X, g_y, x_ids)
     return out, Pass(adj=weights.data.T, gate=gate.data, msg=msg.data, out=out.data)
 
 
@@ -255,8 +252,7 @@ def segment_pool(seg: SegmentTrace, Q: Tensor, params: ParamStore,
     s_q, attn_s = attend(S, tn.gather(tn.matmul(params["pool.attn_s.w"], Q), pair_query),
                          _block_ids(seg.s_sizes), pair_seg)
     g_v, g_s = tn.block_mean(V, seg.v_sizes), tn.block_mean(S, seg.s_sizes)
-    parts = [(g_v, pair_seg), (Q, pair_query), (g_s, pair_seg)]
-    node, gate = _gated(v_q, s_q, parts, params, "pool.fuse")
+    node, gate = _gated(v_q, s_q, params, "pool.fuse", g_v, Q, g_s, pair_seg, pair_query)
     return node, dict(attn_v=attn_v.data, attn_s=attn_s.data, gate=gate.data)
 
 
@@ -268,31 +264,21 @@ def should_stop(cum_halt: float, step: int, halt_eps: float, max_queries: int) -
 
 
 @dataclass
-class QueryCost:
-    """One statement's share of a query extraction; its query count is in
-    `QueryState.counts`."""
-
-    surrogate: Tensor                    # differentiable query-efficiency cost, (1, 1)
-    literal: float                       # query_cost * n, logged as a metric
-    stopped_early: bool                  # the halting fired before the cap
-
-
-@dataclass
 class QueryState:
     """Queries of one or more statements, extracted in lockstep.
 
-    Step t runs the statements `active[t]` (indices, ascending); its
-    `attn`, `halts` and `cum` hold one column per active statement. With one
-    statement each step holds one column.
+    Every step runs every statement, so its `attn`, `halts` and `cum` hold
+    one column per statement; the columns of a step after a statement's last
+    one are never read. With one statement each step holds one column.
     """
 
     queries: Tensor                      # (d, n_queries), statement-major, `counts` columns each
     counts: tuple[int, ...]              # queries per statement
-    attn: list[Tensor]                   # step t: (l, len(active[t])), l all statement tokens
-    halts: list[Tensor]                  # step t: (1, len(active[t]))
-    cum: list[Tensor]                    # step t: running sums, (1, len(active[t]))
-    active: list[np.ndarray]
-    costs: list[QueryCost]               # one per statement
+    early: tuple[bool, ...]              # per statement: the halting fired before the cap
+    attn: list[Tensor]                   # step t: (l, n_statements), l all statement tokens
+    halts: list[Tensor]                  # step t: (1, n_statements)
+    cum: list[Tensor]                    # step t: running sums, (1, n_statements)
+    surrogate: Tensor                    # query-efficiency cost, (1, n_statements)
 
     @property
     def n_queries(self) -> int:
@@ -301,49 +287,49 @@ class QueryState:
     @property
     def stopped_early(self) -> int:
         """How many statements halted before the cap."""
-        return sum(c.stopped_early for c in self.costs)
+        return sum(self.early)
 
 
 def extract_queries(H: Tensor, params: ParamStore, cfg: TrainConfig,
-                    force_n: int | Sequence[int | None] | None = None,
+                    force_n: Sequence[int] | None = None,
                     sizes: tuple[int, ...] = ()) -> QueryState:
     """Attentively extract semantic queries until self-halting fires.
 
     The columns of H are the statement tokens of one or more statements, in
     blocks of `sizes` (one statement by default), and all statements run in
-    lockstep. A statement's summary (its mean token) seeds its first query
-    and is reused, not recomputed, in every attention step. `force_n` pins
-    the query count, of every statement or of each one (None leaves a
-    statement to its stop rule); halt probabilities are still computed so
-    the efficiency cost stays differentiable.
+    lockstep until the last one stops. A statement's summary (its mean
+    token) seeds its first query and is reused, not recomputed, in every
+    attention step. `force_n` pins the query count of each statement (None
+    leaves them to `cfg.fixed_queries` or the stop rule); halt probabilities
+    are still computed so the efficiency cost stays differentiable.
+
+    A statement of n queries costs query_cost * ((1 - c) + n), c its running
+    sum before its last step (0 for n = 1): the ponder cost of adaptive
+    computation time (Graves 2016, arXiv:1603.08983).
     """
     sizes = _sizes(sizes, H)
     if min(sizes) < 1:
         raise ContractError("statement must have at least one token")
-    if force_n is None or isinstance(force_n, int):
-        force_n = [force_n] * len(sizes)
-    forced: list[int | None] = []
-    for n in force_n:
-        if n is None:
-            n = cfg.fixed_queries
-        elif not 1 <= n <= cfg.max_queries:
+    width = len(sizes)
+    if force_n is not None and len(force_n) != width:
+        raise ContractError(f"{len(force_n)} forced query counts for {width} statements")
+    for n in force_n or ():
+        if not 1 <= n <= cfg.max_queries:
             raise ContractError(f"forced query count must lie in [1, max_queries={cfg.max_queries}], "
                                 f"got {n}")
-        forced.append(n)
+    forced = [cfg.fixed_queries] * width if force_n is None else list(force_n)
     h_ids = _block_ids(sizes)
     g = tn.block_mean(H, sizes)
     q, cum = g, None
-    active = np.arange(len(sizes))
     steps: list[Tensor] = []
     attn: list[Tensor] = []
     halts: list[Tensor] = []
     cums: list[Tensor] = []
-    actives: list[np.ndarray] = []
-    counts = [0] * len(sizes)
-    early = [False] * len(sizes)
-    while True:
+    counts = [0] * width
+    early = [False] * width
+    while not all(counts):
         key = tn.matmul(params["query.attn.w"], tn.concat([g, q], axis=0))
-        q, weights = attend(H, key, h_ids, active)
+        q, weights = attend(H, key, h_ids, np.arange(width))
         halt = tn.sigmoid(
             tn.add_col(tn.matmul(params["query.halt.w"], q), params["query.halt.b"])
         ).mean(axis=0)
@@ -352,11 +338,10 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: TrainConfig,
         attn.append(weights)
         halts.append(halt)
         cums.append(cum)
-        actives.append(active)
         n = len(steps)
-        go_on = []
-        for j, b in enumerate(active):
-            total = float(cum.data[0, j])
+        for b, total in enumerate(cum.data[0].tolist()):
+            if counts[b]:
+                continue
             if forced[b] is not None:
                 stop = n >= forced[b]
             else:
@@ -364,29 +349,18 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: TrainConfig,
             if stop:
                 counts[b] = n
                 early[b] = forced[b] is None and total > 1.0 - cfg.halt_eps
-            else:
-                go_on.append(j)
-        if not go_on:
-            break
-        if len(go_on) < active.size:           # the halted statements drop out
-            active = active[go_on]
-            g, q, cum = tn.gather(g, go_on), tn.gather(q, go_on), tn.gather(cum, go_on)
 
-    # query t of statement b is its column of step t
-    offsets = np.cumsum([0] + [step.shape[1] for step in steps])
+    # query t of statement b is column b of step t; its running sums are
+    # gathered from a zero column followed by those of every step but the last
     queries = tn.gather(tn.concat(steps, axis=1),
-                        [offsets[t] + np.searchsorted(actives[t], b)
-                         for b, n in enumerate(counts) for t in range(n)])
-    costs = []
-    for b, n in enumerate(counts):
-        if n == 1:
-            remainder = Tensor(1.0)
-        else:
-            remainder = tn.sub(1.0, tn.gather(cums[n - 2], [np.searchsorted(actives[n - 2], b)]))
-        costs.append(QueryCost(surrogate=tn.scale(tn.add(remainder, float(n)), cfg.query_cost),
-                               literal=cfg.query_cost * n, stopped_early=early[b]))
-    return QueryState(queries=queries, counts=tuple(counts), attn=attn, halts=halts, cum=cums,
-                      active=actives, costs=costs)
+                        [t * width + b for b, n in enumerate(counts) for t in range(n)])
+    before_last = tn.gather(tn.concat([Tensor(0.0)] + cums[:-1], axis=1),
+                            [0 if n == 1 else 1 + (n - 2) * width + b
+                             for b, n in enumerate(counts)])
+    n_row = Tensor(np.array([counts], dtype=np.float64), copy=False)
+    surrogate = tn.scale(tn.add(tn.sub(1.0, before_last), n_row), cfg.query_cost)
+    return QueryState(queries=queries, counts=tuple(counts), early=tuple(early), attn=attn,
+                      halts=halts, cum=cums, surrogate=surrogate)
 
 
 # --------------------------------------------------------------- temporal level
@@ -422,19 +396,18 @@ def temporal_pool(T: Tensor, Q: Tensor, params: ParamStore,
                   np.arange(len(sizes)))
 
 
-def reason_over_segments(seg: SegmentTrace, queries: list[Tensor], params: ParamStore,
+def reason_over_segments(seg: SegmentTrace, Q: Tensor, params: ParamStore,
                          cfg: TrainConfig,
                          clips: tuple[tuple[int, int], ...] = ()) -> TemporalTrace:
     """Pool every segment under every query of its clip, refine each query's
     block of nodes, and pool each block into that query's global node.
 
-    The columns of `queries` are joined into one matrix. `clips` holds the
-    (segments, queries) of each clip, in order, over consecutive segments
-    and queries; by default one clip owns them all. All queries run at
-    once: each query's pooled nodes form one column block, and blocks
-    neither exchange messages nor pool into each other's global node.
+    The queries are the columns of Q. `clips` holds the (segments, queries)
+    of each clip, in order, over consecutive segments and queries; by
+    default one clip owns them all. All queries run at once: each query's
+    pooled nodes form one column block, and blocks neither exchange messages
+    nor pool into each other's global node.
     """
-    Q = tn.concat(queries, axis=1)
     clips = clips or ((seg.n_segments, Q.shape[1]),)
     if sum(n_seg for n_seg, _ in clips) != seg.n_segments or sum(n for _, n in clips) != Q.shape[1]:
         raise ContractError(f"clips {clips} do not cover {seg.n_segments} segments "
@@ -513,7 +486,7 @@ def forward_batch(clips: Sequence[Clip], params: ParamStore, cfg: TrainConfig,
                           tn.concat([g.token_nodes for g in graphs], axis=1), params, cfg,
                           sum((g.frame_sizes for g in graphs), ()),
                           sum((g.token_sizes for g in graphs), ()))
-    temporal = reason_over_segments(segs, [qs.queries], params, cfg,
+    temporal = reason_over_segments(segs, qs.queries, params, cfg,
                                     tuple((g.n_segments, n) for g, n in zip(graphs, qs.counts)))
     prob, logit = predict_global(temporal.global_nodes, params, qs.counts)
     return BatchTrace(graphs=graphs, segments=segs, query=qs, temporal=temporal, prob=prob,

@@ -34,9 +34,9 @@ backward appends the pair (G, X) to the parameter's `factors` and computes
 only the input gradient W^T G, which the rest of the tape needs. A factor
 entry holds one such pair per column block of W the product read, with the
 block's first column: a matmul reads the whole of W, and `stacked_matmul`,
-the gate input W [g_x; X; g_y] of the model, reads one block per part, so
-the guidance blocks keep (d, blocks) pairs and no stacked (3d, n) input is
-kept.
+the model's gate input W [guidance; nodes; guidance], whose W is always a
+`Parameter`, reads one block per part, so the guidance blocks keep
+(d, blocks) pairs and no stacked (3d, n) input is kept.
 Every matmul A B forms its right operand's gradient A^T G as (G^T A)^T:
 BLAS then reads A in its stored row-major layout instead of as a
 transposed operand, with the same bits. For the paper's (512, 512)-(512,
@@ -292,78 +292,59 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(_product(a.data, b.data), (a, b), bw)
 
 
-def stacked_matmul(w: Tensor, parts: Sequence[tuple[Tensor, np.ndarray | None]]) -> Tensor:
-    """W [x_0[:, i_0]; x_1[:, i_1]; ...] without building the stack.
+def stacked_matmul(w: Parameter, guide_a: Tensor, nodes: Tensor, guide_b: Tensor,
+                   guide_ids: Sequence[int] | np.ndarray,
+                   node_ids: Sequence[int] | np.ndarray | None = None) -> Tensor:
+    """W [guide_a[:, guide_ids]; nodes[:, node_ids]; guide_b[:, guide_ids]],
+    the model's gate input, without building the stack. The indices take as
+    in `gather`, and None takes `nodes` as it is.
 
-    Part k is the columns `i_k` of x_k, in `i_k` order and with repeats as
-    in `gather` (None takes x_k as it is), and it meets the next x_k.shape[0]
-    columns of W. Each part is multiplied at one column per column of x_k
-    and expanded after the product; parts with equal indices are summed
-    before one expansion. So a gate over [block means; nodes; block means]
-    multiplies its guidance blocks at one column per block, and no (3d, n)
-    array is made or kept.
-
-    The backward forms every part's gradient from one product G^T W, as
-    `matmul` does for its right operand, and sums the columns each source
-    column was expanded to. A `Parameter` W gets one factor entry that holds
-    a (column-summed G, x_k, first column) term per part (module docstring).
+    Each part meets its own column block of W at one column per column of
+    its tensor and is expanded after the product, the two guidance parts
+    summed before their one expansion, so no (3d, n) array is made or kept.
+    W must be a `Parameter`: the backward gives it one factor entry of a
+    (column-summed G, part, first column) term per part (module docstring)
+    and forms every part's gradient from one product G^T W.
     """
-    lows = list(itertools.accumulate([x.shape[0] for x, _ in parts], initial=0))
-    if w.data.ndim != 2 or lows[-1] != w.shape[1] or any(x.data.ndim != 2 for x, _ in parts):
-        raise ShapeError(f"stacked_matmul: parts of {[x.shape for x, _ in parts]} rows "
+    if not isinstance(w, Parameter):
+        raise ContractError(f"stacked_matmul: the weight must be a Parameter, "
+                            f"got {type(w).__name__}")
+    lo_n = guide_a.shape[0]
+    lo_b = lo_n + nodes.shape[0]
+    if (w.data.ndim != 2 or any(x.data.ndim != 2 for x in (guide_a, nodes, guide_b))
+            or lo_b + guide_b.shape[0] != w.shape[1] or guide_a.shape[1] != guide_b.shape[1]):
+        raise ShapeError(f"stacked_matmul: parts of {[x.shape for x in (guide_a, nodes, guide_b)]} "
                          f"do not stack to the columns of {w.shape}")
-    # parts of one width under one index, by first use: (the index, their positions)
-    shared: dict[tuple, tuple[np.ndarray | None, list[int]]] = {}
-    for k, (x, i) in enumerate(parts):
-        if i is not None:
-            i = np.asarray(i, dtype=np.intp)
-        key = (x.shape[1], None if i is None else i.tobytes())
-        shared.setdefault(key, (i, []))[1].append(k)
-    groups = list(shared.values())
-    widths = set()
-    for i, ks in groups:
-        x = parts[ks[0]][0]
-        widths.add(x.shape[1] if i is None else i.size)
+    guide_ids = np.asarray(guide_ids, dtype=np.intp)
+    node_ids = None if node_ids is None else np.asarray(node_ids, dtype=np.intp)
+    for x, i in ((guide_a, guide_ids), (nodes, node_ids)):
         if i is not None and (i.ndim != 1 or not i.size or i.min() < 0 or i.max() >= x.shape[1]):
             raise ShapeError(f"stacked_matmul: columns {i.tolist()} do not index {x.shape}")
-    if len(widths) != 1:
-        raise ShapeError(f"stacked_matmul: parts give {sorted(widths)} columns")
+    n_nodes = nodes.shape[1] if node_ids is None else node_ids.size
+    if n_nodes != guide_ids.size:
+        raise ShapeError(f"stacked_matmul: parts give {guide_ids.size} and {n_nodes} columns")
 
-    data = None
-    for i, ks in groups:
-        y = _product(w.data[:, lows[ks[0]]:lows[ks[0] + 1]], parts[ks[0]][0].data)
-        for k in ks[1:]:
-            y += _product(w.data[:, lows[k]:lows[k + 1]], parts[k][0].data)
-        if i is not None:
-            y = y.take(i, axis=1)
-        if data is None:
-            data = y
-        else:
-            data += y
+    data = _product(w.data[:, :lo_n], guide_a.data)
+    data += _product(w.data[:, lo_b:], guide_b.data)
+    data = data.take(guide_ids, axis=1)
+    y = _product(w.data[:, lo_n:lo_b], nodes.data)
+    data += y if node_ids is None else y.take(node_ids, axis=1)
 
     def bw(out: Tensor) -> None:
         g = out.grad
-        # row j: the gradient of column j of the stack, for every part at once
-        full = g.T @ w.data if any(x.requires_grad for x, _ in parts) else None
-        terms = []
-        for i, ks in groups:
-            n_src = parts[ks[0]][0].shape[1]
-            if w.requires_grad:
-                g_src = g if i is None else _sum_by(g, i, n_src, axis=1)
-                terms += [(g_src, _kept(parts[k][0]), lows[k]) for k in ks]
-            if full is not None:
-                f_src = full if i is None else _sum_by(full, i, n_src, axis=0)
-                for k in ks:
-                    _acc(parts[k][0], f_src[:, lows[k]:lows[k + 1]].T)
-        if isinstance(w, Parameter):
-            w.factors.append(tuple(terms))
-        elif w.requires_grad:
-            gw = np.zeros_like(w.data)
-            for g_src, x, lo in terms:
-                gw[:, lo:lo + x.shape[0]] += g_src @ x.T
-            _acc(w, gw)
+        full = g.T @ w.data          # row j: the gradient of column j of the stack
+        g_guide = _sum_by(g, guide_ids, guide_a.shape[1], axis=1)
+        f_guide = _sum_by(full, guide_ids, guide_a.shape[1], axis=0)
+        _acc(guide_a, f_guide[:, :lo_n].T)
+        _acc(guide_b, f_guide[:, lo_b:].T)
+        g_nodes, f_nodes = (g, full) if node_ids is None else (
+            _sum_by(g, node_ids, nodes.shape[1], axis=1),
+            _sum_by(full, node_ids, nodes.shape[1], axis=0))
+        _acc(nodes, f_nodes[:, lo_n:lo_b].T)
+        w.factors.append(((g_guide, _kept(guide_a), 0), (g_guide, _kept(guide_b), lo_b),
+                          (g_nodes, _kept(nodes), lo_n)))
 
-    return _make(data, (w, *(x for x, _ in parts)), bw)
+    return _make(data, (w, guide_a, nodes, guide_b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -818,10 +799,11 @@ def gw_pair_cost(intra_a: Tensor, intra_b: Tensor, plan: np.ndarray,
 class Parameter(Tensor):
     """A trainable tensor whose matmul weight gradients wait as factors.
 
-    `factors` holds one entry per product with this tensor as W (`matmul`,
-    `stacked_matmul`): a tuple of (G, X, first column) terms, each the
-    gradient G X^T of the column block of W that starts at that column and
-    spans X.shape[0] columns. The gradient of every other use accumulates
+    `factors` holds one entry per product with this tensor as W: a tuple of
+    (G, X, first column) terms, each the gradient G X^T of the column block
+    of W that starts at that column and spans X.shape[0] columns; one term
+    from `matmul`, one per part (guidance, nodes, guidance) from
+    `stacked_matmul`. The gradient of every other use accumulates
     into `.grad` as for any tensor.
     """
 

@@ -202,14 +202,13 @@ def total_loss(
     """
     signs = 1.0 - 2.0 * np.asarray(labels, dtype=np.float64).reshape(1, -1)
     ent = tn.softplus(tn.mul(trace.logit, Tensor(signs, copy=False)))
-    costs = trace.query.costs
-    qe = tn.concat([cost.surrogate for cost in costs], axis=1)
+    qe = trace.query.surrogate
     cm, _ = transport_loss(trace.segments, cfg, frozen_plans,
                            tuple(graph.n_segments for graph in trace.graphs))
     cl = contrastive_loss(trace.temporal, params, cfg.beta, buffer, trace.query.counts).loss
     total = tn.add(tn.add(tn.add(ent, qe), cm), cl)
-    return LossBundle(ent=ent, qe=qe, qe_literal=[cost.literal for cost in costs], cm=cm,
-                      cl=cl, total=total)
+    return LossBundle(ent=ent, qe=qe, qe_literal=[cfg.query_cost * n for n in trace.query.counts],
+                      cm=cm, cl=cl, total=total)
 
 
 class Adam:

@@ -90,6 +90,10 @@ def sinkhorn(
     last iteration. `warm` reuses scaled potentials from a previous call on
     nearby costs.
     """
+    if not eps_reg > 0:
+        raise ContractError(f"sinkhorn: eps_reg must be positive, got {eps_reg}")
+    if iters < 1:
+        raise ContractError(f"sinkhorn: iters must be at least 1, got {iters}")
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 3:
         raise ShapeError(f"sinkhorn: cost must be (problems, n, m), got {cost.shape}")

@@ -12,11 +12,10 @@ PYTHONPATH at another checkout's `src` to dump that version) and records:
   `longseg` at dim 32, seed 0), with both coherence terms and a filled
   negative buffer: each clip's probability, loss floats and query count, the
   full gradient of the clips' summed loss, and the Sinkhorn calls, solves
-  and converged solves, all counted per segment (`_SolveCounter`). A version
-  that runs clips in lockstep (it has `vlgraph.train.run_clips`) runs them in
-  its own sub-windows; an older one runs them one at a time. A version
-  whose `total_loss` takes a whole sub-window gives one loss bundle with a
-  row per term; an older one gives a bundle per clip. A dump of any of them compares with the others;
+  and converged solves, all counted per segment (`_SolveCounter`). The clips
+  run in the version's own sub-windows (`vlgraph.train.sub_windows`), each
+  with one loss bundle of a row per term, so this compares versions that
+  run clips in lockstep and take the loss once per sub-window;
 - `train()` on both benchmark training configurations: the per-epoch
   metrics and the final parameters.
 
@@ -42,13 +41,6 @@ LOSS_KEYS = ("l_ent", "l_qe_surrogate", "l_qe_literal", "l_cm", "l_cl", "total")
 METRIC_KEYS = ("epoch", "acc", "l_ent", "l_qe_surrogate", "l_qe_literal", "l_cm", "l_cl", "mean_N")
 
 
-def _floats(bundle) -> list[dict]:
-    """Each clip's loss floats: a list from a batch loss, one dict from a
-    per-clip loss."""
-    floats = bundle.as_floats()
-    return floats if isinstance(floats, list) else [floats]
-
-
 def _golden(out: dict) -> None:
     import test_golden as tg
     import vlgraph.model as vm
@@ -67,7 +59,7 @@ def _golden(out: dict) -> None:
             bundle, trace = vt.run_clip(clip, params, cfg, buffer)
             key = f"golden/{case}/{seed}"
             out[f"{key}/prob"] = np.array([trace.prob.item()])
-            out[f"{key}/losses"] = np.array([_floats(bundle)[0][k] for k in LOSS_KEYS])
+            out[f"{key}/losses"] = np.array([bundle.as_floats()[0][k] for k in LOSS_KEYS])
             out[f"{key}/n_queries"] = np.array([trace.n_queries])
             for name, g in backward(bundle.total, params).items():
                 out[f"{key}/grad/{name}"] = g.copy()
@@ -113,7 +105,7 @@ def _generated(out: dict, workloads) -> None:
     import vlgraph.model as vm
     import vlgraph.train as vt
     from vlgraph.mi import NegativeBuffer
-    from vlgraph.tensor import backward, concat
+    from vlgraph.tensor import backward
 
     for name, workload in (("paper", "train-paper"), ("longseg", "train-longseg")):
         w = workloads.WORKLOADS[workload]
@@ -127,21 +119,10 @@ def _generated(out: dict, workloads) -> None:
         params.zero_grad()
         rows = []
         with _SolveCounter() as counter:
-            if hasattr(vt, "run_clips"):
-                for run in vt.sub_windows(clips):
-                    losses, batch = vt.run_clips(run, params, cfg, buffer)
-                    if isinstance(losses, list):        # one loss bundle per clip
-                        backward(concat([b.total for b in losses], axis=0).sum())
-                        rows += [(t.prob.item(), b.as_floats(), t.n_queries)
-                                 for t, b in zip(batch.traces, losses)]
-                    else:                               # one bundle for the sub-window
-                        backward(losses.total.sum())
-                        rows += zip(batch.prob.data[0], losses.as_floats(), batch.query.counts)
-            else:
-                for clip in clips:
-                    bundle, trace = vt.run_clip(clip, params, cfg, buffer)
-                    backward(bundle.total)
-                    rows.append((trace.prob.item(), _floats(bundle)[0], trace.n_queries))
+            for run in vt.sub_windows(clips):
+                losses, batch = vt.run_clips(run, params, cfg, buffer)
+                backward(losses.total.sum())
+                rows += zip(batch.prob.data[0], losses.as_floats(), batch.query.counts)
         out[f"{name}/prob"] = np.array([r[0] for r in rows])
         out[f"{name}/losses"] = np.array([[r[1][k] for k in LOSS_KEYS] for r in rows])
         out[f"{name}/n_queries"] = np.array([r[2] for r in rows])

@@ -314,8 +314,18 @@ def test_halting_invariants_over_random_draws():
 def test_forced_query_count():
     rng = np.random.default_rng(11)
     ps = _halting_params(rng, 0.95)
-    qs = extract_queries(Tensor(rng.standard_normal((4, 3))), ps, cfg_of(), force_n=4)
+    qs = extract_queries(Tensor(rng.standard_normal((4, 3))), ps, cfg_of(), force_n=[4])
     assert qs.n_queries == 4
+
+
+@pytest.mark.parametrize("force_n", [[2], [2, 3, 1]])
+def test_forced_query_counts_must_match_the_statements(force_n):
+    from vlgraph.errors import ContractError
+    rng = np.random.default_rng(11)
+    ps = params_of(rng)
+    with pytest.raises(ContractError, match=f"{len(force_n)} forced query counts for 2 statements"):
+        extract_queries(Tensor(rng.standard_normal((4, 5))), ps, cfg_of(), force_n=force_n,
+                        sizes=(3, 2))
 
 
 def test_forced_query_count_outside_the_range_rejected():
@@ -500,7 +510,7 @@ def test_batched_levels_match_one_segment_and_one_query_at_a_time():
     S = Tensor(rng.standard_normal((4, sum(s_sizes))))
     seg = refine_segment(V, S, ps, cfg, v_sizes, s_sizes)
     queries = [Tensor(rng.standard_normal((4, 1))) for _ in range(2)]
-    temporal = reason_over_segments(seg, queries, ps, cfg)
+    temporal = reason_over_segments(seg, tn.concat(queries, axis=1), ps, cfg)
     v_bounds = np.cumsum((0,) + v_sizes)
     s_bounds = np.cumsum((0,) + s_sizes)
     alone = [refine_segment(Tensor(V.data[:, v_bounds[i]:v_bounds[i + 1]]),
@@ -583,9 +593,9 @@ def test_tape_size_does_not_grow_with_the_query_count():
     buffer.push(list(rng.standard_normal((4, 4))))
     counts = []
     for n_q in (2, 3):
-        queries = [Tensor(rng.standard_normal((4, 1))) for _ in range(n_q)]
+        Q = tn.concat([Tensor(rng.standard_normal((4, 1))) for _ in range(n_q)], axis=1)
         start = Tensor(0.0).tape_id
-        temporal = reason_over_segments(seg, queries, ps, cfg)
+        temporal = reason_over_segments(seg, Q, ps, cfg)
         predict_global(temporal.global_nodes, ps)
         contrastive_loss(temporal, ps, beta=0.1, buffer=buffer)
         counts.append(Tensor(0.0).tape_id - start)
@@ -685,8 +695,8 @@ def test_lockstep_batch_has_no_cross_clip_weight():
     assert np.all(t.attn_v[cross(frame_clip, pair_clip)] == 0.0)
     assert np.all(t.attn_s[cross(token_clip, pair_clip)] == 0.0)
     assert np.all(t.refine.adj[cross(pair_clip, pair_clip)] == 0.0)
-    for attn, active in zip(batch.query.attn, batch.query.active):
-        assert np.all(attn.data[cross(statement_clip, active)] == 0.0)
+    for attn in batch.query.attn:
+        assert np.all(attn.data[cross(statement_clip, np.arange(4))] == 0.0)
 
 
 def test_perturbing_one_clip_leaves_its_batch_mates_unchanged():
@@ -734,6 +744,27 @@ def test_one_node_clip_without_negatives_is_skipped_beside_its_batch_mates():
     for name, want in want_grads.items():
         got = got_grads[name]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+@pytest.mark.parametrize("frozen", [[1, 5, 3], None])
+def test_query_cost_row_is_the_ponder_cost_of_each_statement(frozen):
+    from vlgraph.train import total_loss
+    ps, clips, buffer = lockstep_setup()
+    cfg = cfg_of(d=6)
+    if frozen is not None:
+        clips = clips[:len(frozen)]
+        frozen = [FrozenDecisions(n_queries=n) for n in frozen]
+    batch = forward_batch(clips, ps, cfg, frozen)
+    qs = batch.query
+    assert qs.counts == ((1, 5, 3) if frozen else (3, 4, 2, 3))
+    assert qs.surrogate.shape == (1, len(clips))
+    assert qs.stopped_early == (0 if frozen else 4)          # every free count is under the cap
+    floats = total_loss(batch, [clip.label for clip in clips], ps, cfg, buffer).as_floats()
+    for b, n in enumerate(qs.counts):
+        c = 0.0 if n == 1 else qs.cum[n - 2].data[0, b]
+        assert qs.surrogate.data[0, b] == cfg.query_cost * ((1.0 - c) + n)
+        assert floats[b]["l_qe_surrogate"] == qs.surrogate.data[0, b]
+        assert floats[b]["l_qe_literal"] == cfg.query_cost * n
 
 
 @pytest.mark.parametrize("n_frozen", [1, 3])

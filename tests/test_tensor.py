@@ -297,9 +297,10 @@ def test_product_matches_the_plain_product_on_both_sides_of_the_bound(left, cols
         assert np.array_equal(got, want)
 
 
-def stacked_reference(w, parts):
+def stacked_reference(w, guide_a, nodes, guide_b, guide_ids, node_ids=None):
     """W times the stack itself: the gate input the split replaces."""
-    stack = [x if i is None else tn.gather(x, i) for x, i in parts]
+    middle = nodes if node_ids is None else tn.gather(nodes, node_ids)
+    stack = [tn.gather(guide_a, guide_ids), middle, tn.gather(guide_b, guide_ids)]
     return tn.matmul(w, tn.concat(stack, axis=0))
 
 
@@ -309,15 +310,15 @@ GATE_IDS = np.array([0, 0, 1, 2, 2, 2])
 PAIR_QUERY = np.array([0, 0, 0, 1, 1, 1])
 PAIR_SEG = np.array([0, 1, 2, 0, 1, 2])
 GATES = {
-    "pass": (lambda ps: [(ps["g"], GATE_IDS), (ps["x"], None), (ps["h"], GATE_IDS)],
+    "pass": (lambda ps: (ps["g"], ps["x"], ps["h"], GATE_IDS),
              {"w": (4, 9), "g": (3, 3), "x": (3, 6), "h": (3, 3)}),
-    "pool": (lambda ps: [(ps["g"], PAIR_SEG), (ps["x"], PAIR_QUERY), (ps["h"], PAIR_SEG)],
+    "pool": (lambda ps: (ps["g"], ps["x"], ps["h"], PAIR_SEG, PAIR_QUERY),
              {"w": (4, 9), "g": (3, 3), "x": (3, 2), "h": (3, 3)}),
 }
 
 
 def gate_loss(layout, ps):
-    return tn.mul(tn.stacked_matmul(ps["w"], GATES[layout][0](ps)), ps["c"]).sum()
+    return tn.mul(tn.stacked_matmul(ps["w"], *GATES[layout][0](ps)), ps["c"]).sum()
 
 
 @pytest.mark.parametrize("layout", sorted(GATES))
@@ -328,28 +329,31 @@ def test_stacked_matmul_matches_the_product_of_the_stack(layout):
     grads = {}
     for name, op in (("split", tn.stacked_matmul), ("stack", stacked_reference)):
         ps.zero_grad()
-        out = op(ps["w"], parts_of(ps))
+        out = op(ps["w"], *parts_of(ps))
         grads[name] = {n: g.copy() for n, g in backward(tn.mul(out, c).sum(), ps).items()}
         grads[name]["out"] = out.data
-    # a weight that is not a parameter gets its gradient directly
-    w = Tensor(ps["w"].data, requires_grad=True)
-    backward(tn.mul(tn.stacked_matmul(w, parts_of(ps)), c).sum())
-    grads["plain"] = {"w": w.grad}
     assert len(grads["split"]) == len(shapes) + 1
     for n, want in grads["stack"].items():
-        for name in ("split", "plain"):
-            if n in grads[name]:
-                assert np.abs(grads[name][n] - want).max() <= 1e-13 * np.abs(want).max(), n
+        assert np.abs(grads["split"][n] - want).max() <= 1e-13 * np.abs(want).max(), n
 
 
 def test_stacked_matmul_rejects_parts_that_do_not_stack():
-    w = Tensor(np.ones((2, 5)))
-    x, g = Tensor(np.ones((3, 4))), Tensor(np.ones((2, 2)))
-    for parts in ([(x, None)],                           # 3 rows against 5 columns
-                  [(g, [0, 1, 1]), (x, None)],           # 3 columns against 4
-                  [(g, [0, 2, 1, 1]), (x, None)]):       # column 2 of a 2-column part
+    w = tn.Parameter(np.ones((2, 5)))
+    x, g = Tensor(np.ones((3, 4))), Tensor(np.ones((1, 2)))
+    for args in ((g, x, Tensor(np.ones((2, 2))), [0, 0, 1, 1]),   # 6 rows against 5 columns
+                 (g, x, Tensor(np.ones((1, 3))), [0, 0, 1, 1]),   # guidance of 2 and 3 columns
+                 (g, x, g, [0, 1, 1]),                            # 3 columns against 4
+                 (g, x, g, [0, 2, 1, 1]),                         # column 2 of a 2-column part
+                 (g, x, g, [0, 0, 1], [0, 3, 4]),                 # column 4 of a 4-column part
+                 (g, x, g, [0, 0, 1], [0, 3])):                   # 3 columns against 2
         with pytest.raises(ShapeError):
-            tn.stacked_matmul(w, parts)
+            tn.stacked_matmul(w, *args)
+
+
+def test_stacked_matmul_rejects_a_weight_that_is_not_a_parameter():
+    x, g = Tensor(np.ones((3, 4))), Tensor(np.ones((1, 2)))
+    with pytest.raises(ContractError, match="must be a Parameter, got Tensor"):
+        tn.stacked_matmul(Tensor(np.ones((2, 5)), requires_grad=True), g, x, g, [0, 0, 1, 1])
 
 
 def test_parameter_forms_whole_and_column_block_factors_with_its_direct_gradient():
@@ -361,9 +365,9 @@ def test_parameter_forms_whole_and_column_block_factors_with_its_direct_gradient
     g, y, h = (rng.standard_normal(shape) for shape in ((3, 3), (3, 6), (3, 3)))
     c1, c2 = rng.standard_normal((4, 5)), rng.standard_normal((4, 6))
     w = ps["w"]
-    parts = [(Tensor(g), GATE_IDS), (Tensor(y), None), (Tensor(h), GATE_IDS)]
     loss = tn.add(tn.add(tn.mul(tn.matmul(w, Tensor(x)), Tensor(c1)).sum(),
-                         tn.mul(tn.stacked_matmul(w, parts), Tensor(c2)).sum()),
+                         tn.mul(tn.stacked_matmul(w, Tensor(g), Tensor(y), Tensor(h), GATE_IDS),
+                                Tensor(c2)).sum()),
                   tn.mul(w, w).sum())
     backward(loss)
     assert sorted(len(entry) for entry in w.factors) == [1, 3]      # one entry per product

@@ -124,6 +124,16 @@ def test_sinkhorn_input_contracts():
         sinkhorn_one(np.array([[np.inf, 0.0], [0.0, 0.0]]), uniform(2), uniform(2), 0.1, 10)
 
 
+@pytest.mark.parametrize("eps_reg, iters, named", [
+    (-0.05, 10, "eps_reg must be positive, got -0.05"),
+    (0.0, 10, "eps_reg must be positive, got 0.0"),
+    (0.1, 0, "iters must be at least 1, got 0"),
+])
+def test_sinkhorn_rejects_a_nonpositive_eps_reg_or_no_iterations(eps_reg, iters, named):
+    with pytest.raises(ContractError, match=named):
+        sinkhorn_one(np.ones((2, 3)), uniform(2), uniform(3), eps_reg, iters)
+
+
 # -------------------------------------------------------------- brute force
 
 def test_brute_force_examples():
