@@ -311,13 +311,13 @@ def extract_queries(H: Tensor, params: ParamStore, cfg: TrainConfig,
     if min(sizes) < 1:
         raise ContractError("statement must have at least one token")
     width = len(sizes)
-    if force_n is not None and len(force_n) != width:
-        raise ContractError(f"{len(force_n)} forced query counts for {width} statements")
-    for n in force_n or ():
+    forced = [cfg.fixed_queries] * width if force_n is None else list(force_n)
+    if len(forced) != width:
+        raise ContractError(f"{len(forced)} forced query counts for {width} statements")
+    for n in () if force_n is None else forced:
         if not 1 <= n <= cfg.max_queries:
             raise ContractError(f"forced query count must lie in [1, max_queries={cfg.max_queries}], "
                                 f"got {n}")
-    forced = [cfg.fixed_queries] * width if force_n is None else list(force_n)
     h_ids = _block_ids(sizes)
     g = tn.block_mean(H, sizes)
     q, cum = g, None
