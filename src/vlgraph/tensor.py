@@ -36,7 +36,10 @@ entry holds one such pair per column block of W the product read, with the
 block's first column: a matmul reads the whole of W, and `stacked_matmul`,
 the model's gate input W [guidance; nodes; guidance], whose W is always a
 `Parameter`, reads one block per part, so the guidance blocks keep
-(d, blocks) pairs and no stacked (3d, n) input is kept.
+(d, blocks) pairs and no stacked (3d, n) input is kept. Its input
+gradients come from the same column-summed G, each part's from its own
+block of W at one row per block or node, so no (n, 3d) gradient of the
+stack is formed either.
 Every matmul A B forms its right operand's gradient A^T G as (G^T A)^T:
 BLAS then reads A in its stored row-major layout instead of as a
 transposed operand, with the same bits. For the paper's (512, 512)-(512,
@@ -303,8 +306,10 @@ def stacked_matmul(w: Parameter, guide_a: Tensor, nodes: Tensor, guide_b: Tensor
     its tensor and is expanded after the product, the two guidance parts
     summed before their one expansion, so no (3d, n) array is made or kept.
     W must be a `Parameter`: the backward gives it one factor entry of a
-    (column-summed G, part, first column) term per part (module docstring)
-    and forms every part's gradient from one product G^T W.
+    (column-summed G, part, first column) term per part (module docstring).
+    Each part's input gradient is the product of its column-summed G with
+    its own block of W, one row per column of the part, not per column of
+    the output.
     """
     if not isinstance(w, Parameter):
         raise ContractError(f"stacked_matmul: the weight must be a Parameter, "
@@ -332,15 +337,12 @@ def stacked_matmul(w: Parameter, guide_a: Tensor, nodes: Tensor, guide_b: Tensor
 
     def bw(out: Tensor) -> None:
         g = out.grad
-        full = g.T @ w.data          # row j: the gradient of column j of the stack
         g_guide = _sum_by(g, guide_ids, guide_a.shape[1], axis=1)
-        f_guide = _sum_by(full, guide_ids, guide_a.shape[1], axis=0)
-        _acc(guide_a, f_guide[:, :lo_n].T)
-        _acc(guide_b, f_guide[:, lo_b:].T)
-        g_nodes, f_nodes = (g, full) if node_ids is None else (
-            _sum_by(g, node_ids, nodes.shape[1], axis=1),
-            _sum_by(full, node_ids, nodes.shape[1], axis=0))
-        _acc(nodes, f_nodes[:, lo_n:lo_b].T)
+        g_nodes = g if node_ids is None else _sum_by(g, node_ids, nodes.shape[1], axis=1)
+        # W_block^T G as (G^T W_block)^T, one row per column of the part
+        _acc(guide_a, (g_guide.T @ w.data[:, :lo_n]).T)
+        _acc(guide_b, (g_guide.T @ w.data[:, lo_b:]).T)
+        _acc(nodes, (g_nodes.T @ w.data[:, lo_n:lo_b]).T)
         w.factors.append(((g_guide, _kept(guide_a), 0), (g_guide, _kept(guide_b), lo_b),
                           (g_nodes, _kept(nodes), lo_n)))
 

@@ -15,7 +15,10 @@ factors on the parameters (see `tensor`); the Adam step at the end of a
 window forms each parameter's summed gradient once, in one product over all
 the window's factors, and applies their mean, which matches one step on the
 mean loss of the window. Parameters live in float64 and are stored in
-checkpoints as little-endian float32 behind a JSON header.
+checkpoints as little-endian float32 behind a JSON header. Checkpoints
+stream one parameter at a time, so beyond the parameters a save holds less
+than twice the largest parameter's float32 bytes and a load those bytes
+once, plus the header.
 
 `TrainConfig` is the one config: the model, the transport solver and the
 training loop read their settings from it, and it checks each setting once.
@@ -26,6 +29,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -424,26 +429,56 @@ def evaluate(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -> EvalRes
 
 # ---------------------------------------------------------------- checkpoints
 
+def _float32(path: str, name: str, p: Tensor) -> np.ndarray:
+    """The checkpoint values of one parameter, or NumericalError if a finite
+    value lies beyond float32 range and would be stored as inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = p.data.astype(CKPT_DTYPE, order="C")
+        total = arr.sum(dtype=np.float64)     # finite exactly when every value is
+    if not math.isfinite(total) and (np.isinf(arr) & np.isfinite(p.data)).any():
+        raise NumericalError(f"{path}: parameter {name!r} holds a finite value beyond "
+                             f"float32 range")
+    return arr
+
+
 def save_checkpoint(path: str, params: ParamStore, cfg: TrainConfig) -> None:
     """Magic, JSON header (name -> shape/dtype/offset), then f32 payload.
 
     The payload holds the parameters in sorted name order, back to back.
+    Each is converted, checked and written on its own, so a save holds one
+    parameter's float32 copy and, for a parameter with a non-finite value,
+    the masks that check it: less than twice the largest parameter's
+    float32 bytes beyond the parameters. The file is written under a
+    temporary name in the target's directory and renamed over `path` at the
+    end: a save that fails leaves no temporary file and any file already at
+    `path` as it was. The new file gets the permissions a plain
+    `open(path, "wb")` gives.
     """
     entries: dict[str, dict] = {}
     offset = 0
-    blobs: list[bytes] = []
     for name, p in params.items():
-        blob = p.data.astype(CKPT_DTYPE).tobytes()
         entries[name] = {"shape": list(p.data.shape), "dtype": CKPT_DTYPE.str, "offset": offset}
-        offset += len(blob)
-        blobs.append(blob)
+        offset += p.data.size * CKPT_DTYPE.itemsize
     header = {"params": entries, "config": cfg.to_dict()}
     head = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(len(head).to_bytes(8, "little"))
-        fh.write(head)
-        fh.write(b"".join(blobs))
+    folder, base = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(folder, f".{base}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            if os.path.exists(path):           # `open(path, "wb")` keeps the mode of a file there
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            fh.write(CKPT_MAGIC)
+            fh.write(len(head).to_bytes(8, "little"))
+            fh.write(head)
+            for name, p in params.items():
+                fh.write(_float32(path, name, p))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -495,50 +530,63 @@ def _check_layout(path: str, shapes: dict[str, tuple[int, ...]], dim: int) -> No
 
 
 def load_checkpoint(path: str) -> CheckpointData:
+    """The parameters and config of a `save_checkpoint` file, or FormatError
+    naming the file and what is wrong with it.
+
+    The header is read first and checked whole; then each parameter is read
+    from the file in name order into one float32 buffer sized to the
+    largest, checked and converted into its float64 `Parameter`. So a load
+    holds the largest parameter's float32 bytes and the header beyond the
+    parameters it builds.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(CKPT_MAGIC):
-        raise FormatError(f"{path}: bad checkpoint magic")
-    head_len = int.from_bytes(blob[len(CKPT_MAGIC) : len(CKPT_MAGIC) + 8], "little")
-    head_start = len(CKPT_MAGIC) + 8
-    try:
-        header = json.loads(blob[head_start : head_start + head_len])
-    except ValueError as e:            # a JSONDecodeError, or an integer too long to read
-        raise FormatError(f"{path}: corrupt checkpoint header: {e}") from e
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: checkpoint header is not a JSON object")
-    for key in ("params", "config"):
-        if key not in header:
-            raise FormatError(f"{path}: checkpoint header has no {key!r}")
-        if not isinstance(header[key], dict):
-            raise FormatError(f"{path}: checkpoint header {key!r} is not a JSON object")
-    entries = {name: _param_entry(path, name, meta) for name, meta in header["params"].items()}
-    try:
-        cfg = TrainConfig.from_dict(header["config"])
-    except ContractError as e:
-        raise FormatError(f"{path}: checkpoint header 'config': {e}") from e
-    _check_layout(path, {name: entry[0] for name, entry in entries.items()}, cfg.dim)
-    payload = blob[head_start + head_len :]
-    params = ParamStore()
-    end = 0
-    for name, (shape, start) in sorted(entries.items()):
-        if start != end:
-            raise FormatError(f"{path}: parameter {name!r}: 'offset' {start} is not {end}, "
-                              f"the end of the parameters before it in name order")
-        count = math.prod(shape)
-        end = start + count * CKPT_DTYPE.itemsize
-        if end > len(payload):
-            raise FormatError(f"{path}: parameter {name!r} needs payload bytes "
-                              f"{start}..{end}, but the payload has {len(payload)}")
-        arr = np.frombuffer(payload, dtype=CKPT_DTYPE, count=count, offset=start)
-        # a float64 sum of float32 values cannot overflow: it is finite exactly
-        # when every value is, so one sum checks the whole parameter (+inf and
-        # -inf together sum to NaN, which numpy would flag as invalid)
-        with np.errstate(invalid="ignore"):
-            total = arr.sum(dtype=np.float64)
-        if not math.isfinite(total):
-            raise FormatError(f"{path}: parameter {name!r} holds a non-finite value")
-        params.add(name, arr.reshape(shape))   # Parameter converts to float64, once
-    if end != len(payload):
-        raise FormatError(f"{path}: {len(payload) - end} trailing byte(s) after the last parameter")
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(CKPT_MAGIC)) != CKPT_MAGIC:
+            raise FormatError(f"{path}: bad checkpoint magic")
+        head_len = int.from_bytes(fh.read(8), "little")
+        head_start = len(CKPT_MAGIC) + 8
+        if head_len > size - head_start:
+            raise FormatError(f"{path}: header length {head_len} runs past the end of the "
+                              f"file ({size} bytes)")
+        try:
+            header = json.loads(fh.read(head_len))
+        except ValueError as e:            # a JSONDecodeError, or an integer too long to read
+            raise FormatError(f"{path}: corrupt checkpoint header: {e}") from e
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: checkpoint header is not a JSON object")
+        for key in ("params", "config"):
+            if key not in header:
+                raise FormatError(f"{path}: checkpoint header has no {key!r}")
+            if not isinstance(header[key], dict):
+                raise FormatError(f"{path}: checkpoint header {key!r} is not a JSON object")
+        entries = {name: _param_entry(path, name, meta) for name, meta in header["params"].items()}
+        try:
+            cfg = TrainConfig.from_dict(header["config"])
+        except ContractError as e:
+            raise FormatError(f"{path}: checkpoint header 'config': {e}") from e
+        _check_layout(path, {name: entry[0] for name, entry in entries.items()}, cfg.dim)
+        payload = size - head_start - head_len
+        buf = np.empty(max(math.prod(shape) for shape, _ in entries.values()), dtype=CKPT_DTYPE)
+        params = ParamStore()
+        end = 0
+        for name, (shape, start) in sorted(entries.items()):
+            if start != end:
+                raise FormatError(f"{path}: parameter {name!r}: 'offset' {start} is not {end}, "
+                                  f"the end of the parameters before it in name order")
+            count = math.prod(shape)
+            end = start + count * CKPT_DTYPE.itemsize
+            arr = buf[:count]
+            if end > payload or fh.readinto(arr) != arr.nbytes:
+                raise FormatError(f"{path}: parameter {name!r} needs payload bytes "
+                                  f"{start}..{end}, but the payload has {payload}")
+            # a float64 sum of float32 values cannot overflow: it is finite exactly
+            # when every value is, so one sum checks the whole parameter (+inf and
+            # -inf together sum to NaN, which numpy would flag as invalid)
+            with np.errstate(invalid="ignore"):
+                total = arr.sum(dtype=np.float64)
+            if not math.isfinite(total):
+                raise FormatError(f"{path}: parameter {name!r} holds a non-finite value")
+            params.add(name, arr.reshape(shape))   # Parameter converts to float64, once
+    if end != payload:
+        raise FormatError(f"{path}: {payload - end} trailing byte(s) after the last parameter")
     return CheckpointData(params=params, config=cfg)

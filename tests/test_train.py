@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vlgraph.mi import NegativeBuffer
 from vlgraph.model import forward, forward_batch, init_params
 from vlgraph.tensor import ParamStore, Tensor, backward
 from vlgraph.train import (
+    CKPT_DTYPE,
     CKPT_MAGIC,
     Adam,
     TrainConfig,
@@ -544,6 +546,79 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00" * 13)
     with pytest.raises(FormatError, match=r"model\.ckpt: 13 trailing byte\(s\)"):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_header_length_beyond_the_file_rejected(tmp_path):
+    path = _small_checkpoint(tmp_path)
+    body = path.read_bytes()[len(CKPT_MAGIC) + 8 :]
+    size = len(CKPT_MAGIC) + 8 + len(body)
+    # one byte too many, and a forged length no read could allocate
+    for head_len in (len(body) + 1, 2 ** 62):
+        path.write_bytes(CKPT_MAGIC + head_len.to_bytes(8, "little") + body)
+        with pytest.raises(FormatError, match=rf"model\.ckpt: header length {head_len} .*"
+                                              rf"\({size} bytes\)"):
+            load_checkpoint(str(path))
+
+
+def test_checkpoint_save_rejects_a_finite_value_beyond_float32(tmp_path):
+    cfg = small_cfg()
+    params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(0))
+    params["head.out.b"].data[0, 0] = -1e39      # float32 would store -inf
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(NumericalError, match=r"model\.ckpt: parameter 'head\.out\.b' holds a "
+                                             r"finite value beyond float32 range"):
+        save_checkpoint(str(path), params, cfg)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_failed_save_leaves_the_file_there_as_it_was(tmp_path):
+    path = _small_checkpoint(tmp_path)
+    before = path.read_bytes()
+    cfg = small_cfg()
+    params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(1))
+    # the last parameter in name order fails after every other one is written
+    assert params.names()[-1] == "temporal.gate.w"
+    params["temporal.gate.w"].data[-1, -1] = 1e39
+    with pytest.raises(NumericalError, match=r"'temporal\.gate\.w'"):
+        save_checkpoint(str(path), params, cfg)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_checkpoint_save_gives_the_permissions_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain"
+    with open(plain, "wb"):
+        pass
+    path = _small_checkpoint(tmp_path)
+    assert path.stat().st_mode == plain.stat().st_mode
+    path.chmod(0o640)                   # a plain open keeps the mode of a file already there
+    _small_checkpoint(tmp_path)
+    assert path.stat().st_mode & 0o777 == 0o640
+
+
+def _traced_peak(call) -> int:
+    """Bytes that `call()` allocated at its peak, above what was traced before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        kept = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del kept
+    return peak
+
+
+def test_checkpoint_save_and_load_hold_one_parameter_beyond_the_parameters(tmp_path):
+    cfg = small_cfg(dim=64)
+    params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(0))
+    f64 = sum(p.data.nbytes for _, p in params.items())
+    largest = max(p.data.size for _, p in params.items()) * CKPT_DTYPE.itemsize
+    path = str(tmp_path / "model.ckpt")
+    gc.collect()
+    assert _traced_peak(lambda: save_checkpoint(path, params, cfg)) <= 2 * largest + 256 * 1024
+    assert _traced_peak(lambda: load_checkpoint(path)) <= f64 + 2 * largest + 256 * 1024
 
 
 def test_checkpoint_parameters_must_match_the_model_layout(tmp_path):
