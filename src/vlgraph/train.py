@@ -429,13 +429,21 @@ def evaluate(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -> EvalRes
 
 # ---------------------------------------------------------------- checkpoints
 
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every float32 value of `arr` is finite. A float64 sum of
+    float32 values cannot overflow: it is finite exactly when every value is,
+    so one sum checks them all (+inf and -inf together sum to NaN, which
+    numpy would flag as invalid)."""
+    with np.errstate(invalid="ignore"):
+        return math.isfinite(arr.sum(dtype=np.float64))
+
+
 def _float32(path: str, name: str, p: Tensor) -> np.ndarray:
     """The checkpoint values of one parameter, or NumericalError if a finite
     value lies beyond float32 range and would be stored as inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         arr = p.data.astype(CKPT_DTYPE, order="C")
-        total = arr.sum(dtype=np.float64)     # finite exactly when every value is
-    if not math.isfinite(total) and (np.isinf(arr) & np.isfinite(p.data)).any():
+    if not _finite(arr) and (np.isinf(arr) & np.isfinite(p.data)).any():
         raise NumericalError(f"{path}: parameter {name!r} holds a finite value beyond "
                              f"float32 range")
     return arr
@@ -449,10 +457,10 @@ def save_checkpoint(path: str, params: ParamStore, cfg: TrainConfig) -> None:
     parameter's float32 copy and, for a parameter with a non-finite value,
     the masks that check it: less than twice the largest parameter's
     float32 bytes beyond the parameters. The file is written under a
-    temporary name in the target's directory and renamed over `path` at the
+    temporary name in the target's directory and renamed over it at the
     end: a save that fails leaves no temporary file and any file already at
-    `path` as it was. The new file gets the permissions a plain
-    `open(path, "wb")` gives.
+    `path` as it was. As with a plain `open(path, "wb")`, a link at `path`
+    is written through, and the file gets the permissions that open gives.
     """
     entries: dict[str, dict] = {}
     offset = 0
@@ -461,13 +469,14 @@ def save_checkpoint(path: str, params: ParamStore, cfg: TrainConfig) -> None:
         offset += p.data.size * CKPT_DTYPE.itemsize
     header = {"params": entries, "config": cfg.to_dict()}
     head = json.dumps(header, sort_keys=True).encode("utf-8")
-    folder, base = os.path.split(os.path.abspath(path))
+    target = os.path.realpath(path)            # as `open(path, "wb")`, write through a link
+    folder, base = os.path.split(target)
     tmp = os.path.join(folder, f".{base}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "xb")
     try:
         with fh:
-            if os.path.exists(path):           # `open(path, "wb")` keeps the mode of a file there
-                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            if os.path.exists(target):         # `open(path, "wb")` keeps the mode of a file there
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             fh.write(CKPT_MAGIC)
             fh.write(len(head).to_bytes(8, "little"))
             fh.write(head)
@@ -475,7 +484,7 @@ def save_checkpoint(path: str, params: ParamStore, cfg: TrainConfig) -> None:
                 fh.write(_float32(path, name, p))
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise
@@ -579,12 +588,7 @@ def load_checkpoint(path: str) -> CheckpointData:
             if end > payload or fh.readinto(arr) != arr.nbytes:
                 raise FormatError(f"{path}: parameter {name!r} needs payload bytes "
                                   f"{start}..{end}, but the payload has {payload}")
-            # a float64 sum of float32 values cannot overflow: it is finite exactly
-            # when every value is, so one sum checks the whole parameter (+inf and
-            # -inf together sum to NaN, which numpy would flag as invalid)
-            with np.errstate(invalid="ignore"):
-                total = arr.sum(dtype=np.float64)
-            if not math.isfinite(total):
+            if not _finite(arr):
                 raise FormatError(f"{path}: parameter {name!r} holds a non-finite value")
             params.add(name, arr.reshape(shape))   # Parameter converts to float64, once
     if end != payload:

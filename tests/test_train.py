@@ -585,7 +585,7 @@ def test_checkpoint_failed_save_leaves_the_file_there_as_it_was(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
-def test_checkpoint_save_gives_the_permissions_of_a_plain_open(tmp_path):
+def test_checkpoint_save_acts_on_the_file_as_a_plain_open_would(tmp_path):
     plain = tmp_path / "plain"
     with open(plain, "wb"):
         pass
@@ -594,6 +594,16 @@ def test_checkpoint_save_gives_the_permissions_of_a_plain_open(tmp_path):
     path.chmod(0o640)                   # a plain open keeps the mode of a file already there
     _small_checkpoint(tmp_path)
     assert path.stat().st_mode & 0o777 == 0o640
+    # a link at the path is written through, not replaced
+    (tmp_path / "runs").mkdir()
+    real = tmp_path / "runs" / "run1.ckpt"
+    real.write_bytes(b"old")
+    link = tmp_path / "latest.ckpt"
+    link.symlink_to(real)
+    cfg = small_cfg()
+    save_checkpoint(str(link), init_params(cfg.model_config(), *DIMS, np.random.default_rng(0)), cfg)
+    assert link.is_symlink() and real.read_bytes() == path.read_bytes()
+    assert [p.name for p in real.parent.iterdir()] == ["run1.ckpt"]
 
 
 def _traced_peak(call) -> int:
