@@ -7,8 +7,9 @@ span midpoint is nearest in time (earlier segment on ties). Lines that end
 up with no frames are dropped and logged, so every retained segment has at
 least one frame and one token.
 
-Segmentation is pure and deterministic; projection to model width runs on
-the autodiff tape so the projection maps train with the rest of the model.
+Segmentation is pure and deterministic, and a clip graph holds raw
+features only: the model projects the frames and tokens of a whole batch to
+its width, one product per modality (`model.forward_batch`).
 
 Dataset files are JSON Lines: a header declaring raw feature widths, then
 one clip per line.
@@ -23,9 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as tn
 from .errors import EmptyInputError, ValidationError
-from .tensor import ParamStore, Tensor
 
 log = logging.getLogger(__name__)
 
@@ -75,18 +74,17 @@ class Segmentation:
 
 @dataclass
 class ClipGraph:
-    """Projected nodes of a clip, one matrix per modality (columns are nodes).
+    """Raw node features of a clip, one matrix per modality (columns are nodes).
 
     Columns are grouped by segment in segmentation order: segment i owns the
-    next `frame_sizes[i]` columns of `frame_nodes` and `token_sizes[i]`
-    columns of `token_nodes`.
+    next `frame_sizes[i]` columns of `frames` and `token_sizes[i]` columns of
+    `tokens`.
     """
 
-    frame_nodes: Tensor                       # (d, K)
-    token_nodes: Tensor                       # (d, L) subtitle token nodes
+    frames: np.ndarray                        # (d_v, K) frame features
+    tokens: np.ndarray                        # (d_s, L) subtitle token features
     frame_sizes: tuple[int, ...]
     token_sizes: tuple[int, ...]
-    segmentation: Segmentation
 
     @property
     def n_segments(self) -> int:
@@ -94,13 +92,13 @@ class ClipGraph:
 
     @property
     def visual(self) -> list[np.ndarray]:
-        """Each segment's frame nodes, (d, K_i) views."""
-        return [self.frame_nodes.data[:, a:b] for a, b in block_bounds(self.frame_sizes)]
+        """Each segment's frame features, (d_v, K_i) views."""
+        return [self.frames[:, a:b] for a, b in block_bounds(self.frame_sizes)]
 
     @property
     def text(self) -> list[np.ndarray]:
-        """Each segment's token nodes, (d, L_i) views."""
-        return [self.token_nodes.data[:, a:b] for a, b in block_bounds(self.token_sizes)]
+        """Each segment's token features, (d_s, L_i) views."""
+        return [self.tokens[:, a:b] for a, b in block_bounds(self.token_sizes)]
 
 
 def block_bounds(sizes: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -167,28 +165,14 @@ def segment_clip(frames: list[FrameNode], subs: list[SubtitleLine]) -> Segmentat
     )
 
 
-def project_nodes(raw: np.ndarray, params: ParamStore, prefix: str) -> Tensor:
-    """Single-layer map to model width: tanh(W x + b) per column."""
-    x = Tensor(raw)
-    return tn.tanh(tn.add_col(tn.matmul(params[f"{prefix}.w"], x), params[f"{prefix}.b"]))
-
-
-def build_clip_graph(
-    frames: list[FrameNode],
-    subs: list[SubtitleLine],
-    params: ParamStore,
-) -> ClipGraph:
-    """Segment a clip and project all its nodes through the modality maps,
-    one projection per modality."""
+def build_clip_graph(frames: list[FrameNode], subs: list[SubtitleLine]) -> ClipGraph:
+    """Segment a clip and lay out its raw features, segment by segment."""
     seg = segment_clip(frames, subs)
-    v_raw = np.stack([frames[fi].feature for idx in seg.frame_index for fi in idx], axis=1)
-    s_raw = np.concatenate([subs[li].tokens for li in seg.line_index], axis=0).T
     return ClipGraph(
-        frame_nodes=project_nodes(v_raw, params, "proj.v"),
-        token_nodes=project_nodes(s_raw, params, "proj.s"),
+        frames=np.stack([frames[fi].feature for idx in seg.frame_index for fi in idx], axis=1),
+        tokens=np.concatenate([subs[li].tokens for li in seg.line_index], axis=0).T,
         frame_sizes=tuple(len(idx) for idx in seg.frame_index),
         token_sizes=tuple(subs[li].tokens.shape[0] for li in seg.line_index),
-        segmentation=seg,
     )
 
 
@@ -265,11 +249,16 @@ def parse_clip(rec: dict, header: dict | None = None) -> Clip:
 
 
 def _read_lines(path: str) -> tuple[dict, list[str]]:
-    """The checked header and the raw lines of a JSONL dataset."""
+    """The checked header and the raw lines of a JSONL dataset.
+
+    Lines end at "\n" only: JSON strings may hold U+0085, U+2028 and U+2029
+    raw, and `str.splitlines` would break a record at them.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise EmptyInputError(f"{path} is empty")
+    lines = text.split("\n")
     try:
         header = json.loads(lines[0])
     except ValueError as e:         # JSONDecodeError, or an integer over the digit limit

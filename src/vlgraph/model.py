@@ -3,7 +3,11 @@
 Layout: a batch is one frame-node matrix V (d, K) and one token-node matrix
 S (d, L) for all its clips. Their columns are grouped by clip, then by
 segment in segmentation order, and each segment owns one block of
-consecutive columns of each (`v_sizes`, `s_sizes`). Every level runs once
+consecutive columns of each (`v_sizes`, `s_sizes`). `forward_batch` builds
+them from the clips' raw features (`graph.ClipGraph`), one projection to
+model width per modality for the whole batch, as it does the statement
+tokens H (d, n_tokens); the projections run on the tape, so their maps
+train with the rest of the model. Every level runs once
 per batch over all blocks, so each weight meets one matmul per batch, not
 one per clip, segment or query. This is the disjoint union of the
 per-segment graphs of every clip as one block-diagonal graph: no weight of
@@ -67,7 +71,7 @@ import numpy as np
 
 from . import tensor as tn
 from .errors import ContractError
-from .graph import Clip, ClipGraph, build_clip_graph, project_nodes
+from .graph import Clip, ClipGraph, build_clip_graph
 from .tensor import ParamStore, Tensor
 
 if TYPE_CHECKING:
@@ -117,6 +121,13 @@ def init_params(cfg: TrainConfig, d_v: int, d_s: int, d_h: int,
 
 
 # --------------------------------------------------------------- building blocks
+
+def project_nodes(raw: Sequence[np.ndarray], params: ParamStore, prefix: str) -> Tensor:
+    """Single-layer map to model width, tanh(W x + b), of every column of the
+    raw feature matrices, side by side in one product."""
+    x = Tensor(np.concatenate(raw, axis=1), copy=False)    # a new array, adopted as it is
+    return tn.tanh(tn.add_col(tn.matmul(params[f"{prefix}.w"], x), params[f"{prefix}.b"]))
+
 
 def _sizes(sizes: tuple[int, ...], X: Tensor) -> tuple[int, ...]:
     """Column block sizes of X; one block of all its columns when empty."""
@@ -478,13 +489,13 @@ def forward_batch(clips: Sequence[Clip], params: ParamStore, cfg: TrainConfig,
         raise ContractError("a batch needs at least one clip")
     if frozen is not None and len(frozen) != len(clips):
         raise ContractError(f"{len(frozen)} frozen decisions for {len(clips)} clips")
-    graphs = [build_clip_graph(clip.frames, clip.subs, params) for clip in clips]
-    H = project_nodes(np.concatenate([clip.statement for clip in clips], axis=1), params, "proj.h")
+    graphs = [build_clip_graph(clip.frames, clip.subs) for clip in clips]
+    V = project_nodes([g.frames for g in graphs], params, "proj.v")
+    S = project_nodes([g.tokens for g in graphs], params, "proj.s")
+    H = project_nodes([clip.statement for clip in clips], params, "proj.h")
     qs = extract_queries(H, params, cfg, None if frozen is None else [f.n_queries for f in frozen],
                          tuple(clip.statement.shape[1] for clip in clips))
-    segs = refine_segment(tn.concat([g.frame_nodes for g in graphs], axis=1),
-                          tn.concat([g.token_nodes for g in graphs], axis=1), params, cfg,
-                          sum((g.frame_sizes for g in graphs), ()),
+    segs = refine_segment(V, S, params, cfg, sum((g.frame_sizes for g in graphs), ()),
                           sum((g.token_sizes for g in graphs), ()))
     temporal = reason_over_segments(segs, qs.queries, params, cfg,
                                     tuple((g.n_segments, n) for g, n in zip(graphs, qs.counts)))

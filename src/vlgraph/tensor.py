@@ -762,30 +762,25 @@ class _Stack:
 
 
 def gw_pair_cost(intra_a: Tensor, intra_b: Tensor, plan: np.ndarray,
-                 structure: SortedStructure | None = None, a_sizes: Sequence[int] = (),
-                 b_sizes: Sequence[int] = ()) -> Tensor:
+                 structure: SortedStructure) -> Tensor:
     """Structure-mismatch term sum_{iji'j'} T_ij T_i'j' |A_ii' - B_jj'| of
     each segment, as a (1, n_segments) row.
 
-    Segments are the diagonal blocks of `a_sizes` and `b_sizes` (one segment
-    by default), laid out as in `SortedStructure`. `plan` is a fixed coupling
+    `structure` must be built from the very arrays of `intra_a` and
+    `intra_b`, and its blocks are the segments. `plan` is a fixed coupling
     (envelope convention): gradient flows into the two intra-graph cost
     matrices only. A segment's value is sum(T * L) over its block, with L the
-    linearisation from `SortedStructure`, and the backward is its gradients,
-    in O(n^2 m + n m^2) memory. `structure` is used only when it was built
-    from these exact arrays and blocks; otherwise one is built here.
+    structure's linearisation, and the backward is its gradients, in
+    O(n^2 m + n m^2) memory.
     """
+    if structure.a is not intra_a.data or structure.b is not intra_b.data:
+        raise ContractError("gw_pair_cost: the structure was built from other arrays "
+                            "than these intra costs")
     plan = np.asarray(plan, dtype=np.float64)
-    L, K = plan.shape
-    if intra_a.shape != (L, L) or intra_b.shape != (K, K):
-        raise ShapeError(
-            f"gw_pair_cost: plan {plan.shape} needs ({L},{L}) and ({K},{K}) costs, "
-            f"got {intra_a.shape} and {intra_b.shape}"
-        )
-    blocks = (tuple(a_sizes) or (L,), tuple(b_sizes) or (K,))
-    if (structure is None or structure.a is not intra_a.data or structure.b is not intra_b.data
-            or (structure.a_sizes, structure.b_sizes) != blocks):
-        structure = SortedStructure(intra_a.data, intra_b.data, *blocks)
+    if plan.shape != (intra_a.shape[0], intra_b.shape[0]):
+        raise ShapeError(f"gw_pair_cost: plan {plan.shape} does not fit costs "
+                         f"{intra_a.shape} and {intra_b.shape}")
+    blocks = (structure.a_sizes, structure.b_sizes)
     rows = (plan * structure.linearize(plan)).sum(axis=1)
     val = np.add.reduceat(rows, _starts(blocks[0]))[None, :]
 

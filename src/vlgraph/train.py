@@ -544,9 +544,9 @@ def load_checkpoint(path: str) -> CheckpointData:
 
     The header is read first and checked whole; then each parameter is read
     from the file in name order into one float32 buffer sized to the
-    largest, checked and converted into its float64 `Parameter`. So a load
-    holds the largest parameter's float32 bytes and the header beyond the
-    parameters it builds.
+    largest (or to the payload, when that is smaller), checked and converted
+    into its float64 `Parameter`. So a load holds the largest parameter's
+    float32 bytes and the header beyond the parameters it builds.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -575,7 +575,9 @@ def load_checkpoint(path: str) -> CheckpointData:
             raise FormatError(f"{path}: checkpoint header 'config': {e}") from e
         _check_layout(path, {name: entry[0] for name, entry in entries.items()}, cfg.dim)
         payload = size - head_start - head_len
-        buf = np.empty(max(math.prod(shape) for shape, _ in entries.values()), dtype=CKPT_DTYPE)
+        # no larger than the payload: a header may declare shapes the file cannot hold
+        buf = np.empty(min(max(math.prod(shape) for shape, _ in entries.values()),
+                           payload // CKPT_DTYPE.itemsize), dtype=CKPT_DTYPE)
         params = ParamStore()
         end = 0
         for name, (shape, start) in sorted(entries.items()):

@@ -26,9 +26,10 @@ The structure term sum T_ij T_kl |A_ik - B_jl| is never expanded into an
 (n, m, n, m) array. Once per batch, `tensor.SortedStructure` sorts the rows
 of every segment's B block and ranks its A entries in them; linearizations
 and both gradients then come from prefix sums of the plan along the sorted
-rows. `solve_plan` returns that structure on the `Coupling`, and
-`transport_loss` hands it on to `tensor.gw_pair_cost` for the loss and its
-gradients. The loss takes a fixed number of tape ops per batch.
+rows. `transport_loss` builds that structure, on a solved plan and on a
+frozen one alike, and hands it to `solve_plan` for the rounds and to
+`tensor.gw_pair_cost` for the loss and its gradients; the blocks of both
+come from it. The loss takes a fixed number of tape ops per batch.
 
 Training gradients use the envelope convention: the converged plan is a
 constant and gradients flow through the cost matrices only.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -63,7 +64,6 @@ class Coupling:
     marginal_err: np.ndarray      # (n_segments,) of each segment's last Sinkhorn call
     rounds: np.ndarray            # (n_segments,) Sinkhorn calls of each segment
     converged: int                # segments whose last call reached ot_tol
-    structure: tn.SortedStructure   # of the two intra costs, reused by the loss
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -160,23 +160,16 @@ def _padded_blocks(n: np.ndarray, m: np.ndarray, K: int) -> tuple[np.ndarray, ..
             np.where(col_ok, 1.0 / m[:, None], 0.0))
 
 
-def solve_plan(
-    node_cost: np.ndarray,
-    intra_a: np.ndarray,
-    intra_b: np.ndarray,
-    cfg: TrainConfig,
-    a_sizes: Sequence[int] = (),
-    b_sizes: Sequence[int] = (),
-) -> Coupling:
+def solve_plan(node_cost: np.ndarray, structure: tn.SortedStructure, cfg: TrainConfig) -> Coupling:
     """Fused node/structure transport with uniform marginals for every
-    segment of a batch (module docstring); one segment by default."""
+    segment of a batch (module docstring). `structure` holds the two intra
+    costs, and its blocks are the segments of `node_cost`."""
     node_cost = np.asarray(node_cost, dtype=np.float64)
-    L, K = node_cost.shape
-    if L < 1 or K < 1:
-        raise ContractError("solve_plan: both node sets must be nonempty")
-    structure = tn.SortedStructure(np.asarray(intra_a, float), np.asarray(intra_b, float),
-                                   a_sizes, b_sizes)
     n, m = np.asarray(structure.a_sizes), np.asarray(structure.b_sizes)
+    L, K = structure.a.shape[0], structure.b.shape[0]
+    if node_cost.shape != (L, K):
+        raise ShapeError(f"solve_plan: node cost {node_cost.shape} does not fit the structure's "
+                         f"blocks {structure.a_sizes} and {structure.b_sizes}")
     index, p, q = _padded_blocks(n, m, K)
     node = cfg.lam * node_cost.take(index, mode="clip")    # any finite cost in the padding
     flat = np.zeros(L * K + 1)                              # the padding writes the last slot
@@ -203,7 +196,7 @@ def solve_plan(
     distance = np.add.reduceat((plan * fused).sum(axis=1), np.cumsum(n) - n)
     return Coupling(plan=plan, p=np.repeat(1.0 / n, n), q=np.repeat(1.0 / m, m),
                     distance=distance, marginal_err=err, rounds=rounds,
-                    converged=int(np.count_nonzero(err <= cfg.ot_tol)), structure=structure)
+                    converged=int(np.count_nonzero(err <= cfg.ot_tol)))
 
 
 def _block_plan(frozen_plans: list[np.ndarray], segments: SegmentTrace) -> np.ndarray:
@@ -238,24 +231,24 @@ def transport_loss(
     and every segment reads its blocks of them. Plans come from one
     `solve_plan` of all segments on the current values (or `frozen_plans`,
     one per segment) and are treated as constants; gradients reach the node
-    matrices through the cosine cost matrices only.
+    matrices through the cosine cost matrices only. Both paths build the
+    one `SortedStructure` of the batch here.
     """
     sizes = tuple(sizes) or (segments.n_segments,)
     if cfg.alpha == 0.0:
         return Tensor(np.zeros((1, len(sizes)))), []
-    blocks = (segments.s_sizes, segments.v_sizes)
     node_cost = tn.cosine_cost(segments.text, segments.visual)
     intra_s = tn.cosine_cost(segments.text, segments.text)
     intra_v = tn.cosine_cost(segments.visual, segments.visual)
+    structure = tn.SortedStructure(intra_s.data, intra_v.data, segments.s_sizes, segments.v_sizes)
     if frozen_plans is not None:
-        plan, structure = _block_plan(frozen_plans, segments), None
+        plan = _block_plan(frozen_plans, segments)
     else:
-        coupling = solve_plan(node_cost.data, intra_s.data, intra_v.data, cfg, *blocks)
-        plan, structure = coupling.plan, coupling.structure
+        plan = solve_plan(node_cost.data, structure, cfg).plan
     # each segment's sum of lam T * C: column sums, then summed over its columns
     columns = Tensor(np.repeat(np.eye(segments.n_segments), segments.v_sizes, axis=0))
     node_term = tn.matmul(tn.mul(node_cost, Tensor(cfg.lam * plan)).sum(axis=0), columns)
-    terms = tn.add(node_term, tn.gw_pair_cost(intra_s, intra_v, plan, structure, *blocks))
+    terms = tn.add(node_term, tn.gw_pair_cost(intra_s, intra_v, plan, structure))
     plans = [plan[a0:a1, b0:b1] for (a0, a1), (b0, b1) in
              zip(block_bounds(segments.s_sizes), block_bounds(segments.v_sizes))]
     return tn.scale(tn.block_mean(terms, sizes), cfg.alpha), plans

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from vlgraph import graph as gr
 from vlgraph.errors import EmptyInputError, ValidationError
 from vlgraph.graph import FrameNode, SubtitleLine, segment_clip
-from vlgraph.tensor import ParamStore
 
 
 def frames_at(*ts):
@@ -117,16 +116,17 @@ def test_segmentation_deterministic():
     assert a.frame_index == b.frame_index and a.line_index == b.line_index
 
 
-def test_build_clip_graph_projects_to_model_dim():
-    rng = np.random.default_rng(0)
-    ps = ParamStore()
-    ps.add_linear("proj.v", 4, 3, rng)
-    ps.add_linear("proj.s", 4, 2, rng)
-    g = gr.build_clip_graph(frames_at(0.5, 1.5, 2.5), lines((0, 2), (2, 5), n_tokens=3), ps)
+def test_build_clip_graph_lays_out_raw_features():
+    fs = [FrameNode(t=t, feature=np.full(3, t)) for t in (0.5, 1.5, 2.5)]
+    # lines out of time order: segments follow time, not the list
+    subs = [SubtitleLine(t0=a, t1=b, tokens=np.full((3, 2), a)) for a, b in ((2, 5), (0, 2))]
+    g = gr.build_clip_graph(fs, subs)
     assert g.n_segments == 2
-    assert g.visual[0].shape == (4, 2) and g.visual[1].shape == (4, 1)
-    assert all(s.shape == (4, 3) for s in g.text)
-    assert all(np.all(np.abs(v.data) < 1.0) for v in g.visual)
+    assert g.frames.shape == (3, 3) and g.tokens.shape == (2, 6)
+    assert g.frame_sizes == (2, 1) and g.token_sizes == (3, 3)
+    assert [v[0].tolist() for v in g.visual] == [[0.5, 1.5], [2.5]]
+    assert [t[0].tolist() for t in g.text] == [[0.0] * 3, [2.0] * 3]
+    assert all(np.shares_memory(v, g.frames) for v in g.visual)
 
 
 # ---------------------------------------------------------------- dataset
@@ -181,6 +181,31 @@ def test_validate_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(EmptyInputError):
         gr.validate_dataset(str(path))
+
+
+def write_separator_ids(tmp_path):
+    """Records whose clip ids hold, raw, the characters besides "\\n" at
+    which `str.splitlines` ends a line; JSON allows them inside strings."""
+    ids = ["a\u2028b", "c\u2029d", "e\x85f"]
+    path = tmp_path / "data.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(HEADER) + "\n")
+        for clip_id in ids:
+            fh.write(json.dumps(record(clip_id), ensure_ascii=False) + "\n")
+    return str(path), ids
+
+
+def test_read_dataset_keeps_records_with_unicode_line_separators(tmp_path):
+    path, ids = write_separator_ids(tmp_path)
+    _, clips = gr.read_dataset(path)
+    assert [c.clip_id for c in clips] == ids
+
+
+def test_validate_dataset_numbers_lines_at_newlines_only(tmp_path):
+    path, ids = write_separator_ids(tmp_path)
+    rep = gr.validate_dataset(path)
+    assert rep.n_failures == 0
+    assert [(r.line_no, r.clip_id) for r in rep.records] == [(2, ids[0]), (3, ids[1]), (4, ids[2])]
 
 
 def test_validate_malformed_record_listed_not_fatal(tmp_path):

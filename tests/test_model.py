@@ -443,7 +443,7 @@ def test_forward_convex_combination_bounds():
     ps = params_of(rng)
     clip = make_clip(rng, n_segments=3, frames_per=3, tokens_per=2)
     trace = forward(clip, ps, cfg_of())
-    seg, V0 = trace.segments, trace.graphs[0].frame_nodes
+    seg, V0 = trace.segments, md.project_nodes([trace.graphs[0].frames], ps, "proj.v")
     assert seg.n_segments == 3
     inter_v, intra_v = seg.passes["inter.v"], seg.passes["intra.v"]
     lo = np.minimum(V0.data, inter_v.msg) - 1e-12
@@ -570,7 +570,7 @@ def test_trace_arrays_are_views_of_the_batched_arrays():
     trace = forward(make_clip(rng, n_segments=3), ps, cfg_of(fixed_queries=2))
     graph = trace.graphs[0]
     assert graph.n_segments == 3
-    assert all(np.shares_memory(v, graph.frame_nodes.data) for v in graph.visual)
+    assert all(np.shares_memory(v, graph.frames) for v in graph.visual)
     t = trace.temporal
     assert t.nodes.shape == (4, 6) and t.global_nodes.shape == (4, 2)
     # G = T @ weights, and P = (1 - gate) * (V @ attn_v) + gate * (S @ attn_s):
@@ -669,14 +669,34 @@ def test_lockstep_batch_matches_clips_run_one_at_a_time(case):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
 
 
+def test_project_nodes_maps_every_column_to_model_width():
+    rng = np.random.default_rng(0)
+    ps = params_of(rng)
+    a, b = rng.standard_normal((3, 2)), rng.standard_normal((3, 1))
+    both = md.project_nodes([a, b], ps, "proj.v")
+    assert both.shape == (4, 3) and np.all(np.abs(both.data) < 1.0)
+    assert rel_close(both.data[:, 2:], md.project_nodes([b], ps, "proj.v").data, 1e-15)
+
+
+def test_batch_projects_each_modality_in_one_product():
+    from vlgraph.tensor import backward
+    from vlgraph.train import run_clips
+    ps, clips, buffer = lockstep_setup()
+    bundle, _ = run_clips(clips, ps, cfg_of(d=6), buffer)
+    backward(bundle.total.sum())
+    # one pending weight-gradient factor per projection map, whatever the clip count
+    for name in ("proj.v.w", "proj.s.w", "proj.h.w"):
+        assert len(ps[name].factors) == 1, name
+
+
 def test_lockstep_batch_has_no_cross_clip_weight():
     ps, clips, _ = lockstep_setup()
     cfg = cfg_of(d=6)
     batch = forward_batch(clips, ps, cfg)
     graphs = batch.graphs
     counts = batch.query.counts
-    frame_clip = np.repeat(np.arange(4), [g.frame_nodes.shape[1] for g in graphs])
-    token_clip = np.repeat(np.arange(4), [g.token_nodes.shape[1] for g in graphs])
+    frame_clip = np.repeat(np.arange(4), [g.frames.shape[1] for g in graphs])
+    token_clip = np.repeat(np.arange(4), [g.tokens.shape[1] for g in graphs])
     query_clip = np.repeat(np.arange(4), counts)
     pair_clip = np.repeat(np.arange(4), [n * g.n_segments for n, g in zip(counts, graphs)])
     statement_clip = np.repeat(np.arange(4), [c.statement.shape[1] for c in clips])

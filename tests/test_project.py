@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import math
@@ -36,3 +37,48 @@ def test_bench_records_match_the_benchmark_declaration():
             assert entry["metrics"].keys() == metrics, f"{where}: metrics {sorted(entry['metrics'])}"
             for name, value in entry["metrics"].items():
                 assert math.isfinite(value) and value > 0, f"{where}: {name} = {value!r}"
+
+
+PACKAGE = ROOT / "src" / "vlgraph"
+
+# The package modules each module may import (type-only imports count too).
+# Segmentation and the dataset readers sit below the model: `graph` and
+# `synth` read no tensor, model, loss or training code.
+ALLOWED_IMPORTS = {
+    "__init__": set(),
+    "errors": set(),
+    "tensor": {"errors"},
+    "graph": {"errors"},
+    "synth": {"errors", "graph"},
+    "model": {"errors", "graph", "tensor", "train"},
+    "mi": {"errors", "model", "tensor"},
+    "transport": {"errors", "graph", "model", "tensor", "train"},
+    "train": {"errors", "graph", "mi", "model", "tensor", "transport"},
+}
+
+
+def package_imports(path: Path) -> set[str]:
+    """The `vlgraph` modules that the source file at `path` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("vlgraph.")}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module != "vlgraph" and not module.startswith("vlgraph."):
+                    continue
+                module = module.removeprefix("vlgraph").lstrip(".")
+            if module:
+                found.add(module.split(".")[0])
+            else:                                  # `from . import tensor as tn`
+                found |= {a.name for a in node.names}
+    return found
+
+
+def test_package_modules_import_only_what_the_layering_allows():
+    modules = {path.stem: path for path in PACKAGE.glob("*.py")}
+    assert modules.keys() == ALLOWED_IMPORTS.keys()
+    for name, path in sorted(modules.items()):
+        extra = package_imports(path) - ALLOWED_IMPORTS[name]
+        assert not extra, f"{name} imports {sorted(extra)}, beyond {sorted(ALLOWED_IMPORTS[name])}"

@@ -497,7 +497,12 @@ def test_gw_pair_cost_gradcheck():
         ps.add("cb", rng.permutation(np.linspace(1.0, 1.9, 4)).reshape(2, 2))
         plan = rng.uniform(0.1, 1.0, size=(3, 2))
         plan /= plan.sum()
-        assert grad_check(lambda: tn.gw_pair_cost(ps["ca"], ps["cb"], plan), ps).passed(1e-4)
+
+        def cost():
+            return tn.gw_pair_cost(ps["ca"], ps["cb"], plan,
+                                   tn.SortedStructure(ps["ca"].data, ps["cb"].data))
+
+        assert grad_check(cost, ps).passed(1e-4)
 
 
 # ------------------------------------------- structure term, dense oracle
@@ -547,7 +552,7 @@ def test_sorted_structure_matches_dense_oracle(kind):
         assert_close(got_a, grad_a, f"{kind} {seed} d/dA")
         assert_close(got_b, grad_b, f"{kind} {seed} d/dB")
         ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        out = tn.gw_pair_cost(ta, tb, plan)
+        out = tn.gw_pair_cost(ta, tb, plan, tn.SortedStructure(ta.data, tb.data))
         assert_close(out.item(), value, f"{kind} {seed} value")
         out.grad = np.ones((1, 1))
         out._backward(out)
@@ -564,19 +569,17 @@ def test_sorted_structure_linearizes_each_new_plan():
     assert np.array_equal(st.linearize(plan), first)
 
 
-def test_gw_pair_cost_ignores_a_structure_of_other_arrays():
+def test_gw_pair_cost_rejects_a_structure_of_other_arrays():
     a, b, plan = structure_case("random", 5)
-    lin, value, grad_a, grad_b = dense_structure(a, b, plan)
     ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-    others = (tn.SortedStructure(a[::-1, ::-1].copy(), b), tn.SortedStructure(a, b[::-1].copy()))
+    # equal values are not enough: the structure must hold the costs' own arrays
+    others = (tn.SortedStructure(a[::-1, ::-1].copy(), b), tn.SortedStructure(a, b[::-1].copy()),
+              tn.SortedStructure(ta.data.copy(), tb.data))
     for stale in others:
-        out = tn.gw_pair_cost(ta, tb, plan, stale)
-        assert_close(out.item(), value, "value")
-        out.grad = np.ones((1, 1))
-        out._backward(out)
-        assert_close(ta.grad, grad_a, "d/dA")
-        assert_close(tb.grad, grad_b, "d/dB")
-        ta.grad = tb.grad = None
+        with pytest.raises(ContractError, match="structure was built from other arrays"):
+            tn.gw_pair_cost(ta, tb, plan, stale)
+    with pytest.raises(ShapeError, match="does not fit costs"):
+        tn.gw_pair_cost(ta, tb, plan.T, tn.SortedStructure(ta.data, tb.data))
 
 
 def test_log_rejects_nonpositive():

@@ -11,7 +11,7 @@ from vlgraph import synth
 from vlgraph.errors import EmptyInputError, FormatError, NumericalError
 from vlgraph.graph import Clip, FrameNode, SubtitleLine, parse_clip, read_dataset, validate_dataset
 from vlgraph.mi import NegativeBuffer
-from vlgraph.model import forward, forward_batch, init_params
+from vlgraph.model import forward, forward_batch, init_params, param_shapes
 from vlgraph.tensor import ParamStore, Tensor, backward
 from vlgraph.train import (
     CKPT_DTYPE,
@@ -650,6 +650,22 @@ def test_checkpoint_parameters_must_match_the_model_layout(tmp_path):
     _edit_header(path, lambda h: h["config"].update(dim=16))
     with pytest.raises(FormatError, match=r"model\.ckpt: parameter 'disc\.w' has shape \(8, 8\), "
                                           r"but the model layout at dim=16"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_header_of_shapes_beyond_the_payload_rejected(tmp_path):
+    # a 3 KB file whose header lays out the model at a width no address space
+    # holds: the load must read what the file has, not what the header claims
+    cfg = small_cfg(dim=2**24)
+    entries, offset = {}, 0
+    for name, shape in sorted(param_shapes(cfg.dim, *DIMS).items()):
+        entries[name] = {"shape": list(shape), "dtype": CKPT_DTYPE.str, "offset": offset}
+        offset += math.prod(shape) * CKPT_DTYPE.itemsize
+    head = json.dumps({"params": entries, "config": cfg.to_dict()}).encode("utf-8")
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(CKPT_MAGIC + len(head).to_bytes(8, "little") + head + bytes(64))
+    with pytest.raises(FormatError, match=rf"forged\.ckpt: parameter 'disc\.w' needs payload "
+                                          rf"bytes 0\.\.{4 * 2**48}, but the payload has 64"):
         load_checkpoint(str(path))
 
 

@@ -26,9 +26,15 @@ def np_cosine_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - (a / na).T @ (b / nb), 0.0, 2.0)
 
 
+def solve(node_cost, intra_a, intra_b, cfg, a_sizes=(), b_sizes=()) -> Coupling:
+    """`solve_plan` on the structure of the two intra costs and their blocks
+    (one segment by default), as `transport_loss` builds it."""
+    return solve_plan(node_cost, tn.SortedStructure(intra_a, intra_b, a_sizes, b_sizes), cfg)
+
+
 def got_distance(a: np.ndarray, b: np.ndarray, cfg: TrainConfig) -> tuple[float, Coupling]:
     """Fused transport distance between two node matrices (columns = nodes)."""
-    coupling = solve_plan(np_cosine_cost(a, b), np_cosine_cost(a, a), np_cosine_cost(b, b), cfg)
+    coupling = solve(np_cosine_cost(a, b), np_cosine_cost(a, a), np_cosine_cost(b, b), cfg)
     return coupling.distance, coupling
 
 
@@ -163,7 +169,7 @@ def test_entropic_gap_bound_random_4x4():
 def test_degenerate_structure_2x2_matches_hand_value():
     node_cost = np.array([[0.2, 0.9], [0.8, 0.1]])
     zero = np.zeros((2, 2))
-    coupling = solve_plan(node_cost, zero, zero, tight_cfg())
+    coupling = solve(node_cost, zero, zero, tight_cfg())
     assert abs(coupling.distance - 0.15) <= 0.02 * 0.15
 
 
@@ -174,7 +180,7 @@ def test_degenerate_structure_matches_brute_force_2pct():
         n = int(rng.integers(2, 6))
         node_cost = rng.uniform(0.0, 2.0, size=(n, n))
         zero = np.zeros((n, n))
-        got = solve_plan(node_cost, zero, zero, cfg).distance
+        got = solve(node_cost, zero, zero, cfg).distance
         exact = brute_force_wd(node_cost)
         assert abs(got - exact) <= 0.02 * exact
         assert got >= 0.0
@@ -201,7 +207,7 @@ def test_distance_nonincreasing_in_regularization():
         self_vals.append(got_distance(nodes, nodes, cfg)[0])
         cfg_wd = TrainConfig(lam=1.0, ot_eps_reg=eps, ot_sinkhorn_iters=20000,
                              ot_gw_outer_iters=10, ot_tol=1e-8)
-        wd_vals.append(solve_plan(cost, np.zeros((5, 5)), np.zeros((4, 4)), cfg_wd).distance)
+        wd_vals.append(solve(cost, np.zeros((5, 5)), np.zeros((4, 4)), cfg_wd).distance)
     for series in (self_vals, wd_vals):
         for hi, lo in zip(series, series[1:]):
             assert lo <= hi + 1e-6
@@ -228,7 +234,7 @@ def test_solve_plan_matches_dense_structure_oracle():
         b = rng.standard_normal((5, k))
         costs = (np_cosine_cost(a, b), np_cosine_cost(a, a), np_cosine_cost(b, b))
         plan, distance, _ = dense_solve_plan(*costs, cfg)
-        coupling = solve_plan(*costs, cfg)
+        coupling = solve(*costs, cfg)
         assert np.abs(coupling.plan - plan).max() <= 1e-12 * plan.max()
         assert abs(coupling.distance - distance) <= 1e-12 * distance
 
@@ -333,11 +339,11 @@ def test_structure_is_built_once_per_call(monkeypatch):
     monkeypatch.setattr(tn, "SortedStructure", Counted)
     both = two_segments(np.random.default_rng(14))
     _, plans = transport_loss(both, TrainConfig())
-    # one structure serves both segments, and the solve's is handed on to the loss term
+    # one structure serves both segments, for the solve and the loss term alike
     assert built == [((5, 5), (5, 5), (2, 3), (3, 2))]
-    # frozen plans come without one, so the loss term builds its own
+    # and on frozen plans, one again
     transport_loss(both, TrainConfig(), frozen_plans=plans)
-    assert len(built) == 2
+    assert built == [((5, 5), (5, 5), (2, 3), (3, 2))] * 2
 
 
 # ------------------------------------------------------ batched segments
@@ -384,13 +390,13 @@ def test_batched_solve_matches_each_segment_solved_alone():
     cfg = TrainConfig(ot_sinkhorn_iters=500)
     segments = mixed_segments(rng)
     node, intra_a, intra_b, n, m = batch_of(segments, rng)
-    batch = solve_plan(node, intra_a, intra_b, cfg, n, m)
+    batch = solve(node, intra_a, intra_b, cfg, n, m)
     outside = np.ones(batch.plan.shape, dtype=bool)
     converged = 0
     for s, (costs, (a0, a1), (b0, b1)) in enumerate(zip(segments, block_bounds(n),
                                                           block_bounds(m))):
         plan, distance, rounds = dense_solve_plan(*costs, cfg)
-        alone = solve_plan(*costs, cfg)
+        alone = solve(*costs, cfg)
         got = batch.plan[a0:a1, b0:b1]
         assert np.abs(got - plan).max() <= 1e-12 * plan.max(), s
         assert abs(batch.distance[s] - distance) <= 1e-12 * distance, s
@@ -409,18 +415,28 @@ def test_padding_and_other_segments_never_leak_into_a_segment():
     cfg = TrainConfig(ot_sinkhorn_iters=500)
     segments = mixed_segments(rng)
     node, intra_a, intra_b, n, m = batch_of(segments, rng)
-    base = solve_plan(node, intra_a, intra_b, cfg, n, m)
+    base = solve(node, intra_a, intra_b, cfg, n, m)
     # zero the costs of segment 6, so that it leaves the batch after round 1
     # instead of at the cap, and change every value between segments
     node2, intra_a2, intra_b2, _, _ = batch_of(segments, rng)
     (a0, a1), (b0, b1) = block_bounds(n)[6], block_bounds(m)[6]
     node2[a0:a1, b0:b1] = intra_a2[a0:a1, a0:a1] = intra_b2[b0:b1, b0:b1] = 0.0
-    other = solve_plan(node2, intra_a2, intra_b2, cfg, n, m)
+    other = solve(node2, intra_a2, intra_b2, cfg, n, m)
     assert (base.rounds[6], other.rounds[6]) == (cfg.ot_gw_outer_iters, 1)
     for s, ((r0, r1), (c0, c1)) in enumerate(zip(block_bounds(n), block_bounds(m))):
         same = np.array_equal(base.plan[r0:r1, c0:c1], other.plan[r0:r1, c0:c1])
         assert same == (s != 6), s
     assert np.array_equal(np.delete(base.rounds, 6), np.delete(other.rounds, 6))
+
+
+def test_solve_plan_rejects_a_node_cost_off_the_structure_blocks():
+    rng = np.random.default_rng(16)
+    node, intra_a, intra_b, n, m = batch_of(mixed_segments(rng)[:3], rng)
+    structure = tn.SortedStructure(intra_a, intra_b, n, m)
+    for wrong in (node[:-1], node[:, :-1], node.T):
+        with pytest.raises(ShapeError, match=rf"node cost \({wrong.shape[0]}, {wrong.shape[1]}\) "
+                                             r"does not fit the structure's blocks"):
+            solve_plan(wrong, structure, TrainConfig())
 
 
 def test_sinkhorn_padding_carries_no_mass():
@@ -448,8 +464,9 @@ def per_segment_loss(segments, cfg, sizes):
         intra_s, intra_v = tn.cosine_cost(text, text), tn.cosine_cost(visual, visual)
         plan, _, _ = dense_solve_plan(node.data, intra_s.data, intra_v.data, cfg)
         plans.append(plan)
+        structure = tn.SortedStructure(intra_s.data, intra_v.data)
         terms.append(tn.add(tn.mul(node, Tensor(cfg.lam * plan)).sum(),
-                            tn.gw_pair_cost(intra_s, intra_v, plan)))
+                            tn.gw_pair_cost(intra_s, intra_v, plan, structure)))
     return tn.scale(tn.block_mean(tn.concat(terms, axis=1), sizes), cfg.alpha), plans
 
 
