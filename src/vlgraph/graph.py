@@ -21,6 +21,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -252,9 +253,11 @@ def _read_lines(path: str) -> tuple[dict, list[str]]:
     """The checked header and the raw lines of a JSONL dataset.
 
     Lines end at "\n" only: JSON strings may hold U+0085, U+2028 and U+2029
-    raw, and `str.splitlines` would break a record at them.
+    raw, and `str.splitlines` would break a record at them. The file is read
+    without newline translation, so a CR stays in its line, where JSON reads
+    it as whitespace.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
     if not text:
         raise EmptyInputError(f"{path} is empty")
@@ -282,14 +285,7 @@ def read_dataset(path: str) -> tuple[dict, list[Clip]]:
     """
     header, lines = _read_lines(path)
     clips = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError as e:
-            raise ValidationError(f"{path}:{ln}: not valid JSON: {e}") from e
-        clip, problems = _load_record(rec, header)
+    for ln, _, clip, problems in _records(lines, header):
         if problems:
             raise ValidationError(f"{path}:{ln}: {'; '.join(problems)}")
         clips.append(clip)
@@ -386,30 +382,37 @@ def _check_record(rec: dict) -> list[str]:
     return problems
 
 
-def _load_record(rec, header: dict) -> tuple[Clip | None, list[str]]:
-    """The clip of one decoded line, or the problems that stop it."""
-    problems = _check_record(rec)
-    if problems:
-        return None, problems
-    try:
-        return parse_clip(rec, header), []
-    except ValidationError as e:
-        return None, [str(e)]
+def _records(lines: list[str], header: dict) -> Iterator[tuple[int, Any, Clip | None, list[str]]]:
+    """Each record of a dataset's lines after the header, as (line number,
+    decoded value, clip, problems): the clip is None when problems stop it.
+
+    Only JSON whitespace (space, tab, CR, LF) makes a line blank, and a
+    blank line is skipped; `str.strip` would also empty a line of U+3000,
+    U+0085 or U+2028, which is not JSON.
+    """
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip(" \t\r\n"):
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as e:         # JSONDecodeError, or an integer over the digit limit
+            yield ln, None, None, [f"not valid JSON: {e}"]
+            continue
+        problems = _check_record(rec)
+        clip = None
+        if not problems:
+            try:
+                clip = parse_clip(rec, header)
+            except ValidationError as e:
+                problems = [str(e)]
+        yield ln, rec, clip, problems
 
 
 def validate_dataset(path: str) -> ValidationReport:
     """Per-record structural checks; malformed records are listed, not fatal."""
     header, lines = _read_lines(path)
     checks: list[RecordCheck] = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError as e:
-            checks.append(RecordCheck(ln, "?", False, [f"not valid JSON: {e}"]))
-            continue
-        _, problems = _load_record(rec, header)
+    for ln, rec, _, problems in _records(lines, header):
         clip_id = str(rec.get("clip_id", "?")) if isinstance(rec, dict) else "?"
         checks.append(RecordCheck(ln, clip_id, not problems, problems))
     return ValidationReport(header=header, records=checks)

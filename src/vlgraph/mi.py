@@ -72,20 +72,19 @@ def contrastive_loss(
     temporal: TemporalTrace,
     params: ParamStore,
     beta: float,
+    sizes: tuple[int, ...],
     buffer: NegativeBuffer | None = None,
-    sizes: tuple[int, ...] = (),
 ) -> ContrastiveResult:
     """-beta times the mean pair estimate over all (segment, query) pairs of
     each clip, as a (1, n_clips) row.
 
-    Clip b owns the next `sizes[b]` queries (one clip of all of them by
-    default). The candidate set of every pair is the union of its clip's
-    temporal nodes and the buffer snapshot, which realizes "all other nodes
-    plus buffered negatives" while sharing one score column per query. The
-    pairs of a clip with no available negative (single node, empty buffer)
-    are skipped and logged; their estimate is exactly zero.
+    Clip b owns the next `sizes[b]` queries. The candidate set of every
+    pair is the union of its clip's temporal nodes and the buffer snapshot,
+    which realizes "all other nodes plus buffered negatives" while sharing
+    one score column per query. The pairs of a clip with no available
+    negative (single node, empty buffer) are skipped and logged; their
+    estimate is exactly zero.
     """
-    sizes = tuple(sizes) or (temporal.global_nodes.shape[1],)
     if beta == 0.0:
         return ContrastiveResult(loss=Tensor(np.zeros((1, len(sizes)))))
     query_ids = temporal.query_ids
@@ -109,7 +108,7 @@ def contrastive_loss(
         cands = tn.concat([cands, tn.matmul(buffer.rows, key)], axis=0)
     estimates = tn.sub(pos, tn.gather(tn.logsumexp(cands), query_ids))     # (1, n_nodes)
     return ContrastiveResult(
-        loss=tn.scale(tn.block_mean(estimates, tuple(pairs)), -beta),
+        loss=tn.mul(tn.block_mean(estimates, tuple(pairs)), -beta),
         estimates=estimates.data[0].tolist(),
         n_pairs=len(query_ids) - n_skipped,
         n_skipped=n_skipped,

@@ -124,9 +124,6 @@ class Tensor:
             raise ContractError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -241,10 +238,6 @@ def mul(a, b) -> Tensor:
         _acc(t, out.grad * sv)
 
     return _make(t.data * sv, (t,), bw_s)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    return mul(a, float(s))
 
 
 # A product of at most this many multiply-adds, or with more than this many
@@ -577,10 +570,9 @@ class SortedStructure:
 
     A (L, L) and B (K, K) hold the intra-graph costs of all segments: segment
     s owns the diagonal blocks of `a_sizes[s]` rows of A and `b_sizes[s]` rows
-    of B (by default the whole of each is one segment), and its coupling T is
-    the block of an (L, K) plan on the same rows and columns. Entries outside
-    these blocks are never read, and linearisations and gradients are zero
-    there.
+    of B, and its coupling T is the block of an (L, K) plan on the same rows
+    and columns. Entries outside these blocks are never read, and
+    linearisations and gradients are zero there.
 
     Built once per batch: each row of each B block is sorted, and every A_ik
     of a segment is ranked in every sorted row B_j of that segment twice,
@@ -608,15 +600,15 @@ class SortedStructure:
     costs a comparison.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, a_sizes: Sequence[int] = (),
-                 b_sizes: Sequence[int] = ()):
+    def __init__(self, a: np.ndarray, b: np.ndarray, a_sizes: Sequence[int],
+                 b_sizes: Sequence[int]):
         L, K = a.shape[0], b.shape[0]
         if a.shape != (L, L) or b.shape != (K, K):
             raise ShapeError(f"SortedStructure: costs must be square, got {a.shape} and {b.shape}")
         self.a = a
         self.b = b
-        self.a_sizes = tuple(a_sizes) or (L,)
-        self.b_sizes = tuple(b_sizes) or (K,)
+        self.a_sizes = tuple(a_sizes)
+        self.b_sizes = tuple(b_sizes)
         n = np.asarray(self.a_sizes, dtype=np.intp)
         m = np.asarray(self.b_sizes, dtype=np.intp)
         if n.size != m.size or n.sum() != L or m.sum() != K or min(n.min(), m.min()) < 1:

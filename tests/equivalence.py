@@ -56,7 +56,7 @@ def _golden(out: dict) -> None:
             rng = np.random.default_rng([seed, 29])
             buffer.push([rng.standard_normal(tg.DIM) for _ in range(6)])
             clip = tg.golden_clip(seed, tg.LAYOUTS.get(case, tg.LAYOUT))
-            bundle, trace = vt.run_clip(clip, params, cfg, buffer)
+            bundle, trace = vt.run_clips([clip], params, cfg, buffer)
             key = f"golden/{case}/{seed}"
             out[f"{key}/prob"] = np.array([trace.prob.item()])
             out[f"{key}/losses"] = np.array([bundle.as_floats()[0][k] for k in LOSS_KEYS])

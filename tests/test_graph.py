@@ -208,6 +208,37 @@ def test_validate_dataset_numbers_lines_at_newlines_only(tmp_path):
     assert [(r.line_no, r.clip_id) for r in rep.records] == [(2, ids[0]), (3, ids[1]), (4, ids[2])]
 
 
+def write_with_line(tmp_path, middle):
+    """Two valid records with the line `middle` between them, as line 3."""
+    path = tmp_path / "data.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in (json.dumps(HEADER), json.dumps(record()), middle,
+                     json.dumps(record("c1", 0))):
+            fh.write(line + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("space", ["\u3000", "\x85", "\u2028", "\xa0"],
+                         ids=["U+3000", "U+0085", "U+2028", "U+00A0"])
+def test_a_line_of_unicode_whitespace_is_a_bad_record(tmp_path, space):
+    # `str.strip` empties these lines, but JSON does not count them as whitespace
+    path = write_with_line(tmp_path, space)
+    with pytest.raises(ValidationError, match=r"data\.jsonl:3: not valid JSON"):
+        gr.read_dataset(path)
+    rep = gr.validate_dataset(path)
+    assert rep.n_failures == 1
+    assert [(r.line_no, r.ok) for r in rep.records] == [(2, True), (3, False), (4, True)]
+    assert "not valid JSON" in rep.records[1].problems[0]
+
+
+def test_a_line_of_json_whitespace_is_blank(tmp_path):
+    path = write_with_line(tmp_path, " \t\r ")
+    _, clips = gr.read_dataset(path)
+    assert [c.clip_id for c in clips] == ["c0", "c1"]
+    rep = gr.validate_dataset(path)
+    assert rep.n_failures == 0 and [r.line_no for r in rep.records] == [2, 4]
+
+
 def test_validate_malformed_record_listed_not_fatal(tmp_path):
     path = write(tmp_path, [record()])
     with open(path, "a") as fh:

@@ -141,7 +141,7 @@ def test_gradcheck_discriminator_and_upstream_nodes():
 
         def loss():
             trace = trace_of([ps["t0"], ps["t1"]], [ps["o0"], ps["o1"]])
-            return contrastive_loss(trace, ps, beta=0.7).loss
+            return contrastive_loss(trace, ps, beta=0.7, sizes=(2,)).loss
 
         assert grad_check(loss, ps).passed(1e-4)
 
@@ -150,7 +150,8 @@ def test_contrastive_zero_beta_short_circuits():
     rng = np.random.default_rng(2)
     ps = disc_params(rng, 3)
     res = contrastive_loss(trace_of([Tensor(rng.standard_normal((3, 1)))],
-                                    [Tensor(rng.standard_normal((3, 1)))]), ps, beta=0.0)
+                                    [Tensor(rng.standard_normal((3, 1)))]), ps, beta=0.0,
+                           sizes=(1,))
     assert res.loss.item() == 0.0 and res.n_pairs == 0
 
 
@@ -159,7 +160,7 @@ def test_single_pair_without_negatives_is_skipped(caplog):
     ps = disc_params(rng, 3)
     lone = trace_of([Tensor(rng.standard_normal((3, 1)))], [Tensor(rng.standard_normal((3, 1)))])
     with caplog.at_level("INFO", logger="vlgraph.mi"):
-        res = contrastive_loss(lone, ps, beta=0.5, buffer=NegativeBuffer(8))
+        res = contrastive_loss(lone, ps, beta=0.5, sizes=(1,), buffer=NegativeBuffer(8))
     assert res.loss.item() == 0.0 and res.n_skipped == 1
     assert "skipped" in caplog.text
 
@@ -170,7 +171,7 @@ def test_single_pair_falls_back_to_buffer():
     buf = NegativeBuffer(8)
     buf.push([rng.standard_normal(3), rng.standard_normal(3)])
     lone = trace_of([Tensor(rng.standard_normal((3, 1)))], [Tensor(rng.standard_normal((3, 1)))])
-    res = contrastive_loss(lone, ps, beta=0.5, buffer=buf)
+    res = contrastive_loss(lone, ps, beta=0.5, sizes=(1,), buffer=buf)
     assert res.n_pairs == 1 and res.loss.item() != 0.0
 
 
@@ -181,7 +182,7 @@ def test_two_by_two_clip_averages_four_pair_terms():
     for _ in range(2):
         nodes += [Tensor(rng.standard_normal((3, 1))) for _ in range(2)]
         global_nodes.append(Tensor(rng.standard_normal((3, 1))))
-    res = contrastive_loss(trace_of(nodes, global_nodes), ps, beta=0.3)
+    res = contrastive_loss(trace_of(nodes, global_nodes), ps, beta=0.3, sizes=(2,))
     assert res.n_pairs == 4
     assert abs(res.loss.item() - (-0.3 * np.mean(res.estimates))) <= 1e-12
 
@@ -194,12 +195,13 @@ def test_contrastive_matches_explicit_nce_batch():
         global_nodes = [Tensor(rng.standard_normal((4, 1))) for _ in range(n_q)]
         buf = NegativeBuffer(8)
         buf.push(list(rng.standard_normal((n_buf, 4))))
-        res = contrastive_loss(trace_of(nodes, global_nodes), ps, beta=1.0, buffer=buf)
+        res = contrastive_loss(trace_of(nodes, global_nodes), ps, beta=1.0, sizes=(n_q,),
+                               buffer=buf)
         # buffer columns only ever join the negatives, never a positive
         buffered = [Tensor(v) for v in buf.matrix().T] if n_buf else []
         pairs = []
         for j, node in enumerate(nodes):
-            negs = [m.detach() for k, m in enumerate(nodes) if k != j] + buffered
+            negs = [Tensor(m.data) for k, m in enumerate(nodes) if k != j] + buffered
             pairs.append(NCEPair(positive=node, context=global_nodes[j // n_seg], negatives=negs))
         assert res.n_pairs == len(pairs) == n_q * n_seg
         per_pair = [nce_estimate(NCEBatch([p]), ps).item() for p in pairs]
@@ -240,7 +242,7 @@ def test_correlated_pairs_beat_shuffled_after_training():
         identity = list(range(n))
         for _ in range(200):
             ps.zero_grad()
-            loss = tn.scale(mean_estimate(identity), -1.0)
+            loss = tn.mul(mean_estimate(identity), -1.0)
             tn.backward(loss, ps)
             opt.step()
         corr = mean_estimate(identity).item()

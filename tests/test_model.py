@@ -36,15 +36,19 @@ def params_of(rng, d=4, d_v=3, d_s=3, d_h=3):
 def cross_modal(V, S, ps):
     """Both cross-modal passes, from the nodes and means before either update."""
     g_v, g_s = V.mean(axis=1), S.mean(axis=1)
-    V2, pass_v = message_pass(V, S, g_v, g_s, ps, "inter.v")
-    S2, pass_s = message_pass(S, V, g_s, g_v, ps, "inter.s")
+    v_sizes, s_sizes = (V.shape[1],), (S.shape[1],)
+    V2, pass_v = message_pass(V, S, g_v, g_s, ps, "inter.v", v_sizes, s_sizes)
+    S2, pass_s = message_pass(S, V, g_s, g_v, ps, "inter.s", s_sizes, v_sizes)
     return V2, S2, pass_v, pass_s
 
 
 def self_pass(X, ps, name):
     """Intra-modal or temporal pass: the nodes exchange messages among themselves."""
     g = X.mean(axis=1)
-    return message_pass(X, X, g, g, ps, name)
+    return message_pass(X, X, g, g, ps, name, (X.shape[1],), (X.shape[1],))
+
+
+ONE_PAIR = (np.array([0]), np.array([0]))     # query 0 pools segment 0
 
 
 def zero_group(ps, name):
@@ -195,9 +199,9 @@ def test_segment_pool_zero_fuse_weights_average():
     ps = params_of(rng)
     zero_group(ps, "pool.fuse")
     seg = refine_segment(Tensor(rng.standard_normal((4, 3))),
-                         Tensor(rng.standard_normal((4, 2))), ps, cfg_of())
+                         Tensor(rng.standard_normal((4, 2))), ps, cfg_of(), (3,), (2,))
     q = Tensor(rng.standard_normal((4, 1)))
-    node, info = segment_pool(seg, q, ps)
+    node, info = segment_pool(seg, q, ps, ONE_PAIR)
     v_q = seg.visual.data @ info["attn_v"]
     s_q = seg.text.data @ info["attn_s"]
     assert np.allclose(node.data, (v_q + s_q) / 2.0, atol=1e-14)
@@ -208,10 +212,10 @@ def test_segment_pool_singletons_ignore_query():
     ps = params_of(rng)
     V = Tensor(rng.standard_normal((4, 1)))
     S = Tensor(rng.standard_normal((4, 1)))
-    seg = md.SegmentTrace(visual=V, text=S)
+    seg = md.SegmentTrace(visual=V, text=S, v_sizes=(1,), s_sizes=(1,))
     for qseed in (1, 2):
         q = Tensor(np.random.default_rng(qseed).standard_normal((4, 1)))
-        _, info = segment_pool(seg, q, ps)
+        _, info = segment_pool(seg, q, ps, ONE_PAIR)
         assert np.allclose(info["attn_v"], [[1.0]])
         assert np.allclose(info["attn_s"], [[1.0]])
 
@@ -220,9 +224,9 @@ def test_segment_pool_matches_reference_oracle():
     rng = np.random.default_rng(7)
     ps = params_of(rng)
     seg = md.SegmentTrace(visual=Tensor(rng.standard_normal((4, 3))),
-                          text=Tensor(rng.standard_normal((4, 2))))
+                          text=Tensor(rng.standard_normal((4, 2))), v_sizes=(3,), s_sizes=(2,))
     q = Tensor(rng.standard_normal((4, 1)))
-    node, _ = segment_pool(seg, q, ps)
+    node, _ = segment_pool(seg, q, ps, ONE_PAIR)
     assert np.allclose(node.data, ref_pool(seg.visual.data, seg.text.data, q.data, ps),
                        atol=1e-12)
 
@@ -233,9 +237,11 @@ def test_segment_pool_token_permutation_invariance():
     V = rng.standard_normal((4, 3))
     S = rng.standard_normal((4, 4))
     q = Tensor(rng.standard_normal((4, 1)))
-    node1, _ = segment_pool(refine_segment(Tensor(V), Tensor(S), ps, cfg_of()), q, ps)
+    node1, _ = segment_pool(refine_segment(Tensor(V), Tensor(S), ps, cfg_of(), (3,), (4,)), q, ps,
+                            ONE_PAIR)
     perm = rng.permutation(4)
-    node2, _ = segment_pool(refine_segment(Tensor(V), Tensor(S[:, perm]), ps, cfg_of()), q, ps)
+    node2, _ = segment_pool(refine_segment(Tensor(V), Tensor(S[:, perm]), ps, cfg_of(), (3,), (4,)),
+                            q, ps, ONE_PAIR)
     assert np.allclose(node1.data, node2.data, atol=1e-9)
 
 
@@ -285,7 +291,7 @@ def _halting_params(rng, h_value, d=4, d_h=3):
 def test_forced_high_halt_stops_at_one():
     rng = np.random.default_rng(9)
     ps = _halting_params(rng, 0.95)
-    qs = extract_queries(Tensor(rng.standard_normal((4, 3))), ps, cfg_of())
+    qs = extract_queries(Tensor(rng.standard_normal((4, 3))), ps, cfg_of(), (3,))
     assert qs.n_queries == 1 and qs.stopped_early
     assert abs(qs.halts[0].item() - 0.95) < 1e-12
 
@@ -293,7 +299,7 @@ def test_forced_high_halt_stops_at_one():
 def test_constant_low_halt_runs_to_cap():
     rng = np.random.default_rng(10)
     ps = _halting_params(rng, 0.2)
-    qs = extract_queries(Tensor(rng.standard_normal((4, 3))), ps, cfg_of())
+    qs = extract_queries(Tensor(rng.standard_normal((4, 3))), ps, cfg_of(), (3,))
     assert qs.n_queries == 5
     cums = [c.item() for c in qs.cum]
     assert np.allclose(cums, [0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-12)
@@ -304,7 +310,7 @@ def test_halting_invariants_over_random_draws():
     for seed in range(300):
         rng = np.random.default_rng(seed)
         ps = params_of(rng)
-        qs = extract_queries(Tensor(rng.standard_normal((4, 3))), ps, cfg)
+        qs = extract_queries(Tensor(rng.standard_normal((4, 3))), ps, cfg, (3,))
         assert 1 <= qs.n_queries <= cfg.max_queries
         cums = [c.item() for c in qs.cum]
         assert all(b > a for a, b in zip(cums, cums[1:]))
@@ -314,7 +320,7 @@ def test_halting_invariants_over_random_draws():
 def test_forced_query_count():
     rng = np.random.default_rng(11)
     ps = _halting_params(rng, 0.95)
-    qs = extract_queries(Tensor(rng.standard_normal((4, 3))), ps, cfg_of(), force_n=[4])
+    qs = extract_queries(Tensor(rng.standard_normal((4, 3))), ps, cfg_of(), (3,), force_n=[4])
     assert qs.n_queries == 4
 
 
@@ -342,7 +348,7 @@ def test_forced_query_count_outside_the_range_rejected():
 def test_query_attention_rows_are_probabilities():
     rng = np.random.default_rng(12)
     ps = params_of(rng)
-    qs = extract_queries(Tensor(rng.standard_normal((4, 5))), ps, cfg_of())
+    qs = extract_queries(Tensor(rng.standard_normal((4, 5))), ps, cfg_of(), (5,))
     for w in qs.attn:
         assert abs(w.data.sum() - 1.0) <= 1e-12 and np.all(w.data > 0)
 
@@ -361,13 +367,13 @@ def test_temporal_pool_single_node_and_uniform():
     rng = np.random.default_rng(14)
     ps = params_of(rng)
     t1 = Tensor(rng.standard_normal((4, 1)))
-    o, w = temporal_pool(t1, Tensor(rng.standard_normal((4, 1))), ps)
+    o, w = temporal_pool(t1, Tensor(rng.standard_normal((4, 1))), ps, (1,))
     assert np.allclose(o.data, t1.data) and np.allclose(w.data, [[1.0]])
 
     # zero attention weight matrix gives uniform logits, so the mean node
     ps["temporal.attn.w"].data[:] = 0.0
     T = Tensor(rng.standard_normal((4, 3)))
-    o, w = temporal_pool(T, Tensor(rng.standard_normal((4, 1))), ps)
+    o, w = temporal_pool(T, Tensor(rng.standard_normal((4, 1))), ps, (3,))
     assert np.allclose(w.data, np.full((3, 1), 1 / 3))
     assert np.allclose(o.data, T.data.mean(axis=1, keepdims=True), atol=1e-14)
 
@@ -377,7 +383,7 @@ def test_temporal_pool_matches_hand_attention():
     ps = params_of(rng)
     T = Tensor(rng.standard_normal((4, 3)))
     q = Tensor(rng.standard_normal((4, 1)))
-    o, w = temporal_pool(T, q, ps)
+    o, w = temporal_pool(T, q, ps, (3,))
     logits = T.data.T @ (ps["temporal.attn.w"].data @ q.data)
     e = np.exp(logits - logits.max())
     ref_w = e / e.sum()
@@ -392,7 +398,7 @@ def test_predict_zero_head_gives_half():
     ps = params_of(rng)
     zero_group(ps, "head.hidden")
     zero_group(ps, "head.out")
-    p, _ = predict_global(Tensor(rng.standard_normal((4, 1))), ps)
+    p, _ = predict_global(Tensor(rng.standard_normal((4, 1))), ps, (1,))
     assert p.item() == 0.5
 
 
@@ -400,8 +406,8 @@ def test_predict_mean_idempotent_on_duplicates():
     rng = np.random.default_rng(17)
     ps = params_of(rng)
     o = Tensor(rng.standard_normal((4, 1)))
-    p1, _ = predict_global(o, ps)
-    p2, _ = predict_global(tn.concat([o, o.detach()], axis=1), ps)
+    p1, _ = predict_global(o, ps, (1,))
+    p2, _ = predict_global(tn.concat([o, Tensor(o.data)], axis=1), ps, (2,))
     assert abs(p1.item() - p2.item()) < 1e-14
 
 
@@ -510,11 +516,12 @@ def test_batched_levels_match_one_segment_and_one_query_at_a_time():
     S = Tensor(rng.standard_normal((4, sum(s_sizes))))
     seg = refine_segment(V, S, ps, cfg, v_sizes, s_sizes)
     queries = [Tensor(rng.standard_normal((4, 1))) for _ in range(2)]
-    temporal = reason_over_segments(seg, tn.concat(queries, axis=1), ps, cfg)
+    temporal = reason_over_segments(seg, tn.concat(queries, axis=1), ps, cfg, ((3, 2),))
     v_bounds = np.cumsum((0,) + v_sizes)
     s_bounds = np.cumsum((0,) + s_sizes)
     alone = [refine_segment(Tensor(V.data[:, v_bounds[i]:v_bounds[i + 1]]),
-                            Tensor(S.data[:, s_bounds[i]:s_bounds[i + 1]]), ps, cfg)
+                            Tensor(S.data[:, s_bounds[i]:s_bounds[i + 1]]), ps, cfg,
+                            (v_sizes[i],), (s_sizes[i],))
              for i in range(3)]
     for i, one in enumerate(alone):
         assert np.allclose(seg.visual.data[:, v_bounds[i]:v_bounds[i + 1]], one.visual.data,
@@ -523,11 +530,11 @@ def test_batched_levels_match_one_segment_and_one_query_at_a_time():
                            rtol=0, atol=1e-14)
     for q, query in enumerate(queries):
         block = temporal.query_ids == q
-        nodes = [segment_pool(one, query, ps)[0] for one in alone]
+        nodes = [segment_pool(one, query, ps, ONE_PAIR)[0] for one in alone]
         assert np.allclose(temporal.nodes.data[:, block], np.hstack([n.data for n in nodes]),
                            rtol=0, atol=1e-14)
         T, _ = self_pass(tn.concat(nodes, axis=1), ps, "temporal.gate")
-        glob, weights = temporal_pool(T, query, ps)
+        glob, weights = temporal_pool(T, query, ps, (3,))
         assert np.allclose(temporal.global_nodes.data[:, q : q + 1], glob.data, rtol=0, atol=1e-14)
         assert np.allclose(temporal.pool_weights[block, q : q + 1], weights.data, rtol=0, atol=1e-14)
 
@@ -595,9 +602,9 @@ def test_tape_size_does_not_grow_with_the_query_count():
     for n_q in (2, 3):
         Q = tn.concat([Tensor(rng.standard_normal((4, 1))) for _ in range(n_q)], axis=1)
         start = Tensor(0.0).tape_id
-        temporal = reason_over_segments(seg, Q, ps, cfg)
-        predict_global(temporal.global_nodes, ps)
-        contrastive_loss(temporal, ps, beta=0.1, buffer=buffer)
+        temporal = reason_over_segments(seg, Q, ps, cfg, ((3, n_q),))
+        predict_global(temporal.global_nodes, ps, (n_q,))
+        contrastive_loss(temporal, ps, beta=0.1, sizes=(n_q,), buffer=buffer)
         counts.append(Tensor(0.0).tape_id - start)
     assert counts[0] == counts[1], counts
 
@@ -639,14 +646,14 @@ def rel_close(got, want, tol=1e-12):
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_lockstep_batch_matches_clips_run_one_at_a_time(case):
     from vlgraph.tensor import backward
-    from vlgraph.train import run_clip, run_clips
+    from vlgraph.train import run_clips
     ps, clips, buffer = lockstep_setup()
     cfg = cfg_of(d=6, **BATCH_CASES[case])
     want_grads = {name: np.zeros_like(p.data) for name, p in ps.items()}
     alone = []
     for clip in clips:
         ps.zero_grad()
-        bundle, trace = run_clip(clip, ps, cfg, buffer)
+        bundle, trace = run_clips([clip], ps, cfg, buffer)
         for name, g in backward(bundle.total, ps).items():
             want_grads[name] += g
         alone.append((trace.prob.item(), bundle.as_floats()[0], trace.n_queries))
@@ -738,7 +745,7 @@ def test_perturbing_one_clip_leaves_its_batch_mates_unchanged():
 
 def test_one_node_clip_without_negatives_is_skipped_beside_its_batch_mates():
     from vlgraph.tensor import backward
-    from vlgraph.train import run_clip, run_clips
+    from vlgraph.train import run_clips
     ps, clips, _ = lockstep_setup()
     cfg = cfg_of(d=6, fixed_queries=1)
     clips = clips[1:3] + [clips[0]] + clips[3:]       # the one-segment clip, inside the batch
@@ -747,7 +754,7 @@ def test_one_node_clip_without_negatives_is_skipped_beside_its_batch_mates():
     alone = []
     for clip in clips:
         ps.zero_grad()
-        bundle, _ = run_clip(clip, ps, cfg, empty)
+        bundle, _ = run_clips([clip], ps, cfg, empty)
         for name, g in backward(bundle.total, ps).items():
             want_grads[name] += g
         alone.append(bundle.as_floats()[0])
@@ -756,7 +763,7 @@ def test_one_node_clip_without_negatives_is_skipped_beside_its_batch_mates():
     got_grads = backward(bundle.total.sum(), ps)
     assert batch.temporal.sizes == (3, 2, 1, 2)         # the third clip has one temporal node
     assert bundle.as_floats()[2]["l_cl"] == 0.0
-    res = contrastive_loss(batch.temporal, ps, cfg.beta, empty, batch.query.counts)
+    res = contrastive_loss(batch.temporal, ps, cfg.beta, batch.query.counts, empty)
     assert res.n_skipped == 1 and res.n_pairs == 7
     for i, (got, want) in enumerate(zip(bundle.as_floats(), alone)):
         for key, value in want.items():

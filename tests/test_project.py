@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import math
 import tomllib
@@ -82,3 +83,30 @@ def test_package_modules_import_only_what_the_layering_allows():
     for name, path in sorted(modules.items()):
         extra = package_imports(path) - ALLOWED_IMPORTS[name]
         assert not extra, f"{name} imports {sorted(extra)}, beyond {sorted(ALLOWED_IMPORTS[name])}"
+
+
+# Block layouts are always passed: no parameter that names one has a default.
+# `transport_loss` keeps its one-clip `sizes` default while the benchmark
+# harness calls it as `transport_loss(segments, cfg)`.
+LAYOUT_DEFAULT_ALLOWED = {"vlgraph.transport.transport_loss"}
+
+
+def is_layout(name: str) -> bool:
+    return name in ("sizes", "clips", "pairs") or name.endswith("_sizes")
+
+
+def test_block_layouts_have_no_default():
+    callables = {}
+    for module_name in ("model", "mi", "transport", "train", "tensor", "graph"):
+        module = importlib.import_module(f"vlgraph.{module_name}")
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                if obj.__module__ == module.__name__:
+                    callables[f"{module.__name__}.{name}"] = obj
+    assert {"vlgraph.tensor.SortedStructure", "vlgraph.model.SegmentTrace"} <= callables.keys()
+    defaulted = sorted(
+        f"{name}({param.name})" for name, obj in callables.items()
+        for param in inspect.signature(obj).parameters.values()
+        if is_layout(param.name) and param.default is not inspect.Parameter.empty
+        and name not in LAYOUT_DEFAULT_ALLOWED)
+    assert defaulted == [], f"layout parameters with a default: {defaulted}"

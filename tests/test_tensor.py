@@ -213,7 +213,7 @@ def test_backward_sum_gives_ones():
 
 def test_backward_quadratic_gives_p():
     ps = make_params(np.random.default_rng(3), p=(4, 1))
-    loss = tn.scale(tn.matmul(ps["p"].T, ps["p"]), 0.5)
+    loss = tn.mul(tn.matmul(ps["p"].T, ps["p"]), 0.5)
     grads = backward(loss, ps)
     assert np.allclose(grads["p"], ps["p"].data, atol=1e-12)
 
@@ -433,7 +433,7 @@ OPS = {
     "add": (lambda ps: tn.add(ps["a"], ps["b"]).sum(), {"a": (3, 2), "b": (3, 2)}),
     "sub": (lambda ps: tn.sub(ps["a"], ps["b"]).sum(), {"a": (3, 2), "b": (3, 2)}),
     "mul": (lambda ps: tn.mul(ps["a"], ps["b"]).sum(), {"a": (3, 2), "b": (3, 2)}),
-    "scale": (lambda ps: tn.scale(ps["a"], -1.7).sum(), {"a": (3, 2)}),
+    "scale": (lambda ps: tn.mul(ps["a"], -1.7).sum(), {"a": (3, 2)}),
     "matmul": (lambda ps: tn.matmul(ps["a"], ps["b"]).sum(), {"a": (2, 3), "b": (3, 2)}),
     "transpose": (lambda ps: tn.matmul(ps["a"].T, ps["a"]).sum(), {"a": (3, 2)}),
     "concat0": (lambda ps: tn.concat([ps["a"], ps["b"]], axis=0).mean(), {"a": (2, 2), "b": (3, 2)}),
@@ -488,6 +488,11 @@ def test_log_gradcheck_positive_domain():
         assert grad_check(lambda: log(ps["a"]).sum(), ps).passed(1e-4)
 
 
+def one_segment(a, b):
+    """The structure of costs a and b as one segment."""
+    return tn.SortedStructure(a, b, (a.shape[0],), (b.shape[0],))
+
+
 def test_gw_pair_cost_gradcheck():
     # kinks sit where intra costs tie; keep entries well separated
     for seed in range(100):
@@ -500,7 +505,7 @@ def test_gw_pair_cost_gradcheck():
 
         def cost():
             return tn.gw_pair_cost(ps["ca"], ps["cb"], plan,
-                                   tn.SortedStructure(ps["ca"].data, ps["cb"].data))
+                                   one_segment(ps["ca"].data, ps["cb"].data))
 
         assert grad_check(cost, ps).passed(1e-4)
 
@@ -546,13 +551,13 @@ def test_sorted_structure_matches_dense_oracle(kind):
     for seed in range(100):
         a, b, plan = structure_case(kind, seed)
         lin, value, grad_a, grad_b = dense_structure(a, b, plan)
-        st = tn.SortedStructure(a, b)
+        st = one_segment(a, b)
         assert_close(st.linearize(plan), lin, f"{kind} {seed} L")
         got_a, got_b = st.gradients(plan)
         assert_close(got_a, grad_a, f"{kind} {seed} d/dA")
         assert_close(got_b, grad_b, f"{kind} {seed} d/dB")
         ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
-        out = tn.gw_pair_cost(ta, tb, plan, tn.SortedStructure(ta.data, tb.data))
+        out = tn.gw_pair_cost(ta, tb, plan, one_segment(ta.data, tb.data))
         assert_close(out.item(), value, f"{kind} {seed} value")
         out.grad = np.ones((1, 1))
         out._backward(out)
@@ -562,7 +567,7 @@ def test_sorted_structure_matches_dense_oracle(kind):
 
 def test_sorted_structure_linearizes_each_new_plan():
     a, b, plan = structure_case("random", 3)
-    st = tn.SortedStructure(a, b)
+    st = one_segment(a, b)
     first = st.linearize(plan).copy()
     other = np.roll(plan, 1, axis=1)
     assert_close(st.linearize(other), dense_structure(a, b, other)[0], "second plan")
@@ -573,13 +578,13 @@ def test_gw_pair_cost_rejects_a_structure_of_other_arrays():
     a, b, plan = structure_case("random", 5)
     ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
     # equal values are not enough: the structure must hold the costs' own arrays
-    others = (tn.SortedStructure(a[::-1, ::-1].copy(), b), tn.SortedStructure(a, b[::-1].copy()),
-              tn.SortedStructure(ta.data.copy(), tb.data))
+    others = (one_segment(a[::-1, ::-1].copy(), b), one_segment(a, b[::-1].copy()),
+              one_segment(ta.data.copy(), tb.data))
     for stale in others:
         with pytest.raises(ContractError, match="structure was built from other arrays"):
             tn.gw_pair_cost(ta, tb, plan, stale)
     with pytest.raises(ShapeError, match="does not fit costs"):
-        tn.gw_pair_cost(ta, tb, plan.T, tn.SortedStructure(ta.data, tb.data))
+        tn.gw_pair_cost(ta, tb, plan.T, one_segment(ta.data, tb.data))
 
 
 def test_log_rejects_nonpositive():

@@ -21,7 +21,6 @@ from vlgraph.train import (
     evaluate,
     evaluate_accuracy,
     load_checkpoint,
-    run_clip,
     run_clips,
     save_checkpoint,
     sub_windows,
@@ -57,7 +56,7 @@ def test_training_step_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        bundle, trace = run_clip(clip, params, cfg, buffer)
+        bundle, trace = run_clips([clip], params, cfg, buffer)
         backward(bundle.total, params)
         del bundle, trace
         assert gc.collect() == 0
@@ -76,7 +75,7 @@ def test_entropy_loss_at_half_is_ln2():
     clip = clips_of(1)[0]
     for label in (0, 1):
         clip.label = label
-        bundle, trace = run_clip(clip, params, cfg)
+        bundle, trace = run_clips([clip], params, cfg)
         assert trace.prob.item() == 0.5
         assert abs(bundle.ent.item() - math.log(2.0)) <= 1e-12
 
@@ -88,7 +87,7 @@ def test_entropy_loss_of_confident_wrong_logit_is_the_logit(logit):
     params["head.out.w"].data[:] = 0.0
     params["head.out.b"].data[:] = logit
     clip = [c for c in clips_of(4) if c.label == 0][0]
-    bundle, trace = run_clip(clip, params, cfg)
+    bundle, trace = run_clips([clip], params, cfg)
     assert trace.logit.item() == logit
     assert abs(bundle.as_floats()[0]["l_ent"] - logit) <= 1e-9
 
@@ -96,7 +95,7 @@ def test_entropy_loss_of_confident_wrong_logit_is_the_logit(logit):
 def test_total_reduces_to_entropy_when_weights_zero():
     cfg = small_cfg(alpha=0.0, beta=0.0, query_cost=0.0)
     params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(1))
-    bundle, _ = run_clip(clips_of(1)[0], params, cfg)
+    bundle, _ = run_clips([clips_of(1)[0]], params, cfg)
     assert bundle.total.item() == bundle.ent.item()
     assert bundle.qe.item() == 0.0 and bundle.cm.item() == 0.0 and bundle.cl.item() == 0.0
 
@@ -104,7 +103,7 @@ def test_total_reduces_to_entropy_when_weights_zero():
 def test_total_is_exact_sum_of_components():
     cfg = small_cfg()
     params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(2))
-    bundle, _ = run_clip(clips_of(1)[0], params, cfg, NegativeBuffer(8))
+    bundle, _ = run_clips([clips_of(1)[0]], params, cfg, NegativeBuffer(8))
     expected = ((bundle.ent.item() + bundle.qe.item()) + bundle.cm.item()) + bundle.cl.item()
     assert bundle.total.item() == expected
     example = ((0.693 + 0.16) + 0.02) + 0.05
@@ -115,7 +114,7 @@ def test_loss_components_finite_and_signed_as_specified():
     cfg = small_cfg()
     params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(3))
     for clip in clips_of(6, seed=5):
-        bundle, _ = run_clip(clip, params, cfg, NegativeBuffer(16))
+        bundle, _ = run_clips([clip], params, cfg, NegativeBuffer(16))
         vals = bundle.as_floats()[0]
         assert all(math.isfinite(v) for v in vals.values())
         assert vals["l_ent"] >= 0.0 and vals["l_qe_surrogate"] >= 0.0 and vals["l_cm"] >= 0.0
@@ -125,7 +124,7 @@ def test_nonfinite_loss_aborts_with_component_name():
     cfg = small_cfg()
     params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(4))
     params["head.out.w"].data[:] = np.nan
-    bundle, _ = run_clip(clips_of(1)[0], params, cfg)
+    bundle, _ = run_clips([clips_of(1)[0]], params, cfg)
     with pytest.raises(NumericalError, match="l_ent"):
         bundle.check_finite(["clip"])
 
@@ -198,7 +197,7 @@ def test_gradient_accumulation_matches_mean_loss_step():
     pa = fresh()
     opt_a = Adam(pa, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     for clip in clips:
-        bundle, _ = run_clip(clip, pa, cfg)
+        bundle, _ = run_clips([clip], pa, cfg)
         backward(bundle.total, pa)
     opt_a.step(grad_scale=1.0 / len(clips))
 
@@ -206,8 +205,8 @@ def test_gradient_accumulation_matches_mean_loss_step():
     pb = fresh()
     opt_b = Adam(pb, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     from vlgraph import tensor as tn
-    losses = [run_clip(clip, pb, cfg)[0].total for clip in clips]
-    mean_loss = tn.scale(tn.concat(losses, axis=0).sum(), 1.0 / len(clips))
+    losses = [run_clips([clip], pb, cfg)[0].total for clip in clips]
+    mean_loss = tn.mul(tn.concat(losses, axis=0).sum(), 1.0 / len(clips))
     backward(mean_loss, pb)
     opt_b.step()
 
@@ -279,11 +278,11 @@ def test_window_gradient_is_the_sum_of_per_clip_gradients():
     want = {name: np.zeros_like(p.data) for name, p in params.items()}
     for clip in clips:
         params.zero_grad()
-        for name, g in backward(run_clip(clip, params, cfg, buffer)[0].total, params).items():
+        for name, g in backward(run_clips([clip], params, cfg, buffer)[0].total, params).items():
             want[name] += g
     params.zero_grad()
     for clip in clips:
-        backward(run_clip(clip, params, cfg, buffer)[0].total)
+        backward(run_clips([clip], params, cfg, buffer)[0].total)
     assert len(params["temporal.gate.w"].factors) == len(clips)
     for name, p in params.items():
         got = p.form_grad(np.empty_like(p.data))
@@ -320,7 +319,7 @@ def test_adam_step_forms_the_deferred_weight_gradients():
         params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(5))
         opt = Adam(params, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
         for i, clip in enumerate(clips):
-            loss = run_clip(clip, params, cfg, buffer)[0].total
+            loss = run_clips([clip], params, cfg, buffer)[0].total
             backward(loss, params if form_in_backward and i == len(clips) - 1 else None)
         return params, opt
 
@@ -337,12 +336,12 @@ def test_adam_step_forms_the_deferred_weight_gradients():
 
 def test_zero_grad_between_clips_keeps_only_the_second_clip():
     cfg, params, buffer, clips = window_setup()
-    backward(run_clip(clips[0], params, cfg, buffer)[0].total)
+    backward(run_clips([clips[0]], params, cfg, buffer)[0].total)
     params.zero_grad()
     got = {name: g.copy() for name, g in
-           backward(run_clip(clips[1], params, cfg, buffer)[0].total, params).items()}
+           backward(run_clips([clips[1]], params, cfg, buffer)[0].total, params).items()}
     params.zero_grad()
-    want = backward(run_clip(clips[1], params, cfg, buffer)[0].total, params)
+    want = backward(run_clips([clips[1]], params, cfg, buffer)[0].total, params)
     for name, g in want.items():
         assert np.array_equal(got[name], g), name
 
@@ -398,11 +397,11 @@ def test_batched_evaluate_uses_in_clip_negatives_only():
     clips = clips_of(8)
     assert max(len(run) for run in sub_windows(clips)) > 1
     res = evaluate(clips, params, cfg)
-    per_clip = [run_clip(clip, params, cfg)[0].as_floats()[0] for clip in clips]
+    per_clip = [run_clips([clip], params, cfg)[0].as_floats()[0] for clip in clips]
     for key, value in res.mean_losses.items():
         want = sum(floats[key] for floats in per_clip) / len(clips)
         assert abs(value - want) <= 1e-12 * abs(want), (key, value, want)
-    probs = [run_clip(clip, params, cfg)[1].prob.item() for clip in clips]
+    probs = [run_clips([clip], params, cfg)[1].prob.item() for clip in clips]
     assert res.accuracy == sum((p > 0.5) == bool(c.label) for p, c in zip(probs, clips)) / len(clips)
 
 

@@ -26,9 +26,12 @@ def np_cosine_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(1.0 - (a / na).T @ (b / nb), 0.0, 2.0)
 
 
-def solve(node_cost, intra_a, intra_b, cfg, a_sizes=(), b_sizes=()) -> Coupling:
-    """`solve_plan` on the structure of the two intra costs and their blocks
-    (one segment by default), as `transport_loss` builds it."""
+def solve(node_cost, intra_a, intra_b, cfg, a_sizes=None, b_sizes=None) -> Coupling:
+    """`solve_plan` on the structure of the two intra costs, as
+    `transport_loss` builds it: blocks of `a_sizes` and `b_sizes` nodes, or
+    one segment of all of them when the sizes are not given."""
+    a_sizes = (len(intra_a),) if a_sizes is None else a_sizes
+    b_sizes = (len(intra_b),) if b_sizes is None else b_sizes
     return solve_plan(node_cost, tn.SortedStructure(intra_a, intra_b, a_sizes, b_sizes), cfg)
 
 
@@ -251,7 +254,8 @@ def test_marginals_satisfied_on_coupling():
 
 def seg_of(rng, d=4, k=3, n_tokens=2):
     return SegmentTrace(visual=Tensor(rng.standard_normal((d, k))),
-                        text=Tensor(rng.standard_normal((d, n_tokens))))
+                        text=Tensor(rng.standard_normal((d, n_tokens))), v_sizes=(k,),
+                        s_sizes=(n_tokens,))
 
 
 def test_loss_zero_when_alpha_zero():
@@ -263,7 +267,7 @@ def test_loss_zero_when_alpha_zero():
 def test_loss_identical_modalities_small():
     rng = np.random.default_rng(8)
     nodes = rng.standard_normal((4, 3))
-    seg = SegmentTrace(visual=Tensor(nodes), text=Tensor(nodes.copy()))
+    seg = SegmentTrace(visual=Tensor(nodes), text=Tensor(nodes.copy()), v_sizes=(3,), s_sizes=(3,))
     loss, _ = transport_loss(seg, tight_cfg(alpha=0.1))
     assert 0.0 <= loss.item() <= 0.1 * 1e-2
 
@@ -288,7 +292,7 @@ def test_loss_gradients_flow_through_costs_with_frozen_plan():
     cfg = TrainConfig(alpha=0.3, ot_sinkhorn_iters=2000)
 
     def seg():
-        return SegmentTrace(visual=ps["v"], text=ps["s"])
+        return SegmentTrace(visual=ps["v"], text=ps["s"], v_sizes=(3,), s_sizes=(2,))
 
     _, plans = transport_loss(seg(), cfg)
     rep = grad_check(lambda: transport_loss(seg(), cfg, frozen_plans=plans)[0], ps)
@@ -309,7 +313,7 @@ def test_loss_backward_reaches_upstream_parameters():
     ps = ParamStore()
     ps.add("v", rng.standard_normal((3, 4)))
     ps.add("s", rng.standard_normal((3, 2)))
-    loss, _ = transport_loss(SegmentTrace(visual=ps["v"], text=ps["s"]),
+    loss, _ = transport_loss(SegmentTrace(visual=ps["v"], text=ps["s"], v_sizes=(4,), s_sizes=(2,)),
                              TrainConfig(ot_sinkhorn_iters=500))
     grads = backward(loss, ps)
     assert np.any(grads["v"] != 0) and np.any(grads["s"] != 0)
@@ -332,7 +336,7 @@ def test_structure_is_built_once_per_call(monkeypatch):
     built = []
 
     class Counted(tn.SortedStructure):
-        def __init__(self, a, b, a_sizes=(), b_sizes=()):
+        def __init__(self, a, b, a_sizes, b_sizes):
             built.append((a.shape, b.shape, tuple(a_sizes), tuple(b_sizes)))
             super().__init__(a, b, a_sizes, b_sizes)
 
@@ -464,10 +468,10 @@ def per_segment_loss(segments, cfg, sizes):
         intra_s, intra_v = tn.cosine_cost(text, text), tn.cosine_cost(visual, visual)
         plan, _, _ = dense_solve_plan(node.data, intra_s.data, intra_v.data, cfg)
         plans.append(plan)
-        structure = tn.SortedStructure(intra_s.data, intra_v.data)
+        structure = tn.SortedStructure(intra_s.data, intra_v.data, (s1 - s0,), (v1 - v0,))
         terms.append(tn.add(tn.mul(node, Tensor(cfg.lam * plan)).sum(),
                             tn.gw_pair_cost(intra_s, intra_v, plan, structure)))
-    return tn.scale(tn.block_mean(tn.concat(terms, axis=1), sizes), cfg.alpha), plans
+    return tn.mul(tn.block_mean(tn.concat(terms, axis=1), sizes), cfg.alpha), plans
 
 
 def test_batched_loss_and_gradients_match_segments_taken_one_at_a_time():
@@ -510,3 +514,35 @@ def test_frozen_plans_are_checked_segment_by_segment():
     ):
         with pytest.raises(ContractError, match=message):
             transport_loss(both, TrainConfig(), frozen_plans=frozen)
+
+
+# ------------------------------------------------- structure-only matching
+
+def test_structure_term_recovers_a_planted_matching():
+    # lam = 0: only the structure term |A_ik - B_jl| drives the plan. Each
+    # trial's visual nodes are its text nodes permuted plus noise, so the two
+    # intra costs share their structure up to the planted matching; an
+    # unrelated segment pairs the same text nodes with independent ones. Over
+    # seeds 0-19 at 120 trials, rows recovered read 0.83-0.90 and aligned
+    # below unrelated 0.89-0.98; chance is about 1/n and 1/2.
+    rng = np.random.default_rng(0)
+    d, noise, trials = 32, 0.3, 120
+    segments, partners = [], []
+    for _ in range(trials):
+        n = int(rng.integers(3, 9))
+        text = rng.standard_normal((d, n))
+        perm = rng.permutation(n)
+        aligned = text[:, perm] + noise * rng.standard_normal((d, n))
+        for visual in (aligned, rng.standard_normal((d, n))):
+            segments.append((np_cosine_cost(text, visual), np_cosine_cost(text, text),
+                             np_cosine_cost(visual, visual)))
+        partners.append(np.argsort(perm))          # text node i went to visual column partner[i]
+    node, intra_a, intra_b, n, m = batch_of(segments, rng)
+    coupling = solve(node, intra_a, intra_b, TrainConfig(lam=0.0), n, m)
+    blocks = list(zip(block_bounds(n), block_bounds(m)))
+    hits = [coupling.plan[a0:a1, b0:b1].argmax(axis=1) == partner
+            for ((a0, a1), (b0, b1)), partner in zip(blocks[0::2], partners)]
+    recovered = np.concatenate(hits).mean()
+    aligned_closer = np.mean(coupling.distance[0::2] < coupling.distance[1::2])
+    assert recovered >= 0.75, recovered
+    assert aligned_closer >= 0.8, aligned_closer
