@@ -42,7 +42,7 @@ class NegativeBuffer:
     (d, n) column view.
     """
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ContractError("buffer capacity must be positive")
         self.capacity = capacity

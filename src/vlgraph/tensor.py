@@ -578,7 +578,8 @@ class SortedStructure:
     of a segment is ranked in every sorted row B_j of that segment twice,
     strictly (how many B_jl < A_ik) and not (how many B_jl <= A_ik), so
     entries tied with A_ik count on neither side and sign(0) = 0 holds
-    exactly.
+    exactly. No coupling is kept: `solve_plan` linearises at each round's
+    plan, and `gw_pair_cost` at the final one, for the distance.
 
     For a coupling T, signed prefix sums along the sorted rows, P[r] = (sum
     of the first r entries) - (sum of the rest), taken of T_kl and of
@@ -595,9 +596,7 @@ class SortedStructure:
     Only the setup searches segment by segment, each among its own values,
     so no value is ever offset to keep segments apart. A batch of
     same-shaped segments is one stack; segments of distinct shapes (long
-    ones, say) are stacks of one, each as cheap as a lone segment. The last
-    full linearisation is kept, so a second `linearize` at the same coupling
-    costs a comparison.
+    ones, say) are stacks of one, each as cheap as a lone segment.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, a_sizes: Sequence[int],
@@ -621,7 +620,6 @@ class SortedStructure:
             _Stack(a, b, a0[ids], b0[ids], n[ids[0]], m[ids[0]])
             for ids in (np.flatnonzero(self._stack_of == k) for k in range(kinds.size))
         ]
-        self._memo: tuple[np.ndarray, np.ndarray] | None = None
 
     def linearize(self, plan: np.ndarray, segments: np.ndarray | None = None) -> np.ndarray:
         """L_ij = sum_kl |A_ik - B_jl| T_kl within each segment, an (L, K) array.
@@ -629,18 +627,13 @@ class SortedStructure:
         With `segments` (indices), only the stacks that hold one of them are
         linearised, and the blocks of the other stacks read 0.
         """
-        if segments is None and self._memo is not None and np.array_equal(self._memo[0], plan):
-            return self._memo[1]
         flat = plan.ravel()
         lin = np.zeros(flat.size)
         wanted = range(len(self._stacks)) if segments is None else set(self._stack_of[segments])
         for k in wanted:
             self._stacks[k].linearize(flat, lin)
         # each L_ij sums nonnegative terms; the signed sums can round a 0 below it
-        lin = np.maximum(lin, 0.0, out=lin).reshape(plan.shape)
-        if segments is None:
-            self._memo = (plan.copy(), lin)
-        return lin
+        return np.maximum(lin, 0.0, out=lin).reshape(plan.shape)
 
     def gradients(self, plan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """d/dA and d/dB of each segment's sum_{ijkl} T_ij T_kl |A_ik - B_jl|

@@ -67,7 +67,7 @@ CKPT_DTYPE = np.dtype("<f4")   # the one payload type of a checkpoint
 # again after them.
 SUB_WINDOW_NODES = 128
 
-# the JSON values each `TrainConfig` annotation accepts (bool is not an int here)
+# the values each `TrainConfig` annotation accepts, in code and in JSON (bool is not an int here)
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "int | None": (int, type(None))}
 
 
@@ -106,15 +106,18 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _JSON_TYPES[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+                raise ContractError(f"config key {f.name!r}: {value!r} is not {f.type}")
             if f.type != "float":
                 continue
             try:
-                finite = math.isfinite(getattr(self, f.name))
+                finite = math.isfinite(value)
             except OverflowError:          # an int beyond float range
                 raise ContractError(f"{f.name} must be finite, got an integer beyond "
                                     f"float range") from None
             if not finite:
-                raise ContractError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+                raise ContractError(f"{f.name} must be finite, got {value}")
         for name in ("dim", "max_queries", "effective_batch", "neg_buffer",
                      "ot_sinkhorn_iters", "ot_gw_outer_iters"):
             if getattr(self, name) < 1:
@@ -123,10 +126,7 @@ class TrainConfig:
             raise ContractError("halt_eps must lie in (0, 1)")
         if not self.ot_eps_reg > 0:
             raise ContractError("ot_eps_reg must be positive")
-        for name in ("query_cost", "lr", "alpha", "beta", "lam", "ot_tol"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be nonnegative")
-        for name in ("epochs", "seed"):
+        for name in ("query_cost", "lr", "alpha", "beta", "lam", "ot_tol", "epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be nonnegative")
         for name in ("adam_beta1", "adam_beta2"):
@@ -151,14 +151,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - set(kinds))
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ContractError(f"unknown config keys: {unknown}")
-        for name, value in data.items():
-            kind = kinds[name]
-            if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
-                raise ContractError(f"config key {name!r}: {value!r} is not {kind}")
         return cls(**data)
 
 
@@ -237,8 +232,7 @@ class Adam:
 
     BLOCK = 32_768
 
-    def __init__(self, params: ParamStore, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParamStore, lr: float, beta1: float, beta2: float, eps: float):
         self.params = params
         self.lr = lr
         self.beta1 = beta1

@@ -29,7 +29,9 @@ and both gradients then come from prefix sums of the plan along the sorted
 rows. `transport_loss` builds that structure, on a solved plan and on a
 frozen one alike, and hands it to `solve_plan` for the rounds and to
 `tensor.gw_pair_cost` for the loss and its gradients; the blocks of both
-come from it. The loss takes a fixed number of tape ops per batch.
+come from it. `solve_plan` returns the plan and its diagnostics only: the
+loss is the one place that computes each segment's distance, sum T * (lam C
++ L_T) over its block, in a fixed number of tape ops per batch.
 
 Training gradients use the envelope convention: the converged plan is a
 constant and gradients flow through the cost matrices only.
@@ -37,7 +39,6 @@ constant and gradients flow through the cost matrices only.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,15 +53,11 @@ from .tensor import Tensor
 if TYPE_CHECKING:
     from .train import TrainConfig
 
-log = logging.getLogger(__name__)
-
 
 @dataclass
 class Coupling:
-    plan: np.ndarray              # (L, K): each segment's plan in its block, zero elsewhere
-    p: np.ndarray                 # (L,) row marginals, uniform within each segment
-    q: np.ndarray                 # (K,)
-    distance: np.ndarray          # (n_segments,) fused distance of each segment
+    plan: np.ndarray              # (L, K): each segment's plan in its block, zero elsewhere;
+                                  # an n x m block has row sums 1/n and column sums 1/m
     marginal_err: np.ndarray      # (n_segments,) of each segment's last Sinkhorn call
     rounds: np.ndarray            # (n_segments,) Sinkhorn calls of each segment
     converged: int                # segments whose last call reached ot_tol
@@ -77,7 +74,7 @@ def sinkhorn(
     q: np.ndarray,
     eps_reg: float,
     iters: int,
-    tol: float = 1e-6,
+    tol: float,
     warm: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Alternating marginal scaling in the log domain, for a batch of problems.
@@ -163,7 +160,8 @@ def _padded_blocks(n: np.ndarray, m: np.ndarray, K: int) -> tuple[np.ndarray, ..
 def solve_plan(node_cost: np.ndarray, structure: tn.SortedStructure, cfg: TrainConfig) -> Coupling:
     """Fused node/structure transport with uniform marginals for every
     segment of a batch (module docstring). `structure` holds the two intra
-    costs, and its blocks are the segments of `node_cost`."""
+    costs, and its blocks are the segments of `node_cost`. Returns the plan
+    and its diagnostics; `transport_loss` computes the distance."""
     node_cost = np.asarray(node_cost, dtype=np.float64)
     n, m = np.asarray(structure.a_sizes), np.asarray(structure.b_sizes)
     L, K = structure.a.shape[0], structure.b.shape[0]
@@ -192,10 +190,7 @@ def solve_plan(node_cost: np.ndarray, structure: tn.SortedStructure, cfg: TrainC
                 break
             index, node, p, q = index[moving], node[moving], p[moving], q[moving]
             warm = (warm[0][moving], warm[1][moving])
-    fused = cfg.lam * node_cost + structure.linearize(plan)
-    distance = np.add.reduceat((plan * fused).sum(axis=1), np.cumsum(n) - n)
-    return Coupling(plan=plan, p=np.repeat(1.0 / n, n), q=np.repeat(1.0 / m, m),
-                    distance=distance, marginal_err=err, rounds=rounds,
+    return Coupling(plan=plan, marginal_err=err, rounds=rounds,
                     converged=int(np.count_nonzero(err <= cfg.ot_tol)))
 
 

@@ -69,7 +69,7 @@ class _SolveCounter:
     """Counts Sinkhorn calls, solves and converged solves per segment while
     installed. A version that solves one segment per call counts one of
     each per call; a batched one counts the segments along the leading axis
-    of each Sinkhorn cost, the segments of each solve (its `distance` entries)
+    of each Sinkhorn cost, the segments of each solve (its `rounds` entries)
     and its count of converged segments."""
 
     def __init__(self) -> None:
@@ -86,7 +86,7 @@ class _SolveCounter:
 
         def solve_plan(*args, **kwargs):
             coupling = self._solve(*args, **kwargs)
-            self.solves += np.size(coupling.distance)
+            self.solves += np.size(coupling.rounds)
             self.converged += int(coupling.converged)
             return coupling
 

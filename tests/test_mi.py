@@ -238,7 +238,7 @@ def test_correlated_pairs_beat_shuffled_after_training():
                 terms.append(tn.sub(tn.gather(scores.T, [k]), tn.logsumexp(scores)))
             return tn.concat(terms, axis=0).mean()
 
-        opt = Adam(ps, lr=0.01)
+        opt = Adam(ps, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         identity = list(range(n))
         for _ in range(200):
             ps.zero_grad()

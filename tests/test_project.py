@@ -110,3 +110,22 @@ def test_block_layouts_have_no_default():
         if is_layout(param.name) and param.default is not inspect.Parameter.empty
         and name not in LAYOUT_DEFAULT_ALLOWED)
     assert defaulted == [], f"layout parameters with a default: {defaulted}"
+
+
+# Settings that `TrainConfig` declares reach these parameters at every call,
+# so none of them restates the config's default.
+CONFIG_SETTINGS = {
+    "vlgraph.train.Adam": ("beta1", "beta2", "eps"),
+    "vlgraph.mi.NegativeBuffer": ("capacity",),
+    "vlgraph.transport.sinkhorn": ("tol",),
+}
+
+
+def test_config_settings_have_no_default():
+    defaulted = []
+    for target, names in sorted(CONFIG_SETTINGS.items()):
+        module, _, attr = target.rpartition(".")
+        params = inspect.signature(getattr(importlib.import_module(module), attr)).parameters
+        defaulted += [f"{target}({name})" for name in names
+                      if params[name].default is not inspect.Parameter.empty]
+    assert defaulted == [], f"config settings with a default: {defaulted}"

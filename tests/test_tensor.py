@@ -257,7 +257,7 @@ def test_parameter_gradient_mixes_direct_and_factored_parts():
     backward(f(deferred))
     backward(f(formed), formed)
     for store in (deferred, formed):
-        Adam(store, 1e-2).step()
+        Adam(store, 1e-2, 0.9, 0.999, 1e-8).step()
     for name, p in deferred.items():
         assert np.array_equal(p.data, formed[name].data), name
 

@@ -690,6 +690,17 @@ def test_config_rejects_unknown_keys():
         TrainConfig.from_dict({"dim": 8, "mystery": 1})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("inter_modal", 0), ("fixed_queries", 2.0), ("neg_buffer", True),
+    ("epochs", np.int64(3)), ("halt_eps", "0.1"), ("dim", 2.5),
+])
+def test_config_checks_field_types_when_built_in_code(field, value):
+    # the same check as for a JSON config, so that a checkpoint always loads
+    from vlgraph.errors import ContractError
+    with pytest.raises(ContractError, match=rf"config key '{field}': .* is not"):
+        TrainConfig(**{field: value})
+
+
 def test_metrics_have_specified_keys():
     cfg = small_cfg(epochs=1)
     result = train(clips_of(6), clips_of(4, seed=1), HEADER, cfg)

@@ -35,10 +35,22 @@ def solve(node_cost, intra_a, intra_b, cfg, a_sizes=None, b_sizes=None) -> Coupl
     return solve_plan(node_cost, tn.SortedStructure(intra_a, intra_b, a_sizes, b_sizes), cfg)
 
 
-def got_distance(a: np.ndarray, b: np.ndarray, cfg: TrainConfig) -> tuple[float, Coupling]:
+def solve_distance(node_cost, intra_a, intra_b, cfg, a_sizes=None,
+                   b_sizes=None) -> tuple[np.ndarray, Coupling]:
+    """`solve` and each segment's fused distance at the plan it returns
+    (`dense_distance` of the segment's blocks), as an (n_segments,) array."""
+    a_sizes = (len(intra_a),) if a_sizes is None else a_sizes
+    b_sizes = (len(intra_b),) if b_sizes is None else b_sizes
+    coupling = solve(node_cost, intra_a, intra_b, cfg, a_sizes, b_sizes)
+    distance = [dense_distance(coupling.plan[a0:a1, b0:b1], node_cost[a0:a1, b0:b1],
+                               intra_a[a0:a1, a0:a1], intra_b[b0:b1, b0:b1], cfg)
+                for (a0, a1), (b0, b1) in zip(block_bounds(a_sizes), block_bounds(b_sizes))]
+    return np.array(distance), coupling
+
+
+def got_distance(a: np.ndarray, b: np.ndarray, cfg: TrainConfig) -> tuple[np.ndarray, Coupling]:
     """Fused transport distance between two node matrices (columns = nodes)."""
-    coupling = solve(np_cosine_cost(a, b), np_cosine_cost(a, a), np_cosine_cost(b, b), cfg)
-    return coupling.distance, coupling
+    return solve_distance(np_cosine_cost(a, b), np_cosine_cost(a, a), np_cosine_cost(b, b), cfg)
 
 
 def brute_force_wd(cost: np.ndarray) -> float:
@@ -57,13 +69,26 @@ def brute_force_wd(cost: np.ndarray) -> float:
     return min(float(cost[rows, perm].mean()) for perm in itertools.permutations(range(n)))
 
 
+def dense_gap(intra_a, intra_b):
+    """The (n, m, n, m) structure gap |A_ik - B_jl| of one segment."""
+    return np.abs(intra_a[:, None, :, None] - intra_b[None, :, None, :])
+
+
+def dense_distance(plan, node_cost, intra_a, intra_b, cfg) -> float:
+    """One segment's fused distance at `plan`, sum T * (lam C + L_T), with
+    the linearisation L_T taken through the dense gap: the reference for the
+    distance that `transport_loss` computes."""
+    fused = cfg.lam * node_cost + np.einsum("ijkl,kl->ij", dense_gap(intra_a, intra_b), plan)
+    return float((plan * fused).sum())
+
+
 def dense_solve_plan(node_cost, intra_a, intra_b, cfg):
     """Fused transport of one segment with the structure term linearized
-    through the dense (n, m, n, m) gap |A_ik - B_jl|: the reference for
-    `solve_plan`. Returns the plan, the distance and the Sinkhorn calls."""
+    through the dense gap: the reference for `solve_plan`. Returns the plan,
+    its distance (`dense_distance`) and the Sinkhorn calls."""
     n, m = node_cost.shape
     p, q = uniform(n), uniform(m)
-    gap = np.abs(intra_a[:, None, :, None] - intra_b[None, :, None, :])
+    gap = dense_gap(intra_a, intra_b)
     plan = np.outer(p, q)
     warm = None
     for rounds in range(1, cfg.ot_gw_outer_iters + 1):
@@ -74,8 +99,7 @@ def dense_solve_plan(node_cost, intra_a, intra_b, cfg):
         plan = new_plan
         if delta <= cfg.ot_tol:
             break
-    fused = cfg.lam * node_cost + np.einsum("ijkl,kl->ij", gap, plan)
-    return plan, float((plan * fused).sum()), rounds
+    return plan, dense_distance(plan, node_cost, intra_a, intra_b, cfg), rounds
 
 
 def uniform(n):
@@ -100,7 +124,7 @@ def tight_cfg(eps=1e-3, lam=1.0, alpha=0.1, tol=1e-5):
 
 def test_zero_cost_gives_outer_product():
     p, q = uniform(3), uniform(4)
-    plan, err, _ = sinkhorn_one(np.zeros((3, 4)), p, q, eps_reg=0.1, iters=10)
+    plan, err, _ = sinkhorn_one(np.zeros((3, 4)), p, q, eps_reg=0.1, iters=10, tol=1e-6)
     assert np.allclose(plan, np.outer(p, q), atol=1e-15)
     assert err <= 1e-15
 
@@ -126,11 +150,11 @@ def test_marginal_contract_random_5x7():
 
 def test_sinkhorn_input_contracts():
     with pytest.raises(ContractError):
-        sinkhorn_one(np.zeros((2, 2)), np.array([0.7, 0.7]), uniform(2), 0.1, 10)
+        sinkhorn_one(np.zeros((2, 2)), np.array([0.7, 0.7]), uniform(2), 0.1, 10, 1e-6)
     with pytest.raises(ShapeError):
-        sinkhorn_one(np.zeros((2, 2)), uniform(3), uniform(2), 0.1, 10)
+        sinkhorn_one(np.zeros((2, 2)), uniform(3), uniform(2), 0.1, 10, 1e-6)
     with pytest.raises(ContractError):
-        sinkhorn_one(np.array([[np.inf, 0.0], [0.0, 0.0]]), uniform(2), uniform(2), 0.1, 10)
+        sinkhorn_one(np.array([[np.inf, 0.0], [0.0, 0.0]]), uniform(2), uniform(2), 0.1, 10, 1e-6)
 
 
 @pytest.mark.parametrize("eps_reg, iters, named", [
@@ -140,7 +164,7 @@ def test_sinkhorn_input_contracts():
 ])
 def test_sinkhorn_rejects_a_nonpositive_eps_reg_or_no_iterations(eps_reg, iters, named):
     with pytest.raises(ContractError, match=named):
-        sinkhorn_one(np.ones((2, 3)), uniform(2), uniform(3), eps_reg, iters)
+        sinkhorn_one(np.ones((2, 3)), uniform(2), uniform(3), eps_reg, iters, 1e-6)
 
 
 # -------------------------------------------------------------- brute force
@@ -172,8 +196,8 @@ def test_entropic_gap_bound_random_4x4():
 def test_degenerate_structure_2x2_matches_hand_value():
     node_cost = np.array([[0.2, 0.9], [0.8, 0.1]])
     zero = np.zeros((2, 2))
-    coupling = solve(node_cost, zero, zero, tight_cfg())
-    assert abs(coupling.distance - 0.15) <= 0.02 * 0.15
+    distance, _ = solve_distance(node_cost, zero, zero, tight_cfg())
+    assert abs(distance - 0.15) <= 0.02 * 0.15
 
 
 def test_degenerate_structure_matches_brute_force_2pct():
@@ -183,7 +207,7 @@ def test_degenerate_structure_matches_brute_force_2pct():
         n = int(rng.integers(2, 6))
         node_cost = rng.uniform(0.0, 2.0, size=(n, n))
         zero = np.zeros((n, n))
-        got = solve(node_cost, zero, zero, cfg).distance
+        got = solve_distance(node_cost, zero, zero, cfg)[0]
         exact = brute_force_wd(node_cost)
         assert abs(got - exact) <= 0.02 * exact
         assert got >= 0.0
@@ -210,7 +234,7 @@ def test_distance_nonincreasing_in_regularization():
         self_vals.append(got_distance(nodes, nodes, cfg)[0])
         cfg_wd = TrainConfig(lam=1.0, ot_eps_reg=eps, ot_sinkhorn_iters=20000,
                              ot_gw_outer_iters=10, ot_tol=1e-8)
-        wd_vals.append(solve(cost, np.zeros((5, 5)), np.zeros((4, 4)), cfg_wd).distance)
+        wd_vals.append(solve_distance(cost, np.zeros((5, 5)), np.zeros((4, 4)), cfg_wd)[0])
     for series in (self_vals, wd_vals):
         for hi, lo in zip(series, series[1:]):
             assert lo <= hi + 1e-6
@@ -237,17 +261,17 @@ def test_solve_plan_matches_dense_structure_oracle():
         b = rng.standard_normal((5, k))
         costs = (np_cosine_cost(a, b), np_cosine_cost(a, a), np_cosine_cost(b, b))
         plan, distance, _ = dense_solve_plan(*costs, cfg)
-        coupling = solve(*costs, cfg)
+        got, coupling = solve_distance(*costs, cfg)
         assert np.abs(coupling.plan - plan).max() <= 1e-12 * plan.max()
-        assert abs(coupling.distance - distance) <= 1e-12 * distance
+        assert abs(got - distance) <= 1e-12 * distance
 
 
 def test_marginals_satisfied_on_coupling():
     rng = np.random.default_rng(6)
     _, coupling = got_distance(rng.standard_normal((4, 5)), rng.standard_normal((4, 3)),
                                TrainConfig(ot_sinkhorn_iters=2000))
-    assert np.abs(coupling.plan.sum(axis=1) - coupling.p).max() <= 1e-6
-    assert np.abs(coupling.plan.sum(axis=0) - coupling.q).max() <= 1e-6
+    assert np.abs(coupling.plan.sum(axis=1) - 1 / 5).max() <= 1e-6
+    assert np.abs(coupling.plan.sum(axis=0) - 1 / 3).max() <= 1e-6
 
 
 # -------------------------------------------------------------- loss wiring
@@ -394,7 +418,7 @@ def test_batched_solve_matches_each_segment_solved_alone():
     cfg = TrainConfig(ot_sinkhorn_iters=500)
     segments = mixed_segments(rng)
     node, intra_a, intra_b, n, m = batch_of(segments, rng)
-    batch = solve(node, intra_a, intra_b, cfg, n, m)
+    distances, batch = solve_distance(node, intra_a, intra_b, cfg, n, m)
     outside = np.ones(batch.plan.shape, dtype=bool)
     converged = 0
     for s, (costs, (a0, a1), (b0, b1)) in enumerate(zip(segments, block_bounds(n),
@@ -403,7 +427,7 @@ def test_batched_solve_matches_each_segment_solved_alone():
         alone = solve(*costs, cfg)
         got = batch.plan[a0:a1, b0:b1]
         assert np.abs(got - plan).max() <= 1e-12 * plan.max(), s
-        assert abs(batch.distance[s] - distance) <= 1e-12 * distance, s
+        assert abs(distances[s] - distance) <= 1e-12 * distance, s
         assert batch.rounds[s] == rounds == alone.rounds[0], s
         assert batch.marginal_err[s] == pytest.approx(alone.marginal_err[0], rel=1e-6, abs=1e-15)
         converged += alone.converged
@@ -501,6 +525,27 @@ def test_batched_loss_and_gradients_match_segments_taken_one_at_a_time():
         assert np.abs(got_grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
 
+def test_loss_row_is_the_dense_distance_of_its_plans():
+    # alpha = 1 and one segment per clip: each entry of the row is its
+    # segment's fused distance at the plan the loss returns
+    rng = np.random.default_rng(25)
+    cfg = TrainConfig(alpha=1.0, ot_sinkhorn_iters=500)
+    tokens, frames = (1, 1, 3, 2, 4, 3, 5), (1, 4, 1, 2, 3, 3, 2)
+    visual = rng.standard_normal((5, sum(frames)))
+    text = rng.standard_normal((5, sum(tokens)))
+    visual[:, -4] = visual[:, -5]            # a repeated frame: intra costs tie
+    segments = SegmentTrace(visual=Tensor(visual), text=Tensor(text), v_sizes=frames,
+                            s_sizes=tokens)
+    row, plans = transport_loss(segments, cfg, sizes=(1,) * len(tokens))
+    assert row.shape == (1, len(tokens)) and len(plans) == len(tokens)
+    for s, (plan, (s0, s1), (v0, v1)) in enumerate(zip(plans, block_bounds(tokens),
+                                                       block_bounds(frames))):
+        t, v = text[:, s0:s1], visual[:, v0:v1]
+        want = dense_distance(plan, np_cosine_cost(t, v), np_cosine_cost(t, t),
+                              np_cosine_cost(v, v), cfg)
+        assert abs(row.data[0, s] - want) <= 1e-12 * want, (s, row.data[0, s], want)
+
+
 def test_frozen_plans_are_checked_segment_by_segment():
     both = two_segments(np.random.default_rng(15))
     _, plans = transport_loss(both, TrainConfig())
@@ -538,11 +583,11 @@ def test_structure_term_recovers_a_planted_matching():
                              np_cosine_cost(visual, visual)))
         partners.append(np.argsort(perm))          # text node i went to visual column partner[i]
     node, intra_a, intra_b, n, m = batch_of(segments, rng)
-    coupling = solve(node, intra_a, intra_b, TrainConfig(lam=0.0), n, m)
+    distance, coupling = solve_distance(node, intra_a, intra_b, TrainConfig(lam=0.0), n, m)
     blocks = list(zip(block_bounds(n), block_bounds(m)))
     hits = [coupling.plan[a0:a1, b0:b1].argmax(axis=1) == partner
             for ((a0, a1), (b0, b1)), partner in zip(blocks[0::2], partners)]
     recovered = np.concatenate(hits).mean()
-    aligned_closer = np.mean(coupling.distance[0::2] < coupling.distance[1::2])
+    aligned_closer = np.mean(distance[0::2] < distance[1::2])
     assert recovered >= 0.75, recovered
     assert aligned_closer >= 0.8, aligned_closer
