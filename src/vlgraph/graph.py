@@ -12,7 +12,11 @@ features only: the model projects the frames and tokens of a whole batch to
 its width, one product per modality (`model.forward_batch`).
 
 Dataset files are JSON Lines: a header declaring raw feature widths, then
-one clip per line.
+one clip per line. Lines end at "\n" only, since JSON strings may hold
+U+0085, U+2028 and U+2029 raw; a CR stays in its line, where JSON reads it
+as whitespace. The readers stream a file one line at a time, each decoded
+as UTF-8 on its own: beyond the clips or report they return, a read holds
+one line and its decoded record, never the whole text or a list of lines.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -245,25 +249,20 @@ def parse_clip(rec: dict, header: dict | None = None) -> Clip:
         frames=[FrameNode(t=f["t"], feature=x) for f, x in zip(frames, features)],
         subs=lines,
         statement=statement.T,
-        label=int(rec["label"]),
+        label=rec["label"],
     )
 
 
-def _read_lines(path: str) -> tuple[dict, list[str]]:
-    """The checked header and the raw lines of a JSONL dataset.
-
-    Lines end at "\n" only: JSON strings may hold U+0085, U+2028 and U+2029
-    raw, and `str.splitlines` would break a record at them. The file is read
-    without newline translation, so a CR stays in its line, where JSON reads
-    it as whitespace.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    if not text:
+def _read_header(path: str, first: bytes) -> dict:
+    """The checked header of a dataset, from the bytes of its first line."""
+    if not first:
         raise EmptyInputError(f"{path} is empty")
-    lines = text.split("\n")
     try:
-        header = json.loads(lines[0])
+        text = first.removesuffix(b"\n").decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}:1: header is not valid UTF-8: {e}") from e
+    try:
+        header = json.loads(text)
     except ValueError as e:         # JSONDecodeError, or an integer over the digit limit
         raise ValidationError(f"{path}:1: header is not valid JSON: {e}") from e
     if not isinstance(header, dict):
@@ -274,7 +273,7 @@ def _read_lines(path: str) -> tuple[dict, list[str]]:
         if type(header[key]) is not int or header[key] < 1:
             raise ValidationError(f"{path}:1: header {key!r}: {header[key]!r} "
                                   "is not a positive integer")
-    return header, lines
+    return header
 
 
 def read_dataset(path: str) -> tuple[dict, list[Clip]]:
@@ -282,13 +281,17 @@ def read_dataset(path: str) -> tuple[dict, list[Clip]]:
 
     Every record gets the checks of `validate_dataset`; the first bad one
     raises ValidationError naming the file, the line and the problems.
+    The file is streamed one line at a time, lines ending at "\n" only:
+    beyond the clips it returns, a read holds one line and its decoded
+    record.
     """
-    header, lines = _read_lines(path)
     clips = []
-    for ln, _, clip, problems in _records(lines, header):
-        if problems:
-            raise ValidationError(f"{path}:{ln}: {'; '.join(problems)}")
-        clips.append(clip)
+    with open(path, "rb") as fh:
+        header = _read_header(path, fh.readline())
+        for ln, _, clip, problems in _records(enumerate(fh, start=2), header):
+            if problems:
+                raise ValidationError(f"{path}:{ln}: {'; '.join(problems)}")
+            clips.append(clip)
     return header, clips
 
 
@@ -331,6 +334,8 @@ def _check_record(rec: dict) -> list[str]:
     problems: list[str] = []
     if "clip_id" not in rec:
         problems.append("clip_id: missing")
+    elif type(rec["clip_id"]) is not str:
+        problems.append(f"clip_id: {rec['clip_id']!r} is not a string")
     lists = {}
     for key in ("frames", "subs", "statement"):
         value = rec.get(key, [])
@@ -377,27 +382,35 @@ def _check_record(rec: dict) -> list[str]:
         elif not toks:
             problems.append(f"subs[{i}].tokens: empty")
     label = rec.get("label")
-    if isinstance(label, bool) or label not in (0, 1):
+    if type(label) is not int or label not in (0, 1):
         problems.append(f"label: {label!r} not in {{0, 1}}")
     return problems
 
 
-def _records(lines: list[str], header: dict) -> Iterator[tuple[int, Any, Clip | None, list[str]]]:
-    """Each record of a dataset's lines after the header, as (line number,
-    decoded value, clip, problems): the clip is None when problems stop it.
+def _records(lines: Iterable[tuple[int, bytes]],
+             header: dict) -> Iterator[tuple[int, str, Clip | None, list[str]]]:
+    """Each record of numbered raw lines after the header, as (line number,
+    clip id, clip, problems): the clip is None when problems stop it, and
+    the id is "?" when the record has none.
 
-    Only JSON whitespace (space, tab, CR, LF) makes a line blank, and a
-    blank line is skipped; `str.strip` would also empty a line of U+3000,
-    U+0085 or U+2028, which is not JSON.
+    Each line is decoded as UTF-8 on its own. Only JSON whitespace (space,
+    tab, CR, LF) makes a line blank, and a blank line is skipped;
+    `str.strip` would also empty a line of U+3000, U+0085 or U+2028, which
+    is not JSON.
     """
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip(" \t\r\n"):
+    for ln, raw in lines:
+        raw = raw.removesuffix(b"\n")
+        if not raw.strip(b" \t\r"):
             continue
         try:
-            rec = json.loads(line)
-        except ValueError as e:         # JSONDecodeError, or an integer over the digit limit
-            yield ln, None, None, [f"not valid JSON: {e}"]
+            rec = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as e:
+            yield ln, "?", None, [f"not valid UTF-8: {e}"]
             continue
+        except ValueError as e:         # JSONDecodeError, or an integer over the digit limit
+            yield ln, "?", None, [f"not valid JSON: {e}"]
+            continue
+        clip_id = str(rec.get("clip_id", "?")) if isinstance(rec, dict) else "?"
         problems = _check_record(rec)
         clip = None
         if not problems:
@@ -405,14 +418,19 @@ def _records(lines: list[str], header: dict) -> Iterator[tuple[int, Any, Clip | 
                 clip = parse_clip(rec, header)
             except ValidationError as e:
                 problems = [str(e)]
-        yield ln, rec, clip, problems
+        yield ln, clip_id, clip, problems
 
 
 def validate_dataset(path: str) -> ValidationReport:
-    """Per-record structural checks; malformed records are listed, not fatal."""
-    header, lines = _read_lines(path)
+    """Per-record structural checks; malformed records are listed, not fatal.
+
+    The file is streamed as by `read_dataset`, lines ending at "\n" only:
+    beyond the report it returns, a check holds one line and its decoded
+    record.
+    """
     checks: list[RecordCheck] = []
-    for ln, rec, _, problems in _records(lines, header):
-        clip_id = str(rec.get("clip_id", "?")) if isinstance(rec, dict) else "?"
-        checks.append(RecordCheck(ln, clip_id, not problems, problems))
+    with open(path, "rb") as fh:
+        header = _read_header(path, fh.readline())
+        for ln, clip_id, _, problems in _records(enumerate(fh, start=2), header):
+            checks.append(RecordCheck(ln, clip_id, not problems, problems))
     return ValidationReport(header=header, records=checks)

@@ -38,8 +38,7 @@ class NegativeBuffer:
 
     Single-writer: `push` only between optimizer steps. The contents are one
     constant (n, d) tensor of rows, rebuilt by `push`, so every clip between
-    two pushes scores the same snapshot without copying it; `matrix` is its
-    (d, n) column view.
+    two pushes scores the same snapshot without copying it.
     """
 
     def __init__(self, capacity: int):
@@ -55,9 +54,6 @@ class NegativeBuffer:
         kept = [] if self.rows is None else [self.rows.data]
         self.rows = Tensor(np.concatenate(kept + new, axis=0)[-self.capacity :])
         self.rows.data.flags.writeable = False
-
-    def matrix(self) -> np.ndarray | None:
-        return None if self.rows is None else self.rows.data.T
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +294,11 @@ def bad_records():
         "empty span": (with_field(**{"subs.0.t1": 0.0}), "subs[0]: span [0.0, 0.0) not increasing"),
         "tokens not a list": (with_field(**{"subs.0.tokens": "ab"}), "subs[0].tokens: not a list"),
         "no tokens": (with_field(**{"subs.0.tokens": []}), "subs[0].tokens: empty"),
+        "number clip_id": (with_field(clip_id=5), "clip_id: 5 is not a string"),
+        "list clip_id": (with_field(clip_id=[1, 2]), "clip_id: [1, 2] is not a string"),
+        "null clip_id": (with_field(clip_id=None), "clip_id: None is not a string"),
+        "float label": (with_field(label=1.0), "label: 1.0 not in {0, 1}"),
+        "float zero label": (with_field(label=0.0), "label: 0.0 not in {0, 1}"),
     }
 
 
@@ -364,3 +371,92 @@ def test_read_dataset_roundtrip(tmp_path):
     assert [c.clip_id for c in clips] == ["c0", "c1"]
     assert clips[0].statement.shape == (2, 1)
     assert clips[1].label == 0
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text.removesuffix("\n"),
+    lambda text: text + "\n \t\n\r\n\n",
+], ids=["CRLF", "no final newline", "trailing blank lines"])
+def test_line_endings_and_trailing_blank_lines(tmp_path, edit):
+    path = write(tmp_path, [record(), record("c1", 0)])
+    _, plain = gr.read_dataset(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(edit(text))
+    header, clips = gr.read_dataset(path)
+    assert header == HEADER
+    assert [(c.clip_id, c.label) for c in clips] == [("c0", 1), ("c1", 0)]
+    assert all(np.array_equal(a.statement, b.statement) for a, b in zip(clips, plain))
+    rep = gr.validate_dataset(path)
+    assert rep.n_failures == 0 and [r.line_no for r in rep.records] == [2, 3]
+
+
+@pytest.mark.parametrize("ending", ["\n", ""], ids=["newline", "no newline"])
+def test_header_only_file_has_no_records(tmp_path, ending):
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(HEADER) + ending)
+    assert gr.read_dataset(str(path)) == (HEADER, [])
+    rep = gr.validate_dataset(str(path))
+    assert rep.header == HEADER and rep.records == []
+
+
+def write_bytes(tmp_path, header: bytes, middle: bytes):
+    """A header line, a valid record, the raw line `middle` as line 3, then
+    another valid record."""
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"\n".join([header, json.dumps(record()).encode(), middle,
+                                 json.dumps(record("c1", 0)).encode(), b""]))
+    return str(path)
+
+
+LATIN1_RECORD = json.dumps(record("caf\xe9"), ensure_ascii=False).encode("latin-1")
+
+
+def test_read_dataset_names_the_line_that_is_not_utf8(tmp_path):
+    path = write_bytes(tmp_path, json.dumps(HEADER).encode(), LATIN1_RECORD)
+    with pytest.raises(ValidationError, match=r"data\.jsonl:3: not valid UTF-8: .*0xe9"):
+        gr.read_dataset(path)
+
+
+def test_validate_dataset_lists_the_line_that_is_not_utf8(tmp_path):
+    path = write_bytes(tmp_path, json.dumps(HEADER).encode(), LATIN1_RECORD)
+    rep = gr.validate_dataset(path)
+    assert [(r.line_no, r.ok) for r in rep.records] == [(2, True), (3, False), (4, True)]
+    assert rep.records[1].problems[0].startswith("not valid UTF-8")
+
+
+def test_header_that_is_not_utf8_rejected(tmp_path):
+    header = json.dumps({**HEADER, "name": "caf\xe9"}, ensure_ascii=False).encode("latin-1")
+    path = write_bytes(tmp_path, header, json.dumps(record("c2")).encode())
+    for read in (gr.read_dataset, gr.validate_dataset):
+        with pytest.raises(ValidationError, match=r"data\.jsonl:1: header is not valid UTF-8"):
+            read(path)
+
+
+def test_readers_hold_one_line_beyond_what_they_return(tmp_path):
+    # 128 records of about 11 KB make a file of about 1.4 MiB; a reader that
+    # holds the whole text, or a list of its lines, peaks a file size higher
+    width = 64
+    rng = np.random.default_rng(0)
+
+    def rows(n):
+        return np.round(rng.standard_normal((n, width)), 5).tolist()
+
+    recs = [{"clip_id": f"c{i}", "label": i % 2, "statement": rows(4),
+             "frames": [{"t": 0.5 + j, "f": f} for j, f in enumerate(rows(8))],
+             "subs": [{"t0": 0.0, "t1": 8.0, "tokens": rows(8)}]} for i in range(128)]
+    path = write(tmp_path, recs, header={"d_v": width, "d_s": width, "d_h": width})
+    del recs
+    size = os.path.getsize(path)
+    assert 2**20 <= size <= 2 * 2**20
+    for read in (gr.read_dataset, gr.validate_dataset):
+        tracemalloc.start()
+        try:
+            result = read(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result
+        assert peak - held < size / 4, (read.__name__, peak - held, size)

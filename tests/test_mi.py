@@ -198,7 +198,7 @@ def test_contrastive_matches_explicit_nce_batch():
         res = contrastive_loss(trace_of(nodes, global_nodes), ps, beta=1.0, sizes=(n_q,),
                                buffer=buf)
         # buffer columns only ever join the negatives, never a positive
-        buffered = [Tensor(v) for v in buf.matrix().T] if n_buf else []
+        buffered = [Tensor(v) for v in buf.rows.data] if n_buf else []
         pairs = []
         for j, node in enumerate(nodes):
             negs = [Tensor(m.data) for k, m in enumerate(nodes) if k != j] + buffered
@@ -212,9 +212,9 @@ def test_contrastive_matches_explicit_nce_batch():
 
 def test_negative_buffer_ring_behavior():
     buf = NegativeBuffer(3)
-    assert buf.matrix() is None
+    assert buf.rows is None
     buf.push([np.full(2, i) for i in range(5)])
-    mat = buf.matrix()
+    mat = buf.rows.data.T
     assert mat.shape == (2, 3)
     assert np.array_equal(mat[0], [2.0, 3.0, 4.0])
     with pytest.raises(ContractError):
