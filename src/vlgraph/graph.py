@@ -25,7 +25,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Any, BinaryIO, Iterator
 
 import numpy as np
 
@@ -288,7 +288,7 @@ def read_dataset(path: str) -> tuple[dict, list[Clip]]:
     clips = []
     with open(path, "rb") as fh:
         header = _read_header(path, fh.readline())
-        for ln, _, clip, problems in _records(enumerate(fh, start=2), header):
+        for ln, _, clip, problems in _records(fh, header):
             if problems:
                 raise ValidationError(f"{path}:{ln}: {'; '.join(problems)}")
             clips.append(clip)
@@ -387,30 +387,28 @@ def _check_record(rec: dict) -> list[str]:
     return problems
 
 
-def _records(lines: Iterable[tuple[int, bytes]],
-             header: dict) -> Iterator[tuple[int, str, Clip | None, list[str]]]:
-    """Each record of numbered raw lines after the header, as (line number,
-    clip id, clip, problems): the clip is None when problems stop it, and
-    the id is "?" when the record has none.
+def _records(fh: BinaryIO, header: dict) -> Iterator[tuple[int, Any, Clip | None, list[str]]]:
+    """Each record of a binary dataset handle read past its header line, as
+    (line number, decoded value, clip, problems): the value is None when the
+    line does not decode, and the clip is None when problems stop it.
 
     Each line is decoded as UTF-8 on its own. Only JSON whitespace (space,
     tab, CR, LF) makes a line blank, and a blank line is skipped;
     `str.strip` would also empty a line of U+3000, U+0085 or U+2028, which
     is not JSON.
     """
-    for ln, raw in lines:
+    for ln, raw in enumerate(fh, start=2):
         raw = raw.removesuffix(b"\n")
         if not raw.strip(b" \t\r"):
             continue
         try:
             rec = json.loads(raw.decode("utf-8"))
         except UnicodeDecodeError as e:
-            yield ln, "?", None, [f"not valid UTF-8: {e}"]
+            yield ln, None, None, [f"not valid UTF-8: {e}"]
             continue
         except ValueError as e:         # JSONDecodeError, or an integer over the digit limit
-            yield ln, "?", None, [f"not valid JSON: {e}"]
+            yield ln, None, None, [f"not valid JSON: {e}"]
             continue
-        clip_id = str(rec.get("clip_id", "?")) if isinstance(rec, dict) else "?"
         problems = _check_record(rec)
         clip = None
         if not problems:
@@ -418,7 +416,7 @@ def _records(lines: Iterable[tuple[int, bytes]],
                 clip = parse_clip(rec, header)
             except ValidationError as e:
                 problems = [str(e)]
-        yield ln, clip_id, clip, problems
+        yield ln, rec, clip, problems
 
 
 def validate_dataset(path: str) -> ValidationReport:
@@ -431,6 +429,7 @@ def validate_dataset(path: str) -> ValidationReport:
     checks: list[RecordCheck] = []
     with open(path, "rb") as fh:
         header = _read_header(path, fh.readline())
-        for ln, clip_id, _, problems in _records(enumerate(fh, start=2), header):
+        for ln, rec, _, problems in _records(fh, header):
+            clip_id = str(rec.get("clip_id", "?")) if isinstance(rec, dict) else "?"
             checks.append(RecordCheck(ln, clip_id, not problems, problems))
     return ValidationReport(header=header, records=checks)

@@ -67,6 +67,19 @@ CKPT_DTYPE = np.dtype("<f4")   # the one payload type of a checkpoint
 # again after them.
 SUB_WINDOW_NODES = 128
 
+# glibc gives the free top of its heap back to the kernel once it passes the
+# trim threshold, which starts at 128 KiB and, unless a `MALLOC_*` setting
+# fixes it, rises to twice the size of any larger block freed later. At
+# dim=32 no array of a sub-window's tape comes near that size, so each tape,
+# freed on return from `_learn`, was trimmed and the next sub-window faulted
+# its pages back in: on train-longseg's inputs, in one process, about 50
+# thousand minor faults per `train()` call after the first; 0 once a block
+# of 4 MiB had been freed, and about 25 thousand after one of 2 MiB.
+# `train()` frees one untouched block of this size on entry, which raises
+# the threshold to 16 MiB. At train-paper's dim=512 the tape's own large
+# arrays raise it, and calls after the first took 0 faults with or without.
+HEAP_KEEP_BYTES = 8 << 20
+
 # the values each `TrainConfig` annotation accepts, in code and in JSON (bool is not an int here)
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "int | None": (int, type(None))}
 
@@ -313,6 +326,12 @@ def sub_windows(clips: Sequence[Clip]) -> Iterator[list[Clip]]:
         yield run
 
 
+def _keep_freed_tapes() -> None:
+    """Raise glibc's heap trim threshold above a sub-window's tape (see
+    `HEAP_KEEP_BYTES`); the block is freed at once and never written."""
+    np.empty(HEAP_KEEP_BYTES, dtype=np.uint8)
+
+
 def _learn(clips: list[Clip], params: ParamStore, cfg: TrainConfig, buffer: NegativeBuffer,
            epoch: int) -> tuple[list[dict[str, float]], int, np.ndarray]:
     """One sub-window: its forward and losses, checked to be finite, and one
@@ -339,6 +358,7 @@ def train(
     """
     if not train_clips:
         raise EmptyInputError("training set is empty")
+    _keep_freed_tapes()
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, header["d_v"], header["d_s"], header["d_h"], rng)
     opt = Adam(params, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)

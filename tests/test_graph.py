@@ -210,27 +210,33 @@ def test_validate_dataset_numbers_lines_at_newlines_only(tmp_path):
     assert [(r.line_no, r.clip_id) for r in rep.records] == [(2, ids[0]), (3, ids[1]), (4, ids[2])]
 
 
-def write_with_line(tmp_path, middle):
-    """Two valid records with the line `middle` between them, as line 3."""
+def write_with_line(tmp_path, middle, header=json.dumps(HEADER)):
+    """The header, then two valid records with the line `middle` between
+    them, as line 3; str lines are written as UTF-8, bytes as they are."""
     path = tmp_path / "data.jsonl"
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in (json.dumps(HEADER), json.dumps(record()), middle,
-                     json.dumps(record("c1", 0))):
-            fh.write(line + "\n")
+    with open(path, "wb") as fh:
+        for line in (header, json.dumps(record()), middle, json.dumps(record("c1", 0))):
+            fh.write((line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n")
     return str(path)
 
 
-@pytest.mark.parametrize("space", ["\u3000", "\x85", "\u2028", "\xa0"],
-                         ids=["U+3000", "U+0085", "U+2028", "U+00A0"])
-def test_a_line_of_unicode_whitespace_is_a_bad_record(tmp_path, space):
-    # `str.strip` empties these lines, but JSON does not count them as whitespace
-    path = write_with_line(tmp_path, space)
-    with pytest.raises(ValidationError, match=r"data\.jsonl:3: not valid JSON"):
+LATIN1_RECORD = json.dumps(record("caf\xe9"), ensure_ascii=False).encode("latin-1")
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("\u3000", "not valid JSON"), ("\x85", "not valid JSON"), ("\u2028", "not valid JSON"),
+    ("\xa0", "not valid JSON"), (LATIN1_RECORD, "not valid UTF-8: .*0xe9"),
+], ids=["U+3000", "U+0085", "U+2028", "U+00A0", "Latin-1"])
+def test_a_line_of_unicode_whitespace_is_a_bad_record(tmp_path, line, problem):
+    # `str.strip` empties these lines, but JSON does not count them as
+    # whitespace; a line that is not UTF-8 is a bad record of its own
+    path = write_with_line(tmp_path, line)
+    with pytest.raises(ValidationError, match=r"data\.jsonl:3: " + problem):
         gr.read_dataset(path)
     rep = gr.validate_dataset(path)
     assert rep.n_failures == 1
     assert [(r.line_no, r.ok) for r in rep.records] == [(2, True), (3, False), (4, True)]
-    assert "not valid JSON" in rep.records[1].problems[0]
+    assert re.match(problem, rep.records[1].problems[0])
 
 
 def test_a_line_of_json_whitespace_is_blank(tmp_path):
@@ -402,34 +408,9 @@ def test_header_only_file_has_no_records(tmp_path, ending):
     assert rep.header == HEADER and rep.records == []
 
 
-def write_bytes(tmp_path, header: bytes, middle: bytes):
-    """A header line, a valid record, the raw line `middle` as line 3, then
-    another valid record."""
-    path = tmp_path / "data.jsonl"
-    path.write_bytes(b"\n".join([header, json.dumps(record()).encode(), middle,
-                                 json.dumps(record("c1", 0)).encode(), b""]))
-    return str(path)
-
-
-LATIN1_RECORD = json.dumps(record("caf\xe9"), ensure_ascii=False).encode("latin-1")
-
-
-def test_read_dataset_names_the_line_that_is_not_utf8(tmp_path):
-    path = write_bytes(tmp_path, json.dumps(HEADER).encode(), LATIN1_RECORD)
-    with pytest.raises(ValidationError, match=r"data\.jsonl:3: not valid UTF-8: .*0xe9"):
-        gr.read_dataset(path)
-
-
-def test_validate_dataset_lists_the_line_that_is_not_utf8(tmp_path):
-    path = write_bytes(tmp_path, json.dumps(HEADER).encode(), LATIN1_RECORD)
-    rep = gr.validate_dataset(path)
-    assert [(r.line_no, r.ok) for r in rep.records] == [(2, True), (3, False), (4, True)]
-    assert rep.records[1].problems[0].startswith("not valid UTF-8")
-
-
 def test_header_that_is_not_utf8_rejected(tmp_path):
     header = json.dumps({**HEADER, "name": "caf\xe9"}, ensure_ascii=False).encode("latin-1")
-    path = write_bytes(tmp_path, header, json.dumps(record("c2")).encode())
+    path = write_with_line(tmp_path, json.dumps(record("c2")), header)
     for read in (gr.read_dataset, gr.validate_dataset):
         with pytest.raises(ValidationError, match=r"data\.jsonl:1: header is not valid UTF-8"):
             read(path)

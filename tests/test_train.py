@@ -1,12 +1,17 @@
 import gc
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import vlgraph
 from vlgraph import synth
 from vlgraph.errors import EmptyInputError, FormatError, NumericalError
 from vlgraph.graph import Clip, FrameNode, SubtitleLine, parse_clip, read_dataset, validate_dataset
@@ -364,6 +369,36 @@ def test_training_in_sub_windows_matches_one_clip_at_a_time(monkeypatch):
 
 
 # --------------------------------------------------------------- evaluation
+
+# Minor page faults of three train() calls on 8 clips of 48 frames, which
+# run one sub-window each at dim=32, in a fresh interpreter: there no large
+# block freed earlier has raised glibc's trim threshold yet.
+FAULTS_PER_TRAIN_CALL = """
+import resource
+import numpy as np
+from vlgraph.graph import Clip, FrameNode, SubtitleLine
+from vlgraph.train import TrainConfig, train
+rng = np.random.default_rng(0)
+clips = [Clip(f"c{i}", [FrameNode((j + 0.5) / 24, rng.normal(size=32)) for j in range(48)],
+              [SubtitleLine(k, k + 1, rng.normal(size=(12, 32))) for k in range(2)],
+              rng.normal(size=(32, 3)), i % 2) for i in range(8)]
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train(clips, [], {"d_v": 32, "d_s": 32, "d_h": 32}, TrainConfig(dim=32, epochs=1, seed=0))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
+def test_training_does_not_fault_its_tape_back_in_each_sub_window():
+    # without `_keep_freed_tapes` each later call took 1,900-2,900 faults, with it 8-25
+    src = os.path.dirname(os.path.dirname(vlgraph.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", FAULTS_PER_TRAIN_CALL], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    _, *later = map(int, out.split())
+    assert max(later) < 500, later
+
 
 def test_evaluate_accuracy_tie_breaks_to_zero():
     cfg = small_cfg()
