@@ -17,7 +17,7 @@ through the same code; `train` decides how many clips run together.
 
 Every level does the same two things, each through one helper. `attend`
 pools nodes under key columns, X @ softmax(X^T keys + mask), with a
-constant mask that keeps each key inside its own block of nodes; message
+mask that keeps each key inside its own block of nodes; message
 passing (`message_pass`) is attention with the receivers as keys over the
 senders. `_gated` fuses what a node had with what it pooled through a
 learned per-coordinate convex-combination gate. Its input is the stack
@@ -137,14 +137,14 @@ def attend(X: Tensor, keys: Tensor, x_ids: np.ndarray,
            key_ids: np.ndarray) -> tuple[Tensor, Tensor]:
     """Pool the nodes X under every key column: X @ softmax(X^T keys + mask).
 
-    The softmax runs over X's columns, and the constant mask is -inf where a
-    node's block id (`x_ids`) differs from the key's (`key_ids`), 0
-    elsewhere, so a key pools only the nodes of its own block and cross-block
-    weights are exactly zero; every key's block must hold a node. Returns the
+    The softmax runs over X's columns, and the mask is -inf where a node's
+    block id (`x_ids`) differs from the key's (`key_ids`), 0 elsewhere, so a
+    key pools only the nodes of its own block and cross-block weights are
+    exactly zero; every key's block must hold a node. The mask is applied
+    inside `tn.masked_softmax`, so it is never a tape node. Returns the
     (d, n_keys) pooled nodes and the (n_x, n_keys) weights.
     """
-    mask = Tensor(np.where(x_ids[:, None] == key_ids[None, :], 0.0, -np.inf), copy=False)
-    weights = tn.softmax(tn.add(tn.matmul(X.T, keys), mask), axis=0)
+    weights = tn.masked_softmax(tn.matmul(X.T, keys), x_ids[:, None] == key_ids[None, :])
     return tn.matmul(X, weights), weights
 
 

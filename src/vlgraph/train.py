@@ -7,8 +7,8 @@ as (1, n_clips) rows, and one backward runs on the sum of the sub-window's
 losses. A sub-window never
 crosses a window or epoch boundary, so the parameters and the
 negative-buffer snapshot are the same for all its clips, and it closes
-before its clips' frame and token nodes pass `SUB_WINDOW_NODES`. The
-evaluation passes batch the same way under `no_grad`.
+before its clips' frame and token nodes pass a cap set by the model width
+(`sub_windows`). The evaluation passes batch the same way under `no_grad`.
 
 Each backward leaves its weight gradients as (output gradient, input)
 factors on the parameters (see `tensor`); the Adam step at the end of a
@@ -48,36 +48,43 @@ from .transport import transport_loss
 CKPT_MAGIC = b"AHGN1\n"
 CKPT_DTYPE = np.dtype("<f4")   # the one payload type of a checkpoint
 
-# A sub-window closes before its clips' frame and token nodes pass this
-# count; a clip with more runs alone. A sub-window's tape holds all its
-# clips at once: at dim=512 it grows with the node count, and at small dim,
-# where the dense (nodes x nodes) block masks weigh most, with its square.
-# Measured on the benchmark's shapes (one BLAS thread): on train-paper
-# (dim=512, about 24 nodes a clip) the traced tape peak of a sub-window,
-# forward to end of backward, was 5.0 MiB for one clip, and 18, 30 and 46
-# MiB (means) at 96, 128 and 256 nodes; CPU-time throughput against one
-# clip at a time was 1.36x, 1.44x and 1.41x at 96, 128 and 160, and peak
-# RSS stayed within 2% of it up to 160. On train-longseg (dim=32, 36-144
-# nodes a clip) 129 of 144 clips ran alone at 128, with a tape peak of 5.5
-# MiB against 4.1 for one clip at a time. These figures predate the gates'
-# column-block products (`tensor.stacked_matmul`), which keep no stacked
-# (3d, n) gate input and took the tape of 16 train-paper clips from 4.44 to
-# 3.20 MiB a clip, and the row-blocked forward products (`tensor._product`),
-# which are faster the fewer columns a product has; 128 was not measured
-# again after them.
-SUB_WINDOW_NODES = 128
+# A sub-window closes before its clips' frame and token nodes pass
+# min(SUB_WINDOW_NODES, SUB_WINDOW_CELLS // dim); a clip with more runs alone.
+# Its tape holds all its clips at once. At the paper's width it grows with
+# nodes x dim, and SUB_WINDOW_CELLS keeps the 128-node windows it had at
+# dim=512; at small width the dense (nodes x nodes) attention weights
+# weigh most, and SUB_WINDOW_NODES caps them. Sweep, one BLAS thread on a
+# shared 2-core machine, medians of runs alternated across caps:
+# - train-longseg (dim=32, 36-216 nodes a clip), benchmark harness, 3 runs:
+#   128, 256, 320, 384 and 512 nodes read 124.5, 136.6, 159.0, 162.4 and
+#   148.6 clips/s, peak RSS 70.6, 74.0, 75.3, 76.9 and 83.8 MB;
+# - the same run on paper-shaped clips (about 24 nodes a clip, 48 training
+#   clips) at dim=32, in-process CPU time, 5 runs of spread up to 30%: 420,
+#   541, 530, 559 and 666 clips/s, peak RSS 44.6, 48.2, 51.9, 54.3 and 56.1
+#   MB (384 and 512 nodes hold most 16-clip optimizer windows whole);
+# - train-paper (dim=512), in-process, 5 runs: windows of 64, 96, 128, 160
+#   and 256 nodes read 45.6, 49.4, 53.0, 54.2 and 58.2 clips/s, peak RSS
+#   226, 230, 236, 237 and 253 MB.
+# 384 nodes was fastest on train-longseg, where one sub-window of 379 nodes
+# peaks at 12.8 MiB of traced tape, forward to end of backward. At dim=512,
+# 128 keeps the windows, and so the outputs, that the paper-width benchmark
+# had; 256 read 10% faster there for 17 MB, in too few runs to resolve.
+SUB_WINDOW_NODES = 384
+SUB_WINDOW_CELLS = 128 * 512
 
 # glibc gives the free top of its heap back to the kernel once it passes the
 # trim threshold, which starts at 128 KiB and, unless a `MALLOC_*` setting
 # fixes it, rises to twice the size of any larger block freed later. At
-# dim=32 no array of a sub-window's tape comes near that size, so each tape,
+# dim=32 a sub-window's largest tape arrays stay far below its tape (at most
+# 0.5 MiB in 384-node windows, against about 13 MiB of tape), so each tape,
 # freed on return from `_learn`, was trimmed and the next sub-window faulted
-# its pages back in: on train-longseg's inputs, in one process, about 50
-# thousand minor faults per `train()` call after the first; 0 once a block
-# of 4 MiB had been freed, and about 25 thousand after one of 2 MiB.
-# `train()` frees one untouched block of this size on entry, which raises
-# the threshold to 16 MiB. At train-paper's dim=512 the tape's own large
-# arrays raise it, and calls after the first took 0 faults with or without.
+# its pages back in: on train-longseg's inputs, in one process, four
+# `train()` calls took 153, 139, 142 and 145 thousand minor faults; with a
+# block of this size freed on entry, 4,660, 1, 79 and 0 (with 128-node
+# windows, 44, 37, 40 and 40 thousand, and 3,714, 53, 0 and 0). `train()`
+# frees one untouched block of this size on entry, which raises the
+# threshold to 16 MiB. At train-paper's dim=512 the tape's own large arrays
+# raise it, and calls after the first took 0 faults with or without.
 HEAP_KEEP_BYTES = 8 << 20
 
 # the values each `TrainConfig` annotation accepts, in code and in JSON (bool is not an int here)
@@ -309,15 +316,17 @@ def _nodes(clip: Clip) -> int:
     return len(clip.frames) + sum(line.tokens.shape[0] for line in clip.subs)
 
 
-def sub_windows(clips: Sequence[Clip]) -> Iterator[list[Clip]]:
+def sub_windows(clips: Sequence[Clip], dim: int) -> Iterator[list[Clip]]:
     """Runs of consecutive clips whose frame and token nodes together stay
-    within `SUB_WINDOW_NODES`; a clip with more runs alone.
+    within `SUB_WINDOW_NODES` and within `SUB_WINDOW_CELLS` // `dim`, for a
+    model of width `dim`; a clip with more runs alone.
     """
+    cap = min(SUB_WINDOW_NODES, SUB_WINDOW_CELLS // dim)
     run: list[Clip] = []
     nodes = 0
     for clip in clips:
         n = _nodes(clip)
-        if run and nodes + n > SUB_WINDOW_NODES:
+        if run and nodes + n > cap:
             yield run
             run, nodes = [], 0
         run.append(clip)
@@ -374,7 +383,7 @@ def train(
         for start in range(0, len(order), cfg.effective_batch):
             window = [train_clips[i] for i in order[start : start + cfg.effective_batch]]
             pending: list[np.ndarray] = []
-            for clips in sub_windows(window):
+            for clips in sub_windows(window, cfg.dim):
                 losses, n_queries, nodes = _learn(clips, params, cfg, buffer, epoch)
                 pending.extend(nodes.T)
                 for floats in losses:
@@ -405,7 +414,7 @@ def evaluate_accuracy(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -
         raise EmptyInputError("evaluation set is empty")
     correct = 0
     with no_grad():
-        for run in sub_windows(clips):
+        for run in sub_windows(clips, cfg.dim):
             probs = forward_batch(run, params, cfg).prob.data[0]
             correct += sum(int((1 if p > 0.5 else 0) == clip.label) for clip, p in zip(run, probs))
     return correct / len(clips)
@@ -425,7 +434,7 @@ def evaluate(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -> EvalRes
     correct = 0
     sums: dict[str, float] = {}
     with no_grad():
-        for run in sub_windows(clips):
+        for run in sub_windows(clips, cfg.dim):
             bundle, trace = run_clips(run, params, cfg)
             for clip, p, floats in zip(run, trace.prob.data[0], bundle.as_floats()):
                 correct += int((1 if p > 0.5 else 0) == clip.label)

@@ -119,7 +119,7 @@ def _generated(out: dict, workloads) -> None:
         params.zero_grad()
         rows = []
         with _SolveCounter() as counter:
-            for run in vt.sub_windows(clips):
+            for run in vt.sub_windows(clips, cfg.dim):
                 losses, batch = vt.run_clips(run, params, cfg, buffer)
                 backward(losses.total.sum())
                 rows += zip(batch.prob.data[0], losses.as_floats(), batch.query.counts)

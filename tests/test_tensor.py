@@ -102,28 +102,83 @@ def test_matmul_gradcheck_vs_finite_differences():
 
 # ---------------------------------------------------------------- softmax
 
+def softmax(a: Tensor) -> Tensor:
+    """`tn.masked_softmax` down the columns of `a` with no entry masked."""
+    return tn.masked_softmax(a, np.ones(a.shape, dtype=bool))
+
+
 def test_softmax_uniform_logits():
-    out = tn.softmax(Tensor([0.0, 0.0]), axis=0)
+    out = softmax(Tensor([0.0, 0.0]))
     assert np.allclose(out.data.ravel(), [0.5, 0.5])
 
 
 def test_softmax_shift_invariance_no_overflow():
-    out = tn.softmax(Tensor([1000.0, 1000.0]), axis=0)
+    out = softmax(Tensor([1000.0, 1000.0]))
     assert np.allclose(out.data.ravel(), [0.5, 0.5])
     assert np.all(np.isfinite(out.data))
 
 
 def test_softmax_hand_value():
-    out = tn.softmax(Tensor([0.0, math.log(3.0)]), axis=0)
+    out = softmax(Tensor([0.0, math.log(3.0)]))
     assert np.allclose(out.data.ravel(), [0.25, 0.75], atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
 def test_softmax_outputs_are_probabilities(xs):
-    out = tn.softmax(Tensor(xs), axis=0)
+    out = softmax(Tensor(xs))
     assert np.all(out.data > 0)
     assert abs(out.data.sum() - 1.0) <= 1e-12
+
+
+def softmax_of_masked_sum(a: Tensor, keep: np.ndarray) -> Tensor:
+    """Oracle for `tn.masked_softmax`: a constant mask of 0 and -inf added on
+    the tape, then a stable softmax down each column of the sum."""
+    s = tn.add(a, Tensor(np.where(keep, 0.0, -np.inf)))
+    shifted = s.data - s.data.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=0, keepdims=True)
+
+    def bw(out: Tensor) -> None:
+        g = out.grad
+        dot = (g * y).sum(axis=0, keepdims=True)
+        tn._acc(s, y * (g - dot))
+
+    return tn._make(y, (s,), bw)
+
+
+def block_mask(rng, n_blocks: int, n_keys: int) -> np.ndarray:
+    """Node-block equals key-block, for random block sizes of 1-4 nodes (at
+    least one single-node block) and keys drawn from the blocks."""
+    sizes = rng.integers(1, 5, size=n_blocks)
+    sizes[rng.integers(n_blocks)] = 1
+    x_ids = np.repeat(np.arange(n_blocks), sizes)
+    key_ids = rng.integers(n_blocks, size=n_keys)
+    return x_ids[:, None] == key_ids[None, :]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_masked_softmax_is_bitwise_the_softmax_of_the_masked_sum(seed):
+    rng = np.random.default_rng(seed)
+    keep = block_mask(rng, int(rng.integers(1, 6)), int(rng.integers(1, 8)))
+    ps = make_params(rng, a=keep.shape)
+    ps["a"].data *= 10.0
+    w = Tensor(rng.standard_normal(keep.shape))
+    results = []
+    for op in (tn.masked_softmax, softmax_of_masked_sum):
+        out = op(ps["a"], keep)
+        grads = backward(tn.mul(out, w).sum(), ps)
+        results.append((out.data, grads["a"].copy()))
+        ps.zero_grad()
+    (got, got_grad), (want, want_grad) = results
+    assert np.array_equal(got, want) and np.array_equal(got_grad, want_grad)
+    assert np.all(got[~keep] == 0.0) and np.all(got_grad[~keep] == 0.0)
+    assert np.allclose(got.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+
+def test_masked_softmax_rejects_a_mask_of_another_shape():
+    with pytest.raises(ShapeError):
+        tn.masked_softmax(Tensor(np.zeros((3, 2))), np.ones((2, 3), dtype=bool))
 
 
 # ---------------------------------------------------------------- sigmoid
@@ -429,6 +484,9 @@ def test_grad_check_zero_function_agrees_exactly():
 
 # ------------------------------------------------- per-op gradient oracle
 
+# node blocks of 2, 1 and 3 nodes; keys in blocks 0, 2, 1, 0 and 2
+BLOCKS = np.repeat(np.arange(3), (2, 1, 3))[:, None] == np.array([[0, 2, 1, 0, 2]])
+
 OPS = {
     "add": (lambda ps: tn.add(ps["a"], ps["b"]).sum(), {"a": (3, 2), "b": (3, 2)}),
     "sub": (lambda ps: tn.sub(ps["a"], ps["b"]).sum(), {"a": (3, 2), "b": (3, 2)}),
@@ -453,7 +511,9 @@ OPS = {
     "stacked_matmul_pool": (lambda ps: gate_loss("pool", ps), {**GATES["pool"][1], "c": (4, 6)}),
     "sum_ax0": (lambda ps: tn.mul(ps["a"].sum(axis=0), ps["w"]).sum(), {"a": (3, 2), "w": (1, 2)}),
     "mean_ax1": (lambda ps: tn.mul(ps["a"].mean(axis=1), ps["w"]).sum(), {"a": (3, 2), "w": (3, 1)}),
-    "softmax": (lambda ps: tn.mul(tn.softmax(ps["a"], axis=1), ps["w"]).sum(), {"a": (3, 4), "w": (3, 4)}),
+    "softmax": (lambda ps: tn.mul(softmax(ps["a"].T).T, ps["w"]).sum(), {"a": (3, 4), "w": (3, 4)}),
+    "masked_softmax": (lambda ps: tn.mul(tn.masked_softmax(ps["a"], BLOCKS), ps["w"]).sum(),
+                       {"a": BLOCKS.shape, "w": BLOCKS.shape}),
     "sigmoid": (lambda ps: tn.mul(tn.sigmoid(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
     "softplus": (lambda ps: tn.mul(tn.softplus(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
     "tanh": (lambda ps: tn.mul(tn.tanh(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
@@ -617,7 +677,7 @@ def test_tape_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        loss = tn.softmax(tn.gather(tn.matmul(ps["a"], ps["b"]), [0, 0, 1, 1, 1]), axis=0).sum()
+        loss = softmax(tn.gather(tn.matmul(ps["a"], ps["b"]), [0, 0, 1, 1, 1])).sum()
         backward(loss, ps)
         del loss
         assert gc.collect() == 0
@@ -629,8 +689,8 @@ def test_ops_are_deterministic():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((6, 6))
     b = rng.standard_normal((6, 6))
-    r1 = tn.matmul(tn.softmax(Tensor(a), axis=1), tn.sigmoid(Tensor(b))).data
-    r2 = tn.matmul(tn.softmax(Tensor(a), axis=1), tn.sigmoid(Tensor(b))).data
+    r1 = tn.matmul(softmax(Tensor(a).T).T, tn.sigmoid(Tensor(b))).data
+    r2 = tn.matmul(softmax(Tensor(a).T).T, tn.sigmoid(Tensor(b))).data
     assert np.array_equal(r1, r2)
 
 

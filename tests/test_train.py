@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -351,13 +352,65 @@ def test_zero_grad_between_clips_keeps_only_the_second_clip():
         assert np.array_equal(got[name], g), name
 
 
+def benchmark_clips(shape: str, count: int) -> list[Clip]:
+    """`count` clips of a benchmark workload shape (`workloads.PAPER` or
+    `LONGSEG`), drawn by the benchmark's generator from seed 0."""
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import gen
+    import workloads
+
+    return [parse_clip(rec) for rec in gen.make_records(
+        0, workloads.TRAIN, count, getattr(workloads, shape), workloads.WIDTH)]
+
+
+def nodes_of(clip: Clip) -> int:
+    return len(clip.frames) + sum(line.tokens.shape[0] for line in clip.subs)
+
+
+def windows_within(clips: list[Clip], cap: int) -> list[list[str]]:
+    """Clip ids of the runs of consecutive clips whose nodes stay within `cap`."""
+    runs, nodes = [], cap + 1
+    for clip in clips:
+        if nodes + nodes_of(clip) > cap:
+            runs.append([])
+            nodes = 0
+        runs[-1].append(clip.clip_id)
+        nodes += nodes_of(clip)
+    return runs
+
+
+def test_sub_windows_are_sized_by_model_width():
+    cap = vlgraph.train.SUB_WINDOW_NODES
+    # at the paper's width, exactly the windows of a fixed 128-node cap
+    paper = benchmark_clips("PAPER", 64)
+    windows = [[clip.clip_id for clip in run] for run in sub_windows(paper, 512)]
+    assert windows == windows_within(paper, 128)
+    assert max(len(run) for run in windows) > 1
+    # at dim=32 the dense (nodes x nodes) arrays cap the windows, not the width
+    longseg = benchmark_clips("LONGSEG", 48)
+    runs = list(sub_windows(longseg, 32))
+    assert [clip.clip_id for run in runs for clip in run] == [clip.clip_id for clip in longseg]
+    sizes = [sum(map(nodes_of, run)) for run in runs]
+    assert max(sizes) > 128 and max(sizes) <= cap
+    # a clip beyond the cap runs alone
+    big = dataclasses.replace(longseg[0], clip_id="big",
+                              frames=longseg[0].frames * (cap // len(longseg[0].frames) + 1))
+    assert nodes_of(big) > cap
+    clips = longseg[1:3] + [big] + longseg[3:5]
+    assert [[clip.clip_id for clip in run] for run in sub_windows(clips, 32)] \
+        == windows_within(longseg[1:3], cap) + [["big"]] + windows_within(longseg[3:5], cap)
+
+
 def test_training_in_sub_windows_matches_one_clip_at_a_time(monkeypatch):
     cfg = small_cfg(alpha=0.1, beta=0.1, epochs=2, effective_batch=8)
     clips, val = clips_of(12), clips_of(6, seed=1)
-    assert max(len(run) for run in sub_windows(clips[:8])) > 1
+    assert max(len(run) for run in sub_windows(clips[:8], cfg.dim)) > 1
     batched = train(clips, val, HEADER, cfg)
     monkeypatch.setattr("vlgraph.train.SUB_WINDOW_NODES", 1)
-    assert all(len(run) == 1 for run in sub_windows(clips))
+    assert all(len(run) == 1 for run in sub_windows(clips, cfg.dim))
     alone = train(clips, val, HEADER, cfg)
     for got, want in zip(batched.metrics, alone.metrics):
         assert got.keys() == want.keys()
@@ -430,7 +483,7 @@ def test_batched_evaluate_uses_in_clip_negatives_only():
     cfg = small_cfg(alpha=0.1, beta=0.1)
     params = init_params(cfg.model_config(), *DIMS, np.random.default_rng(9))
     clips = clips_of(8)
-    assert max(len(run) for run in sub_windows(clips)) > 1
+    assert max(len(run) for run in sub_windows(clips, cfg.dim)) > 1
     res = evaluate(clips, params, cfg)
     per_clip = [run_clips([clip], params, cfg)[0].as_floats()[0] for clip in clips]
     for key, value in res.mean_losses.items():
@@ -652,6 +705,24 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
     del kept
     return peak
+
+
+def test_a_dim32_sub_window_keeps_its_tape_light():
+    # the forward and backward of three train-longseg clips (379 nodes) as one
+    # sub-window peaked at 20.1 MiB with dense 0/-inf block masks and the
+    # transport structure's work arrays on the tape, and at 12.8 MiB without
+    clips = benchmark_clips("LONGSEG", 48)[4:7]
+    assert 360 <= sum(map(nodes_of, clips)) <= 400
+    cfg = TrainConfig(dim=32, seed=0)
+    params = init_params(cfg, 32, 32, 32, np.random.default_rng(0))
+    buffer = NegativeBuffer(cfg.neg_buffer)
+
+    def step():
+        bundle, _ = run_clips(clips, params, cfg, buffer)
+        backward(bundle.total.sum())
+        return bundle
+
+    assert _traced_peak(step) < 15 << 20
 
 
 def test_checkpoint_save_and_load_hold_one_parameter_beyond_the_parameters(tmp_path):
