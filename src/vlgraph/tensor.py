@@ -663,7 +663,12 @@ class _Stack:
     """The G segments of one shape (n, m) of a `SortedStructure`, stacked
     along a leading axis. Segment g owns rows first_a[g] .. + n of A and of
     the plan, and rows first_b[g] .. + m of B, which are also its columns of
-    the plan."""
+    the plan.
+
+    `linearize` and `gradients` make their work arrays per call and keep
+    none: the tape holds the structure from the forward to the end of its
+    backward, and kept, they took 2.5 of the 6.8 MiB tape of one 170-node
+    train-longseg clip at dim=32, and 5.2 of 18.2 MiB at 379 nodes."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray, first_a: np.ndarray, first_b: np.ndarray,
                  n: int, m: int):
@@ -722,11 +727,6 @@ class _Stack:
         written into the (G, m, m, n) `out`."""
         return np.take(plan.take(self._lk).reshape(-1, out.shape[-1]), self._order, axis=0,
                        out=out)
-
-    # The work arrays of `linearize` and `gradients` are made per call, not
-    # kept: the tape holds the structure from the forward to the end of its
-    # backward, and at dim=32 kept arrays took 2.5 of the 6.8 MiB tape of one
-    # 170-node train-longseg clip, and 5.2 of 18.2 MiB at 379 nodes.
 
     def linearize(self, plan: np.ndarray, out: np.ndarray) -> None:
         """Write L_ij = sum_kl |A_ik - B_jl| T_kl of every segment into `out`;
