@@ -59,7 +59,7 @@ class SubtitleLine:
             raise ValidationError(f"subtitle span [{self.t0}, {self.t1}) is not finite")
         if self.t1 <= self.t0:
             raise ValidationError(f"subtitle span [{self.t0}, {self.t1}) has no length")
-        if self.tokens.shape[0] < 1:
+        if not self.tokens.size:            # `[]` reads as one token of width 0
             raise ValidationError("subtitle line has no tokens")
 
 
@@ -118,6 +118,9 @@ def segment_clip(frames: list[FrameNode], subs: list[SubtitleLine]) -> Segmentat
     Containment uses half-open spans [t0, t1). Overlapping spans are clipped
     at the later line's start so spans partition their union. Orphan frames
     go to the nearest span midpoint, ties to the earlier segment.
+
+    At least one segment comes out: the last line in start order is never
+    clipped and has t1 > t0, and every frame joins some span.
     """
     if not frames:
         raise EmptyInputError("clip has no frames")
@@ -138,9 +141,6 @@ def segment_clip(frames: list[FrameNode], subs: list[SubtitleLine]) -> Segmentat
         spans.append((t0, t1))
         line_of_span.append(i)
 
-    if not spans:
-        raise EmptyInputError("all subtitle spans collapsed after overlap clipping")
-
     assigned: list[list[int]] = [[] for _ in spans]
     mids = [(a + b) / 2.0 for a, b in spans]
     for fi, f in enumerate(frames):
@@ -159,8 +159,6 @@ def segment_clip(frames: list[FrameNode], subs: list[SubtitleLine]) -> Segmentat
             dropped.append(line_of_span[si])
     if dropped:
         log.info("dropped %d subtitle line(s) with no frames: %s", len(dropped), sorted(dropped))
-    if not keep:
-        raise EmptyInputError("no segment received any frame")
 
     return Segmentation(
         spans=[spans[si] for si in keep],

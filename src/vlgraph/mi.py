@@ -11,8 +11,9 @@ All pairs of a batch of clips are scored at once from its one
 `TemporalTrace`: the candidates are the node columns of every clip
 (query-major) followed by the buffer, and score column q is every candidate
 against query q's global node. A score of one clip's node under another
-clip's query is masked to -inf, so each query's log-sum-exp sees exactly
-its own clip's nodes and the buffer. The positive of node column j sits in
+clip's query is masked out of the log-sum-exp (`tn.logsumexp` takes a
+boolean keep mask), so each query's log-sum-exp sees exactly its own clip's
+nodes and the buffer. The positive of node column j sits in
 row j of column `query_ids[j]`.
 """
 
@@ -95,14 +96,14 @@ def contrastive_loss(
     scores = tn.matmul(temporal.nodes.T, key)
     positive = np.zeros(scores.shape)
     positive[np.arange(len(query_ids)), query_ids] = 1.0
-    # taken before the mask, where -inf * 0 would be NaN
     pos = tn.mul(scores, Tensor(positive, copy=False)).sum(axis=1).T    # (1, n_nodes)
-    mask = np.where(node_clip[:, None] == query_clip[None, :], 0.0, -np.inf)
-    cands = tn.add(scores, Tensor(mask, copy=False))
+    cands = scores
+    keep = node_clip[:, None] == query_clip[None, :]      # each query sees its own clip's nodes
     if n_buf:
         # the buffer rows are constants: their block's backward feeds `key` only
         cands = tn.concat([cands, tn.matmul(buffer.rows, key)], axis=0)
-    estimates = tn.sub(pos, tn.gather(tn.logsumexp(cands), query_ids))     # (1, n_nodes)
+        keep = np.concatenate([keep, np.ones((n_buf, keep.shape[1]), dtype=bool)])
+    estimates = tn.sub(pos, tn.gather(tn.logsumexp(cands, keep), query_ids))     # (1, n_nodes)
     return ContrastiveResult(
         loss=tn.mul(tn.block_mean(estimates, tuple(pairs)), -beta),
         estimates=estimates.data[0].tolist(),

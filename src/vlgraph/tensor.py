@@ -2,8 +2,9 @@
 
 Every value is a 2-D (occasionally higher-D) row-major float64 array. There
 is no implicit broadcasting: elementwise ops require identical shapes, and
-the only mixed form allowed is tensor-with-python-scalar. Column-broadcast
-patterns are spelled out as named ops (`add_col`, `gather`).
+the only mixed forms are a tensor scaled by a python float (`mul`) and a
+float less a tensor (`sub`, the gates' 1 - g). Column-broadcast patterns are
+spelled out as named ops (`add_col`, `gather`).
 
 Graph recording is a distributed tape: each op output remembers its parent
 tensors and a closure that routes the output gradient to them. `tape_id` is
@@ -171,47 +172,38 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _as_pair(a, b, op: str) -> tuple[Tensor, Tensor | float]:
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        raise ContractError(f"{op}: at least one operand must be a Tensor")
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        if a.shape != b.shape:
-            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-    return a, b
+def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_pair(a, b, "add")
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        raise ContractError(f"add: each operand must be a Tensor, got {type(a).__name__}, "
+                            f"{type(b).__name__}")
+    _same_shape(a, b, "add")
 
-        def bw(out: Tensor) -> None:
-            _acc(a, out.grad)
-            _acc(b, out.grad)
+    def bw(out: Tensor) -> None:
+        _acc(a, out.grad)
+        _acc(b, out.grad)
 
-        return _make(a.data + b.data, (a, b), bw)
-    t, s = (a, b) if isinstance(a, Tensor) else (b, a)
-
-    def bw_s(out: Tensor) -> None:
-        _acc(t, out.grad)
-
-    return _make(t.data + float(s), (t,), bw_s)
+    return _make(a.data + b.data, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_pair(a, b, "sub")
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
+def sub(a: Tensor | float, b: Tensor) -> Tensor:
+    """Elementwise difference of two tensors of one shape, or a python float
+    less a tensor."""
+    if not isinstance(b, Tensor):
+        raise ContractError(f"sub: the right operand must be a Tensor, got {type(b).__name__}")
+    if isinstance(a, Tensor):
+        _same_shape(a, b, "sub")
 
         def bw(out: Tensor) -> None:
             _acc(a, out.grad)
             _acc(b, -out.grad)
 
         return _make(a.data - b.data, (a, b), bw)
-    if isinstance(a, Tensor):
-
-        def bw_l(out: Tensor) -> None:
-            _acc(a, out.grad)
-
-        return _make(a.data - float(b), (a,), bw_l)
 
     def bw_r(out: Tensor) -> None:
         _acc(b, -out.grad)
@@ -219,10 +211,13 @@ def sub(a, b) -> Tensor:
     return _make(float(a) - b.data, (b,), bw_r)
 
 
-def mul(a, b) -> Tensor:
-    """Hadamard product, or scaling by a python float."""
-    a, b = _as_pair(a, b, "mul")
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
+def mul(a: Tensor, b: Tensor | float) -> Tensor:
+    """Hadamard product of two tensors of one shape, or a tensor scaled by a
+    python float."""
+    if not isinstance(a, Tensor):
+        raise ContractError(f"mul: the left operand must be a Tensor, got {type(a).__name__}")
+    if isinstance(b, Tensor):
+        _same_shape(a, b, "mul")
 
         def bw(out: Tensor) -> None:
             if a.requires_grad:
@@ -231,13 +226,12 @@ def mul(a, b) -> Tensor:
                 _acc(b, out.grad * a.data)
 
         return _make(a.data * b.data, (a, b), bw)
-    t, s = (a, b) if isinstance(a, Tensor) else (b, a)
-    sv = float(s)
+    s = float(b)
 
     def bw_s(out: Tensor) -> None:
-        _acc(t, out.grad * sv)
+        _acc(a, out.grad * s)
 
-    return _make(t.data * sv, (t,), bw_s)
+    return _make(a.data * s, (a,), bw_s)
 
 
 # A product of at most this many multiply-adds, or with more than this many
@@ -330,8 +324,8 @@ def stacked_matmul(w: Parameter, guide_a: Tensor, nodes: Tensor, guide_b: Tensor
 
     def bw(out: Tensor) -> None:
         g = out.grad
-        g_guide = _sum_by(g, guide_ids, guide_a.shape[1], axis=1)
-        g_nodes = g if node_ids is None else _sum_by(g, node_ids, nodes.shape[1], axis=1)
+        g_guide = _sum_by(g, guide_ids, guide_a.shape[1])
+        g_nodes = g if node_ids is None else _sum_by(g, node_ids, nodes.shape[1])
         # W_block^T G as (G^T W_block)^T, one row per column of the part
         _acc(guide_a, (g_guide.T @ w.data[:, :lo_n]).T)
         _acc(guide_b, (g_guide.T @ w.data[:, lo_b:]).T)
@@ -389,7 +383,7 @@ def gather(a: Tensor, index: Sequence[int] | np.ndarray) -> Tensor:
         raise ShapeError(f"gather: columns {index.tolist()} do not index {a.shape}") from e
 
     def bw(out: Tensor) -> None:
-        g = _sum_by(out.grad, index, a.shape[1], axis=1)
+        g = _sum_by(out.grad, index, a.shape[1])
         if a.grad is None:
             a.grad = g
         else:
@@ -398,24 +392,19 @@ def gather(a: Tensor, index: Sequence[int] | np.ndarray) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def _sum_by(g: np.ndarray, index: np.ndarray, n: int, axis: int) -> np.ndarray:
-    """A new array with n slots along `axis`: slot c sums the slices j of g
-    with index[j] == c, in order of j; a slot nothing maps to is zero."""
+def _sum_by(g: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """A new array of n columns: column c sums the columns j of g with
+    index[j] == c, in order of j; a column nothing maps to is zero."""
     order = np.argsort(index, kind="stable")
     ranked = index[order]
     starts = np.flatnonzero(np.diff(ranked, prepend=-1))
-    g = g.take(order, axis=axis)
+    g = g.take(order, axis=1)
     if starts.size < index.size:
-        g = np.add.reduceat(g, starts, axis=axis)
-    if starts.size == n:                    # every slot is hit, in slot order
+        g = np.add.reduceat(g, starts, axis=1)
+    if starts.size == n:                    # every column is hit, in column order
         return g
-    shape = list(g.shape)
-    shape[axis] = n
-    out = np.zeros(shape)
-    if axis == 0:
-        out[ranked[starts]] = g
-    else:
-        out[:, ranked[starts]] = g
+    out = np.zeros((g.shape[0], n))
+    out[:, ranked[starts]] = g
     return out
 
 
@@ -536,10 +525,19 @@ def tanh(a: Tensor) -> Tensor:
     return _make(y, (a,), bw)
 
 
-def logsumexp(a: Tensor) -> Tensor:
-    """log(sum(exp(x))) down each column, (n, m) -> (1, m), with max shifting."""
-    m = a.data.max(axis=0, keepdims=True)
-    e = np.exp(a.data - m)
+def logsumexp(a: Tensor, keep: np.ndarray) -> Tensor:
+    """log(sum(exp(x))) down each column of `a` over the entries where the
+    boolean `keep` is true, (n, m) -> (1, m), with max shifting; the others
+    add nothing and get a zero gradient, and every column must keep an entry.
+
+    As in `masked_softmax`, the values and gradients are bitwise those of `a`
+    plus a constant mask of 0 and -inf, and the mask is not a tape node.
+    """
+    if keep.shape != a.shape:
+        raise ShapeError(f"logsumexp: mask {keep.shape} does not fit {a.shape}")
+    x = np.where(keep, a.data, -np.inf)
+    m = x.max(axis=0, keepdims=True)
+    e = np.exp(x - m)
     s = e.sum(axis=0, keepdims=True)
     w = e / s
 
@@ -929,6 +927,10 @@ def backward(loss: Tensor, params: ParamStore | None = None) -> dict[str, np.nda
     return out
 
 
+GRAD_CHECK_STEP = 1e-5        # `grad_check`'s central-difference step
+GRAD_CHECK_REL_FLOOR = 1e-6   # keeps its relative error meaningful when both gradients are near 0
+
+
 class GradCheckReport:
     """Worst-coordinate comparison of analytic and central-difference grads."""
 
@@ -939,11 +941,10 @@ class GradCheckReport:
         self.worst_index = -1
         self.n_checked = 0
 
-    def record(self, name: str, idx: int, analytic: float, numeric: float,
-               rel_floor: float) -> None:
+    def record(self, name: str, idx: int, analytic: float, numeric: float) -> None:
         self.n_checked += 1
         abs_err = abs(analytic - numeric)
-        rel_err = abs_err / max(abs(analytic), abs(numeric), rel_floor)
+        rel_err = abs_err / max(abs(analytic), abs(numeric), GRAD_CHECK_REL_FLOOR)
         if abs_err > self.max_abs_err:
             self.max_abs_err = abs_err
         if rel_err > self.max_rel_err:
@@ -965,16 +966,14 @@ class GradCheckReport:
 def grad_check(
     f: Callable[[], Tensor],
     params: ParamStore,
-    step: float = 1e-5,
-    rel_floor: float = 1e-6,
     coords: Iterable[tuple[str, int]] | None = None,
 ) -> GradCheckReport:
     """Compare the tape gradient of a deterministic scalar `f()` against
-    central finite differences, coordinate by coordinate.
+    central finite differences of step `GRAD_CHECK_STEP`, coordinate by
+    coordinate.
 
     `coords` restricts the sweep to selected (param name, flat index) pairs;
-    by default every coordinate of every parameter is perturbed. `rel_floor`
-    keeps the relative error meaningful when both gradients are near zero.
+    by default every coordinate of every parameter is perturbed.
     """
     params.zero_grad()
     loss = f()
@@ -985,11 +984,11 @@ def grad_check(
     for name, idx in coords:
         flat = params[name].data.reshape(-1)
         orig = flat[idx]
-        flat[idx] = orig + step
+        flat[idx] = orig + GRAD_CHECK_STEP
         up = f().item()
-        flat[idx] = orig - step
+        flat[idx] = orig - GRAD_CHECK_STEP
         down = f().item()
         flat[idx] = orig
-        numeric = (up - down) / (2.0 * step)
-        report.record(name, idx, float(analytic[name].reshape(-1)[idx]), numeric, rel_floor)
+        numeric = (up - down) / (2.0 * GRAD_CHECK_STEP)
+        report.record(name, idx, float(analytic[name].reshape(-1)[idx]), numeric)
     return report

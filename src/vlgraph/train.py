@@ -87,6 +87,10 @@ SUB_WINDOW_CELLS = 128 * 512
 # raise it, and calls after the first took 0 faults with or without.
 HEAP_KEEP_BYTES = 8 << 20
 
+# each clip's loss terms, in the key order of `LossBundle.as_floats`; a
+# training epoch's metrics hold every term but `total`
+LOSS_TERMS = ("l_ent", "l_qe_surrogate", "l_qe_literal", "l_cm", "l_cl", "total")
+
 # the values each `TrainConfig` annotation accepts, in code and in JSON (bool is not an int here)
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "int | None": (int, type(None))}
 
@@ -190,12 +194,10 @@ class LossBundle:
     total: Tensor
 
     def as_floats(self) -> list[dict[str, float]]:
-        """Each clip's loss terms, in batch order."""
-        return [{"l_ent": float(ent), "l_qe_surrogate": float(qe), "l_qe_literal": literal,
-                 "l_cm": float(cm), "l_cl": float(cl), "total": float(total)}
-                for ent, qe, literal, cm, cl, total in zip(
-                    self.ent.data[0], self.qe.data[0], self.qe_literal, self.cm.data[0],
-                    self.cl.data[0], self.total.data[0])]
+        """Each clip's loss terms, keyed by `LOSS_TERMS`, in batch order."""
+        return [dict(zip(LOSS_TERMS, map(float, terms))) for terms in zip(
+            self.ent.data[0], self.qe.data[0], self.qe_literal, self.cm.data[0],
+            self.cl.data[0], self.total.data[0])]
 
     def check_finite(self, clips: Sequence[str]) -> None:
         """NumericalError naming the first non-finite term; `clips` describes
@@ -302,7 +304,6 @@ class Adam:
 class TrainResult:
     params: ParamStore
     metrics: list[dict]
-    config: TrainConfig
 
 
 def run_clips(clips: Sequence[Clip], params: ParamStore, cfg: TrainConfig,
@@ -377,8 +378,7 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_clips))
         params.zero_grad()
-        sums = {"l_ent": 0.0, "l_qe_surrogate": 0.0, "l_qe_literal": 0.0,
-                "l_cm": 0.0, "l_cl": 0.0, "total": 0.0}
+        sums = dict.fromkeys(LOSS_TERMS, 0.0)
         n_sum = 0
         for start in range(0, len(order), cfg.effective_batch):
             window = [train_clips[i] for i in order[start : start + cfg.effective_batch]]
@@ -395,17 +395,10 @@ def train(
             buffer.push(pending)
         acc = evaluate_accuracy(eval_on, params, cfg)
         n = len(train_clips)
-        metrics.append({
-            "epoch": epoch,
-            "acc": acc,
-            "l_ent": sums["l_ent"] / n,
-            "l_qe_surrogate": sums["l_qe_surrogate"] / n,
-            "l_qe_literal": sums["l_qe_literal"] / n,
-            "l_cm": sums["l_cm"] / n,
-            "l_cl": sums["l_cl"] / n,
-            "mean_N": n_sum / n,
-        })
-    return TrainResult(params=params, metrics=metrics, config=cfg)
+        metrics.append({"epoch": epoch, "acc": acc,
+                        **{key: sums[key] / n for key in LOSS_TERMS if key != "total"},
+                        "mean_N": n_sum / n})
+    return TrainResult(params=params, metrics=metrics)
 
 
 def evaluate_accuracy(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -> float:
@@ -432,14 +425,14 @@ def evaluate(clips: list[Clip], params: ParamStore, cfg: TrainConfig) -> EvalRes
     if not clips:
         raise EmptyInputError("evaluation set is empty")
     correct = 0
-    sums: dict[str, float] = {}
+    sums = dict.fromkeys(LOSS_TERMS, 0.0)
     with no_grad():
         for run in sub_windows(clips, cfg.dim):
             bundle, trace = run_clips(run, params, cfg)
             for clip, p, floats in zip(run, trace.prob.data[0], bundle.as_floats()):
                 correct += int((1 if p > 0.5 else 0) == clip.label)
                 for key, val in floats.items():
-                    sums[key] = sums.get(key, 0.0) + val
+                    sums[key] += val
     return EvalResult(
         accuracy=correct / len(clips),
         mean_losses={k: v / len(clips) for k, v in sums.items()},

@@ -63,6 +63,25 @@ def test_non_finite_timestamps_rejected():
         SubtitleLine(t0=0.0, t1=float("inf"), tokens=np.ones((1, 2)))
 
 
+# (call, error type, message fragment) of each input guard of `graph`
+GUARDS = {
+    "frame-negative-time": (lambda: FrameNode(t=-0.5, feature=np.zeros(2)),
+                            ValidationError, "is negative"),
+    # `[]` reads as one token of width 0 unless the check counts entries
+    "line-tokens-empty-list": (lambda: SubtitleLine(t0=0.0, t1=1.0, tokens=[]),
+                               ValidationError, "subtitle line has no tokens"),
+    "line-tokens-zero-rows": (lambda: SubtitleLine(t0=0.0, t1=1.0, tokens=np.zeros((0, 2))),
+                              ValidationError, "subtitle line has no tokens"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_graph_guards_raise_package_errors(case):
+    call, error, fragment = GUARDS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
 def test_overlapping_spans_clipped_at_later_start():
     seg = segment_clip(frames_at(0.5, 1.5, 2.5), lines((0, 3), (1, 4)))
     # first span clipped to [0, 1): frame 0.5 in seg 0, rest in seg 1
@@ -109,6 +128,22 @@ def test_partition_property(frame_ts, n_lines):
     assert flat == list(range(len(fs)))
     n_tokens = sum(subs[i].tokens.shape[0] for i in seg.line_index)
     assert n_tokens == sum(s.tokens.shape[0] for s in subs)
+    assert seg.n_segments >= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 30.0), min_size=1, max_size=12),
+    st.lists(st.tuples(st.floats(0.0, 30.0), st.floats(1e-6, 10.0)), min_size=1, max_size=6),
+)
+def test_any_valid_clip_keeps_a_segment(frame_ts, spans):
+    # overlapping, nested and repeated spans, frames anywhere: the last line in
+    # start order is never clipped, and every frame joins some span
+    subs = lines(*[(t0, t0 + length) for t0, length in spans])
+    seg = segment_clip(frames_at(*frame_ts), subs)
+    assert seg.n_segments >= 1
+    assert sorted(i for idxs in seg.frame_index for i in idxs) == list(range(len(frame_ts)))
+    assert all(a < b for a, b in seg.spans)
 
 
 def test_segmentation_deterministic():

@@ -36,6 +36,11 @@ class NCEBatch:
             raise ContractError("NCE batch is empty")
 
 
+def logsumexp(a: Tensor) -> Tensor:
+    """`tn.logsumexp` down the columns of `a` with no entry masked."""
+    return tn.logsumexp(a, np.ones(a.shape, dtype=bool))
+
+
 def nce_estimate(batch: NCEBatch, params: ParamStore) -> Tensor:
     """Mean over pairs of score(pos, ctx) - LSE over {pos} + negatives.
 
@@ -46,7 +51,7 @@ def nce_estimate(batch: NCEBatch, params: ParamStore) -> Tensor:
     for pair in batch.pairs:
         cands = tn.concat([pair.positive] + pair.negatives, axis=1)
         scores = tn.matmul(cands.T, tn.matmul(params[DISC_WEIGHT], pair.context))
-        terms.append(tn.sub(tn.gather(scores.T, [0]), tn.logsumexp(scores)))
+        terms.append(tn.sub(tn.gather(scores.T, [0]), logsumexp(scores)))
     return terms[0] if len(terms) == 1 else tn.concat(terms, axis=0).mean()
 
 
@@ -235,7 +240,7 @@ def test_correlated_pairs_beat_shuffled_after_training():
             terms = []
             for k in range(n):
                 scores = tn.matmul(cands.T, tn.matmul(ps["disc.w"], tn.gather(Tensor(o_vals), [order[k]])))
-                terms.append(tn.sub(tn.gather(scores.T, [k]), tn.logsumexp(scores)))
+                terms.append(tn.sub(tn.gather(scores.T, [k]), logsumexp(scores)))
             return tn.concat(terms, axis=0).mean()
 
         opt = Adam(ps, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from vlgraph import model as md
 from vlgraph import tensor as tn
+from vlgraph.errors import ContractError
 from vlgraph.graph import Clip, FrameNode, SubtitleLine
 from vlgraph.mi import NegativeBuffer, contrastive_loss
 from vlgraph.model import (
@@ -326,7 +329,6 @@ def test_forced_query_count():
 
 @pytest.mark.parametrize("force_n", [[2], [2, 3, 1]])
 def test_forced_query_counts_must_match_the_statements(force_n):
-    from vlgraph.errors import ContractError
     rng = np.random.default_rng(11)
     ps = params_of(rng)
     with pytest.raises(ContractError, match=f"{len(force_n)} forced query counts for 2 statements"):
@@ -335,7 +337,6 @@ def test_forced_query_counts_must_match_the_statements(force_n):
 
 
 def test_forced_query_count_outside_the_range_rejected():
-    from vlgraph.errors import ContractError
     rng = np.random.default_rng(11)
     ps = params_of(rng)
     clip = make_clip(rng)
@@ -797,6 +798,52 @@ def test_query_cost_row_is_the_ponder_cost_of_each_statement(frozen):
 @pytest.mark.parametrize("n_frozen", [1, 3])
 def test_frozen_decisions_must_match_the_clips(n_frozen):
     ps, clips, _ = lockstep_setup()
-    from vlgraph.errors import ContractError
     with pytest.raises(ContractError, match=f"{n_frozen} frozen decisions for 2 clips"):
         forward_batch(clips[:2], ps, cfg_of(d=6), [FrozenDecisions(n_queries=1)] * n_frozen)
+
+
+# ------------------------------------------------------------- input guards
+
+def _guard_nodes(*shape):
+    return Tensor(np.random.default_rng(0).standard_normal(shape))
+
+
+def _one_segment():
+    return md.SegmentTrace(visual=_guard_nodes(4, 2), text=_guard_nodes(4, 3), v_sizes=(2,),
+                           s_sizes=(3,))
+
+
+# (call, error type, message fragment) of each input guard of `model`
+GUARDS = {
+    "batch-without-clips": (lambda: forward_batch([], params_of(np.random.default_rng(0)),
+                                                  cfg_of()),
+                            ContractError, "a batch needs at least one clip"),
+    "statement-without-columns": (
+        lambda: forward_batch([dataclasses.replace(make_clip(np.random.default_rng(0)),
+                                                   statement=np.zeros((3, 0)))],
+                              params_of(np.random.default_rng(0)), cfg_of()),
+        ContractError, "statement must have at least one token"),
+    "message-pass-block-counts": (
+        lambda: message_pass(_guard_nodes(4, 2), _guard_nodes(4, 2), _guard_nodes(4, 1),
+                             _guard_nodes(4, 2), params_of(np.random.default_rng(0)),
+                             "intra.v", (2,), (1, 1)),
+        ContractError, "intra.v: 1 receiving blocks but 2 sending"),
+    "segment-trace-block-counts": (
+        lambda: md.SegmentTrace(visual=_guard_nodes(4, 2), text=_guard_nodes(4, 2),
+                                v_sizes=(2,), s_sizes=(1, 1)),
+        ContractError, "every segment needs a visual and a text block"),
+    "reason-over-uncovered-segments": (
+        lambda: reason_over_segments(_one_segment(), _guard_nodes(4, 1),
+                                     params_of(np.random.default_rng(0)), cfg_of(), ((3, 1),)),
+        ContractError, "do not cover 1 segments and 1 queries"),
+    "predict-without-global-nodes": (
+        lambda: predict_global(_guard_nodes(4, 0), params_of(np.random.default_rng(0)), ()),
+        ContractError, "prediction needs at least one global node"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_model_guards_raise_package_errors(case):
+    call, error, fragment = GUARDS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

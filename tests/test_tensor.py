@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,11 @@ def test_softmax_outputs_are_probabilities(xs):
     assert abs(out.data.sum() - 1.0) <= 1e-12
 
 
+def logsumexp(a: Tensor) -> Tensor:
+    """`tn.logsumexp` down the columns of `a` with no entry masked."""
+    return tn.logsumexp(a, np.ones(a.shape, dtype=bool))
+
+
 def softmax_of_masked_sum(a: Tensor, keep: np.ndarray) -> Tensor:
     """Oracle for `tn.masked_softmax`: a constant mask of 0 and -inf added on
     the tape, then a stable softmax down each column of the sum."""
@@ -179,6 +185,44 @@ def test_masked_softmax_is_bitwise_the_softmax_of_the_masked_sum(seed):
 def test_masked_softmax_rejects_a_mask_of_another_shape():
     with pytest.raises(ShapeError):
         tn.masked_softmax(Tensor(np.zeros((3, 2))), np.ones((2, 3), dtype=bool))
+
+
+def logsumexp_of_masked_sum(a: Tensor, keep: np.ndarray) -> Tensor:
+    """Oracle for `tn.logsumexp`: a constant mask of 0 and -inf added on the
+    tape, then a max-shifted log-sum-exp down each column of the sum."""
+    s = tn.add(a, Tensor(np.where(keep, 0.0, -np.inf)))
+    m = s.data.max(axis=0, keepdims=True)
+    e = np.exp(s.data - m)
+    total = e.sum(axis=0, keepdims=True)
+    w = e / total
+
+    def bw(out: Tensor) -> None:
+        tn._acc(s, out.grad * w)
+
+    return tn._make(m + np.log(total), (s,), bw)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_masked_logsumexp_is_bitwise_the_logsumexp_of_the_masked_sum(seed):
+    rng = np.random.default_rng(seed)
+    keep = block_mask(rng, int(rng.integers(1, 6)), int(rng.integers(1, 8)))
+    ps = make_params(rng, a=keep.shape)
+    ps["a"].data *= 10.0
+    w = Tensor(rng.standard_normal((1, keep.shape[1])))
+    results = []
+    for op in (tn.logsumexp, logsumexp_of_masked_sum):
+        out = op(ps["a"], keep)
+        grads = backward(tn.mul(out, w).sum(), ps)
+        results.append((out.data, grads["a"].copy()))
+        ps.zero_grad()
+    (got, got_grad), (want, want_grad) = results
+    assert np.array_equal(got, want) and np.array_equal(got_grad, want_grad)
+    assert np.all(got_grad[~keep] == 0.0)
+
+
+def test_logsumexp_rejects_a_mask_of_another_shape():
+    with pytest.raises(ShapeError):
+        tn.logsumexp(Tensor(np.zeros((3, 2))), np.ones((2, 3), dtype=bool))
 
 
 # ---------------------------------------------------------------- sigmoid
@@ -233,6 +277,17 @@ def test_sum_and_mean_full_reduce():
 def test_elementwise_shape_mismatch():
     with pytest.raises(ShapeError):
         tn.add(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
+
+
+def test_add_sub_and_mul_take_only_the_float_forms_the_model_uses():
+    t = Tensor([[1.0, 2.0]])
+    for call in (lambda: tn.add(t, 1.0), lambda: tn.add(1.0, t), lambda: tn.sub(t, 1.0),
+                 lambda: tn.mul(2.0, t)):
+        with pytest.raises(ContractError, match="must be a Tensor"):
+            call()
+    # the forms the model uses stay: a float less a tensor, a tensor times a float
+    assert tn.sub(1.0, t).data.tolist() == [[0.0, -1.0]]
+    assert tn.mul(t, 2.0).data.tolist() == [[2.0, 4.0]]
 
 
 def test_cosine_distance_self_is_zero():
@@ -518,8 +573,8 @@ OPS = {
     "softplus": (lambda ps: tn.mul(tn.softplus(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
     "tanh": (lambda ps: tn.mul(tn.tanh(ps["a"]), ps["w"]).sum(), {"a": (3, 2), "w": (3, 2)}),
     "exp": (lambda ps: exp(ps["a"]).sum(), {"a": (2, 2)}),
-    "logsumexp": (lambda ps: tn.logsumexp(ps["a"]), {"a": (4, 1)}),
-    "logsumexp_cols": (lambda ps: tn.mul(tn.logsumexp(ps["a"]), ps["w"]).sum(),
+    "logsumexp": (lambda ps: logsumexp(ps["a"]), {"a": (4, 1)}),
+    "logsumexp_cols": (lambda ps: tn.mul(logsumexp(ps["a"]), ps["w"]).sum(),
                        {"a": (4, 3), "w": (1, 3)}),
     "cosine_distance": (lambda ps: cosine_distance(ps["a"], ps["b"]), {"a": (4, 1), "b": (4, 1)}),
     "cosine_cost": (lambda ps: tn.mul(tn.cosine_cost(ps["a"], ps["b"]), ps["w"]).sum(),
@@ -715,12 +770,53 @@ def test_param_store_rejects_duplicates_and_sorts():
 def test_logsumexp_matches_reference():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((5, 1)) * 30
-    got = tn.logsumexp(Tensor(x)).item()
+    got = logsumexp(Tensor(x)).item()
     ref = np.log(np.exp(x - x.max()).sum()) + x.max()
     assert abs(got - ref) < 1e-12
     cols = rng.standard_normal((5, 3)) * 30
-    got = tn.logsumexp(Tensor(cols)).data
+    got = logsumexp(Tensor(cols)).data
     assert got.shape == (1, 3)
     for j in range(3):
         ref = np.log(np.exp(cols[:, j] - cols[:, j].max()).sum()) + cols[:, j].max()
         assert abs(got[0, j] - ref) < 1e-12
+
+
+def _zeros(*shape: int) -> Tensor:
+    return Tensor(np.zeros(shape))
+
+
+# (call, error type, message fragment) of each input guard of `tensor`
+GUARDS = {
+    "item-of-a-matrix": (lambda: _zeros(2, 2).item(),
+                         ContractError, "item() needs a scalar tensor"),
+    "mul-of-two-floats": (lambda: tn.mul(2.0, 3.0),
+                          ContractError, "must be a Tensor"),
+    "matmul-of-a-3d-operand": (lambda: tn.matmul(_zeros(2, 2, 2), _zeros(2, 2)),
+                               ShapeError, "operands must be 2-D"),
+    "transpose-of-a-3d-tensor": (lambda: tn.transpose(_zeros(2, 2, 2)),
+                                 ShapeError, "needs a 2-D tensor"),
+    "concat-of-no-parts": (lambda: tn.concat([], axis=0), ContractError, "empty part list"),
+    "gather-negative-index": (lambda: tn.gather(_zeros(2, 3), [0, -1]),
+                              ShapeError, "columns [0, -1] do not index (2, 3)"),
+    "add-col-row-mismatch": (lambda: tn.add_col(_zeros(3, 2), _zeros(2, 1)),
+                             ShapeError, "add_col: got (3, 2) and (2, 1)"),
+    "cosine-cost-row-mismatch": (lambda: tn.cosine_cost(Tensor(np.ones((3, 2))),
+                                                        Tensor(np.ones((2, 2)))),
+                                 ShapeError, "cosine_cost: got (3, 2) and (2, 2)"),
+    "cosine-cost-zero-column": (lambda: tn.cosine_cost(Tensor([[1.0, 0.0], [1.0, 0.0]]),
+                                                       Tensor(np.ones((2, 2)))),
+                                DegenerateInputError, "zero-norm column"),
+    "structure-not-square": (lambda: tn.SortedStructure(np.zeros((2, 3)), np.zeros((2, 2)),
+                                                        (2,), (2,)),
+                             ShapeError, "costs must be square"),
+    "structure-blocks-do-not-tile": (lambda: tn.SortedStructure(np.zeros((3, 3)), np.zeros((2, 2)),
+                                                                (2,), (2,)),
+                                     ShapeError, "blocks (2,) and (2,) do not tile"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_tensor_guards_raise_package_errors(case):
+    call, error, fragment = GUARDS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

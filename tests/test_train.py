@@ -14,7 +14,7 @@ import pytest
 
 import vlgraph
 from vlgraph import synth
-from vlgraph.errors import EmptyInputError, FormatError, NumericalError
+from vlgraph.errors import ContractError, EmptyInputError, FormatError, NumericalError
 from vlgraph.graph import Clip, FrameNode, SubtitleLine, parse_clip, read_dataset, validate_dataset
 from vlgraph.mi import NegativeBuffer
 from vlgraph.model import forward, forward_batch, init_params, param_shapes
@@ -785,13 +785,11 @@ def test_checkpoint_header_of_shapes_beyond_the_payload_rejected(tmp_path):
     pytest.param("alpha", -10 ** 400, id="alpha-int-beyond-float"),
 ])
 def test_config_rejects_bad_derived_settings(field, value):
-    from vlgraph.errors import ContractError
     with pytest.raises(ContractError, match=field):
         TrainConfig(dim=8, max_queries=5, **{field: value})
 
 
 def test_config_rejects_unknown_keys():
-    from vlgraph.errors import ContractError
     with pytest.raises(ContractError, match="mystery"):
         TrainConfig.from_dict({"dim": 8, "mystery": 1})
 
@@ -802,7 +800,6 @@ def test_config_rejects_unknown_keys():
 ])
 def test_config_checks_field_types_when_built_in_code(field, value):
     # the same check as for a JSON config, so that a checkpoint always loads
-    from vlgraph.errors import ContractError
     with pytest.raises(ContractError, match=rf"config key '{field}': .* is not"):
         TrainConfig(**{field: value})
 
@@ -896,3 +893,51 @@ def test_linear_probe_on_one_side_stays_near_chance(difficulty, side):
     yv = np.array([r["label"] for r in val_recs])
     acc = float(((Xv @ w > 0.5).astype(int) == yv).mean())
     assert acc < 0.65, f"{side}-only probe accuracy {acc}"
+
+
+# ------------------------------------------------------------- input guards
+
+def _checkpoint_without_projections(tmp_path):
+    params = ParamStore()
+    params.add("head.out.b", np.zeros((1, 1)))
+    save_checkpoint(str(tmp_path / "bare.ckpt"), params, small_cfg())
+    return load_checkpoint(str(tmp_path / "bare.ckpt"))
+
+
+# (call on a scratch directory, error type, message fragment) of each input
+# guard of `train`
+GUARDS = {
+    "halt-eps-outside-the-open-unit-interval": (lambda tmp: small_cfg(halt_eps=1.0),
+                                                ContractError, "halt_eps must lie in (0, 1)"),
+    "train-on-no-clips": (lambda tmp: train([], clips_of(2), HEADER, small_cfg()),
+                          EmptyInputError, "training set is empty"),
+    "accuracy-of-no-clips": (lambda tmp: evaluate_accuracy(
+                                 [], init_params(small_cfg(), 32, 32, 32, np.random.default_rng(0)),
+                                 small_cfg()),
+                             EmptyInputError, "evaluation set is empty"),
+    "checkpoint-without-projections": (_checkpoint_without_projections, FormatError,
+                                       "parameter 'proj.v.w' is missing or not 2-D"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_train_guards_raise_package_errors(case, tmp_path):
+    call, error, fragment = GUARDS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(tmp_path)
+
+
+# (call, error type, message fragment) of each input guard of `synth`
+SYNTH_GUARDS = {
+    "generator-narrow-widths": (lambda: synth.generate_records(0, 1, (8, 32, 32)),
+                                ContractError, "feature widths must be at least"),
+    "generator-negative-difficulty": (lambda: synth.generate_records(0, 1, DIMS, difficulty=-0.5),
+                                      ContractError, "difficulty must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_GUARDS))
+def test_synth_guards_raise_package_errors(case):
+    call, error, fragment = SYNTH_GUARDS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

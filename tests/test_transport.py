@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from vlgraph import tensor as tn
-from vlgraph.errors import ContractError, ShapeError
+from vlgraph.errors import ContractError, NumericalError, ShapeError
 from vlgraph.graph import block_bounds
 from vlgraph.model import SegmentTrace
 from vlgraph.tensor import ParamStore, Tensor, backward, grad_check
@@ -591,3 +592,31 @@ def test_structure_term_recovers_a_planted_matching():
     aligned_closer = np.mean(distance[0::2] < distance[1::2])
     assert recovered >= 0.75, recovered
     assert aligned_closer >= 0.8, aligned_closer
+
+
+# ------------------------------------------------------------- input guards
+
+def _overflowing_sinkhorn():
+    # cost / eps_reg overflows to inf in a whole row; numpy warns before the check
+    cost = np.zeros((1, 2, 2))
+    cost[0, 0] = 1e308
+    half = np.full((1, 2), 0.5)
+    with np.errstate(all="ignore"):
+        sinkhorn(cost, half, half, 1e-300, 5, 1e-6)
+
+
+# (call, error type, message fragment) of each input guard of `transport`
+GUARDS = {
+    "sinkhorn-cost-not-3d": (lambda: sinkhorn(np.zeros((2, 2)), np.full((1, 2), 0.5),
+                                              np.full((1, 2), 0.5), 0.1, 5, 1e-6),
+                             ShapeError, "cost must be (problems, n, m), got (2, 2)"),
+    "sinkhorn-non-finite-scaling": (_overflowing_sinkhorn, NumericalError,
+                                    "non-finite values in problem 0; increase eps_reg"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_transport_guards_raise_package_errors(case):
+    call, error, fragment = GUARDS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
