@@ -904,7 +904,7 @@ def _checkpoint_without_projections(tmp_path):
     return load_checkpoint(str(tmp_path / "bare.ckpt"))
 
 
-# (call on a scratch directory, error type, message fragment) of each input
+# (call on a temporary directory, error type, message fragment) of each input
 # guard of `train`
 GUARDS = {
     "halt-eps-outside-the-open-unit-interval": (lambda tmp: small_cfg(halt_eps=1.0),

@@ -94,8 +94,9 @@ def _skipped(node: ast.stmt, source: list[str]) -> bool:
     return any("pragma: no cover" in source[i - 1] for i in range(first, node.body[0].lineno))
 
 
-def unrun(path: Path, hits: set[int]) -> list[int]:
-    """First lines of the statements of `path` with code, none of it run."""
+def unrun(path: Path, hits: set[int]) -> list[tuple[int, str]]:
+    """(first line number, its source) of each statement of `path` with code,
+    none of it run."""
     text = path.read_text(encoding="utf-8")
     code_lines = _code_lines(compile(text, str(path), "exec"))
     source = text.splitlines()
@@ -112,7 +113,7 @@ def unrun(path: Path, hits: set[int]) -> list[int]:
             own -= set(range(child.lineno, child.end_lineno + 1))
         own &= code_lines
         if own and not own & hits:
-            found.append(node.lineno)
+            found.append((node.lineno, source[node.lineno - 1].strip()))
     return sorted(found)
 
 
@@ -135,19 +136,16 @@ def main() -> int:
     os.chdir(ROOT)                          # pytest reads its test paths from here
     sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
     files = sorted(PACKAGE.glob("*.py"))
-    argv = sys.argv
     with LineTracer(files) as tracer:
         codes = {"tier-1": int(pytest.main(["-q", "-p", "no:cacheprovider",
                                             "--continue-on-collection-errors"]))}
         for name in WORKLOADS:
             codes[name] = _run_workload(name, args.seconds)
-    sys.argv = argv
     print("exit codes: " + ", ".join(f"{k} {v}" for k, v in codes.items()))
     total = 0
     for path in files:
-        source = path.read_text(encoding="utf-8").splitlines()
-        for ln in unrun(path, tracer.files[str(path)].hits):
-            print(f"{path.relative_to(ROOT)}:{ln}: {source[ln - 1].strip()}")
+        for ln, line in unrun(path, tracer.files[str(path)].hits):
+            print(f"{path.relative_to(ROOT)}:{ln}: {line}")
             total += 1
     print(f"{total} unrun statement(s) in {PACKAGE.relative_to(ROOT)}")
     return 1 if total else 0
