@@ -1,10 +1,10 @@
 """Statements of `src/vlgraph` that neither tier-1 nor the benchmark runs.
 
-    python tests/unrun_lines.py [--seconds 3]
+    python tests/unrun_lines.py
 
 Run from the repository root. One line tracer, limited to the files of
 `src/vlgraph`, stays installed for the whole run: first tier-1, run by
-pytest in this process, then each benchmark workload for `--seconds`
+pytest in this process, then each benchmark workload for `SECONDS`
 (`perfbench/run.py` through `runpy`, with `--trace 0`). It then prints each
 statement none of whose own lines ran, as `path:line: first source line`,
 and their count. A statement's own lines are the lines of its source that
@@ -18,18 +18,17 @@ name has no `test_` prefix).
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import runpy
 import sys
-import threading
 import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "vlgraph"
 WORKLOADS = ("train-paper", "train-longseg", "infer-paper")
+SECONDS = 3.0                               # of each workload
 
 
 class _FileLines:
@@ -56,13 +55,11 @@ class LineTracer:
         return self.files.get(frame.f_code.co_filename)
 
     def __enter__(self) -> "LineTracer":
-        threading.settrace(self._call)
         sys.settrace(self._call)
         return self
 
     def __exit__(self, *exc) -> None:
         sys.settrace(None)
-        threading.settrace(None)
 
 
 def _code_lines(code: types.CodeType) -> set[int]:
@@ -80,8 +77,6 @@ def _children(node: ast.stmt) -> list[ast.stmt]:
         out += [s for s in getattr(node, name, []) if isinstance(s, ast.stmt)]
     for handler in getattr(node, "handlers", []):
         out += handler.body
-    for case in getattr(node, "cases", []):
-        out += case.body
     return out
 
 
@@ -117,9 +112,9 @@ def unrun(path: Path, hits: set[int]) -> list[tuple[int, str]]:
     return sorted(found)
 
 
-def _run_workload(name: str, seconds: float) -> int:
+def _run_workload(name: str) -> int:
     sys.argv = ["perfbench/run.py", "--workload", name, "--seed", "0",
-                "--seconds", str(seconds), "--trace", "0"]
+                "--seconds", str(SECONDS), "--trace", "0"]
     try:
         runpy.run_path(str(ROOT / "perfbench" / "run.py"), run_name="__main__")
     except SystemExit as e:
@@ -128,9 +123,6 @@ def _run_workload(name: str, seconds: float) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seconds", type=float, default=3.0)
-    args = parser.parse_args()
     import pytest
 
     os.chdir(ROOT)                          # pytest reads its test paths from here
@@ -140,7 +132,7 @@ def main() -> int:
         codes = {"tier-1": int(pytest.main(["-q", "-p", "no:cacheprovider",
                                             "--continue-on-collection-errors"]))}
         for name in WORKLOADS:
-            codes[name] = _run_workload(name, args.seconds)
+            codes[name] = _run_workload(name)
     print("exit codes: " + ", ".join(f"{k} {v}" for k, v in codes.items()))
     total = 0
     for path in files:
